@@ -8,16 +8,8 @@
 // valuable moves first.
 //
 // The table brackets that reaction between doing nothing (stale assignment)
-// and a cold multi-pass restream with unlimited migration, and contrasts the
-// serial reaction with the sharded one (--shards N workers, default 4): the
-// replay splits by prior partition, each worker restreams its shard against
-// the read-only live assignment with a proportional budget slice, and the
-// merge composes the result. "k-core latency" is the share-nothing critical
-// path — serial setup + slowest shard (thread-CPU) + merge — i.e. the
-// reaction latency on a machine with one free core per shard; wall time on
-// this machine cannot beat 1 worker when fewer cores are free.
+// and a cold multi-pass restream with unlimited migration.
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -30,28 +22,18 @@ int main(int argc, char** argv) {
   using namespace loom::bench;
 
   DriftScenarioConfig config;
-  uint32_t shards = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       config.n = 20000;
     } else if (std::strcmp(argv[i], "--fast") == 0) {
       // defaults
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<uint32_t>(std::atoi(argv[++i]));
-      if (shards < 2) shards = 2;
     } else {
-      std::cerr << "usage: bench_drift [--fast|--full] [--shards N]\n";
+      std::cerr << "usage: bench_drift [--fast|--full]\n";
       return 2;
     }
   }
 
   const DriftScenarioResult r = RunDriftScenario(config);
-  DriftScenarioConfig sharded_config = config;
-  sharded_config.reaction_shards = shards;
-  // Damped sharded reactions spend half the remaining budget per pass, so
-  // they need roughly twice the serial pass count to spend it all.
-  sharded_config.reaction_passes = config.reaction_passes * 2;
-  const DriftScenarioResult rs = RunDriftScenario(sharded_config);
 
   std::cout << "Detection: stationary fires=" << r.stationary_fires
             << " (want 0), fired=" << (r.fired ? "yes" : "no")
@@ -65,41 +47,25 @@ int main(int argc, char** argv) {
       "Drift reaction vs the brackets (piecewise-stationary workload, "
       "n=" + std::to_string(config.n) + ", k=" + std::to_string(config.k) +
           ", budget=" + FormatPercent(r.max_migration_fraction) + ")",
-      {"strategy", "edge-cut", "migration", "wall s", "k-core s"});
+      {"strategy", "edge-cut", "migration", "wall s"});
   table.AddRow({"no reaction (stale)", FormatPercent(r.cut_no_reaction),
-                FormatPercent(0.0), "-", "-"});
-  table.AddRow({"drift reaction (1 worker)", FormatPercent(r.cut_reaction),
+                FormatPercent(0.0), "-"});
+  table.AddRow({"drift reaction", FormatPercent(r.cut_reaction),
                 FormatPercent(r.migration_reaction),
-                FormatDouble(r.seconds_reaction, 3),
                 FormatDouble(r.seconds_reaction, 3)});
-  table.AddRow({"drift reaction (" + std::to_string(shards) + " workers)",
-                FormatPercent(rs.cut_reaction),
-                FormatPercent(rs.migration_reaction),
-                FormatDouble(rs.seconds_reaction, 3),
-                FormatDouble(rs.critical_path_reaction, 3)});
   table.AddRow({"cold restream (" + std::to_string(config.cold_passes) +
                     " passes)",
                 FormatPercent(r.cut_cold), FormatPercent(r.migration_cold),
-                FormatDouble(r.seconds_cold, 3), "-"});
+                FormatDouble(r.seconds_cold, 3)});
   table.Print(std::cout);
 
-  if (rs.critical_path_reaction > 0.0) {
-    std::cout << "\nReaction latency at " << shards << " workers: "
-              << FormatDouble(rs.critical_path_reaction, 3)
-              << " s critical path vs " << FormatDouble(r.seconds_reaction, 3)
-              << " s serial ("
-              << FormatDouble(r.seconds_reaction /
-                                  rs.critical_path_reaction, 2)
-              << "x with one free core per shard)\n";
-  }
-  std::cout << "\nReaction capacity pressure (1 worker): overflow="
+  std::cout << "\nReaction capacity pressure: overflow="
             << r.reaction_overflow_fallbacks
             << " forced=" << r.reaction_forced_placements
             << " assign-errors=" << r.reaction_assign_errors
             << " budget-denied=" << r.reaction_budget_denied_moves << "\n";
-  std::cout << "\nExpected shape: both reactions within ~2 cut points of "
+  std::cout << "\nExpected shape: the reaction within ~2 cut points of "
                "cold at <= the migration budget; cold moves most of the "
-               "graph; the sharded reaction's critical path shrinks with "
-               "the worker count.\n";
+               "graph.\n";
   return 0;
 }

@@ -3,13 +3,9 @@
 // degree-based hashing on replication factor, most visibly on power-law
 // graphs; lambda trades replication against balance; a budgeted restream
 // pass should only ever improve the kept placement. The workload-heat
-// variant biases replication toward motif-hot labels. A second table
-// sweeps the sharded restream (RunSharded) over shard counts up to
-// --threads N (default 4), reporting the share-nothing critical path and
-// its speedup over the serial five-pass driver — whole-run and
-// restream-only (passes >= 2; pass one is serial in both schedules).
+// variant biases replication toward motif-hot labels.
 
-#include <cstdlib>
+#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -38,16 +34,9 @@ int main(int argc, char** argv) {
   using namespace loom;
   using namespace loom::bench;
 
-  uint32_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      threads = parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
-    } else {
-      std::cerr << "usage: bench_edge_partition [--threads N]\n";
-      return 1;
-    }
+  if (argc > 1) {
+    std::cerr << "usage: bench_edge_partition\n";
+    return 1;
   }
 
   const uint32_t n = 20000;
@@ -59,11 +48,6 @@ int main(int argc, char** argv) {
           ", k=" + std::to_string(k) + ")",
       {"graph", "partitioner", "lambda", "rf", "balance", "edges/s",
        "fallbacks"});
-  TablePrinter sharded_table(
-      "E12b sharded edge restream (hdrf, 5 passes, shard counts to " +
-          std::to_string(threads) + ")",
-      {"graph", "shards", "rf", "balance", "wall s", "critical s",
-       "speedup", "restream x", "serial=="});
 
   for (const GraphKind kind :
        {GraphKind::kErdosRenyi, GraphKind::kBarabasiAlbert}) {
@@ -135,79 +119,8 @@ int main(int argc, char** argv) {
                0),
            std::to_string(stats.overflow_fallbacks + stats.cap_relaxations)});
     }
-
-    // Sharded restream sweep against one serial reference.
-    EdgePartitionerOptions sopts;
-    sopts.k = k;
-    sopts.num_edges_hint = g.NumEdges();
-    sopts.num_vertices_hint = g.NumVertices();
-    EdgeRestreamOptions ropts;
-    ropts.num_passes = 5;
-    ropts.max_migration_fraction = 0.25;
-
-    auto serial_part = MakeEdgePartitioner("hdrf", sopts);
-    if (!serial_part.ok()) {
-      std::cerr << serial_part.status().ToString() << "\n";
-      return 1;
-    }
-    StreamCursor serial_cursor(stream);
-    EdgeRestreamer serial_restreamer(&serial_cursor, ropts);
-    const WallTimer serial_timer;
-    auto serial_run = serial_restreamer.Run(serial_part->get());
-    const double serial_seconds = serial_timer.ElapsedSeconds();
-    if (!serial_run.ok()) {
-      std::cerr << serial_run.status().ToString() << "\n";
-      return 1;
-    }
-    double serial_restream = 0.0;
-    for (const EdgeRestreamPassStats& pass : serial_run->passes) {
-      if (pass.pass > 1) serial_restream += pass.seconds;
-    }
-
-    for (uint32_t shards = 1; shards <= threads; shards *= 2) {
-      auto partitioner = MakeEdgePartitioner("hdrf", sopts);
-      if (!partitioner.ok()) {
-        std::cerr << partitioner.status().ToString() << "\n";
-        return 1;
-      }
-      StreamCursor cursor(stream);
-      EdgeRestreamer restreamer(&cursor, ropts);
-      const WallTimer timer;
-      auto run = restreamer.RunSharded(partitioner->get(), shards);
-      const double seconds = timer.ElapsedSeconds();
-      if (!run.ok()) {
-        std::cerr << run.status().ToString() << "\n";
-        return 1;
-      }
-      double critical = 0.0;
-      double restream_critical = 0.0;
-      for (const EdgeRestreamPassStats& pass : run->passes) {
-        const double pass_critical = pass.critical_path_seconds > 0.0
-                                         ? pass.critical_path_seconds
-                                         : pass.seconds;
-        critical += pass_critical;
-        if (pass.pass > 1) restream_critical += pass_critical;
-      }
-      const bool equal = run->placements == serial_run->placements;
-      sharded_table.AddRow(
-          {GraphKindName(kind), std::to_string(shards),
-           Fmt(run->replication_factor, 4), Fmt(run->balance),
-           Fmt(seconds, 4), Fmt(critical, 4),
-           Fmt(critical > 0.0 ? serial_seconds / critical : 0.0, 2),
-           Fmt(restream_critical > 0.0 ? serial_restream / restream_critical
-                                       : 0.0,
-               2),
-           shards == 1 ? (equal ? "yes" : "NO") : "-"});
-      if (shards == 1 && !equal) {
-        std::cerr << "bench_edge_partition: 1-shard restream diverged from "
-                     "the serial driver\n";
-        return 1;
-      }
-    }
   }
 
   table.Print(std::cout);
-  std::cout << "\n";
-  sharded_table.Print(std::cout);
   return 0;
 }

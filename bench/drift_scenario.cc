@@ -68,7 +68,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
   DriftControllerOptions copts;
   copts.max_migration_fraction = config.max_migration_fraction;
   copts.reaction_passes = config.reaction_passes;
-  copts.reaction_shards = config.reaction_shards;
   copts.seed = config.seed;
   DriftController controller(copts);
   controller.SetReference(MotifDistributionOf(live->Trie()),
@@ -116,7 +115,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
     result.cut_reaction = reaction.edge_cut_after;
     result.migration_reaction = reaction.migration_fraction;
     result.seconds_reaction = reaction.seconds;
-    result.critical_path_reaction = reaction.critical_path_seconds;
     for (const RestreamPassStats& pass : reaction.passes) {
       result.reaction_overflow_fallbacks += pass.overflow_fallbacks;
       result.reaction_forced_placements += pass.forced_placements;

@@ -42,9 +42,6 @@ struct DriftScenarioConfig {
   /// Reaction budget: cumulative migration cap of the drift reaction.
   double max_migration_fraction = 0.25;
   uint32_t reaction_passes = 2;
-  /// Share-nothing shards per reaction pass (1 = serial reaction;
-  /// `bench_drift` contrasts 1 with a worker pool).
-  uint32_t reaction_shards = 1;
   /// Passes of the cold (unbudgeted, from-scratch) restream baseline.
   uint32_t cold_passes = 3;
   /// Query-stream window of the tracker.
@@ -79,10 +76,6 @@ struct DriftScenarioResult {
   double cut_reaction = 0.0;
   double migration_reaction = 0.0;
   double seconds_reaction = 0.0;
-  /// Reaction latency with one free core per shard (sharded reactions:
-  /// serial setup + slowest shard's CPU time + merge per pass; equals
-  /// seconds_reaction up to timer noise when reaction_shards is 1).
-  double critical_path_reaction = 0.0;
   /// Edge cut / migration / latency of the cold multi-pass restream.
   double cut_cold = 0.0;
   double migration_cold = 0.0;

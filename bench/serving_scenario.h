@@ -59,7 +59,6 @@ struct ServingScenarioConfig {
   size_t tracker_window = 128;
   double max_migration_fraction = 0.25;
   uint32_t reaction_passes = 2;
-  uint32_t reaction_shards = 2;
 
   /// How long to keep the clients querying after ingest completes while
   /// waiting for the drift reaction; expiring marks the result not ok.
@@ -95,7 +94,9 @@ struct ServingScenarioResult {
   uint64_t locate_queries = 0;
   uint64_t touches_queries = 0;
   uint64_t observed_queries = 0;
-  /// Queries answered while the reaction task held the pipeline worker.
+  /// Queries answered while the reaction task held the pipeline worker, by
+  /// the clients plus a Locate-only probe thread that never takes the
+  /// tracker mutex (so it keeps reading while the clients queue on it).
   uint64_t queries_during_reaction = 0;
   LatencySummary locate_latency;
   LatencySummary touches_latency;

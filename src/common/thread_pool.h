@@ -2,19 +2,17 @@
 #define LOOM_COMMON_THREAD_POOL_H_
 
 /// \file
-/// Fixed-size worker pool for share-nothing parallel stages (the sharded
-/// restream engine). Design goals, in order:
+/// Fixed-size worker pool for share-nothing parallel stages (the serving
+/// facade's pipeline worker and its vertex-sharded front-end validation).
+/// Design goals, in order:
 ///
 ///  1. *Determinism of results.* Tasks are handed to workers FIFO in
 ///     submission order, but nothing about the pool may leak scheduling
 ///     into results: callers submit independent tasks (each owning its
 ///     mutable state, sharing only read-only inputs) and join them in
-///     submission order via the returned futures. Everything the sharded
-///     restreamer computes is a pure function of its inputs, never of the
-///     interleaving.
-///  2. *Bounded resources.* The worker count is fixed at construction —
-///     one pool per parallel pass, sized to the shard count — and the
-///     destructor drains outstanding tasks and joins every worker, so a
+///     submission order via the returned futures.
+///  2. *Bounded resources.* The worker count is fixed at construction and
+///     the destructor drains outstanding tasks and joins every worker, so a
 ///     pool can never outlive the state its tasks reference.
 ///  3. *No dropped errors.* A task that throws stores the exception in its
 ///     future; `Submit` + `future.get()` rethrows it on the joining thread

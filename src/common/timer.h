@@ -2,12 +2,11 @@
 #define LOOM_COMMON_TIMER_H_
 
 /// \file
-/// Wall-clock and per-thread CPU timing for benchmarks and experiment
-/// harnesses, plus the process peak-RSS probe the bench reports record.
+/// Wall-clock timing for benchmarks and experiment harnesses, plus the
+/// process peak-RSS probe the bench reports record.
 
 #include <chrono>
 #include <cstdint>
-#include <ctime>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -34,40 +33,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Per-thread CPU stopwatch: seconds this thread actually executed,
-/// independent of time-slicing against other threads (POSIX
-/// CLOCK_THREAD_CPUTIME_ID; wall-clock fallback elsewhere). The sharded
-/// restream benches report per-shard compute with it, so the recorded
-/// critical path — setup + slowest shard + merge — models the pass latency
-/// on a machine with one free core per shard even when the bench machine
-/// has fewer.
-class ThreadCpuTimer {
- public:
-  ThreadCpuTimer() : start_(Now()) {}
-
-  /// Restarts the stopwatch.
-  void Restart() { start_ = Now(); }
-
-  /// CPU seconds this thread consumed since construction or `Restart()`.
-  double ElapsedSeconds() const { return Now() - start_; }
-
- private:
-  static double Now() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec ts;
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-      return static_cast<double>(ts.tv_sec) +
-             static_cast<double>(ts.tv_nsec) * 1e-9;
-    }
-#endif
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
-  double start_;
 };
 
 /// Peak resident-set size of this process so far, in bytes (getrusage

@@ -34,10 +34,6 @@ void LoomPartitioner::RebuildEdgeWeights() {
   }
 }
 
-std::unique_ptr<StreamingPartitioner> LoomPartitioner::CloneForShard() const {
-  return std::make_unique<LoomPartitioner>(loom_options_, trie_);
-}
-
 void LoomPartitioner::SetTrie(const TpstryPP* trie) {
   assert(window_.Empty() && "SetTrie must be called between passes");
   trie_ = trie;

@@ -18,7 +18,6 @@
 /// assigned vertex-by-vertex — the safety valve for the balance risk the
 /// paper flags as future work (§4.4, §5).
 
-#include <memory>
 #include <utility>
 
 #include "common/small_vector.h"
@@ -57,12 +56,6 @@ class LoomPartitioner : public StreamingPartitioner {
   /// passes only (the window must be empty; an in-flight window would mix
   /// closures from two summaries); `trie` must outlive the partitioner.
   void SetTrie(const TpstryPP* trie);
-
-  /// Shard clone: shares only the immutable workload trie (safe for
-  /// concurrent read-only lookups — the matcher never mutates it); window,
-  /// matcher, label table and scoring scratch are all per-clone, so shard
-  /// clones run concurrently without synchronisation.
-  std::unique_ptr<StreamingPartitioner> CloneForShard() const override;
 
   const TpstryPP* trie() const { return trie_; }
 

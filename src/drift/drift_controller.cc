@@ -1,11 +1,8 @@
 #include "drift/drift_controller.h"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "metrics/metrics.h"
 
@@ -21,10 +18,6 @@ Status ValidateDriftControllerOptions(const DriftControllerOptions& options) {
   if (options.reaction_passes == 0) {
     return Status::InvalidArgument(
         "DriftControllerOptions.reaction_passes must be >= 1");
-  }
-  if (options.reaction_shards == 0) {
-    return Status::InvalidArgument(
-        "DriftControllerOptions.reaction_shards must be >= 1");
   }
   const DriftDetectorOptions& d = options.detector;
   if (std::isnan(d.fire_threshold) || d.fire_threshold < 0.0 ||
@@ -52,7 +45,6 @@ DriftControllerOptions SanitizeDriftControllerOptions(
     options.max_migration_fraction = 0.0;
   }
   if (options.reaction_passes == 0) options.reaction_passes = 1;
-  if (options.reaction_shards == 0) options.reaction_shards = 1;
   DriftDetectorOptions& d = options.detector;
   if (std::isnan(d.fire_threshold) || d.fire_threshold < 0.0 ||
       d.fire_threshold > 1.0) {
@@ -109,13 +101,6 @@ DriftReaction DriftController::React(const GraphStream& stream,
   PartitionAssignment prior = original;
   reaction.assignment = original;
   double best_cut = reaction.edge_cut_before;
-  const bool sharded = options_.reaction_shards > 1;
-  // One worker pool for the whole reaction: chained sharded passes reuse
-  // it instead of spinning threads up per pass.
-  std::unique_ptr<ThreadPool> pool;
-  if (sharded) {
-    pool = std::make_unique<ThreadPool>(options_.reaction_shards);
-  }
 
   for (uint32_t pass = 1; pass <= options_.reaction_passes; ++pass) {
     // Budget what is left after the moves the chosen prior already carries:
@@ -127,25 +112,9 @@ DriftReaction DriftController::React(const GraphStream& stream,
       remaining = total_moves > spent ? total_moves - spent : 0;
       if (pass > 1 && remaining == 0) break;
     }
-    // Sharded reactions damp the spend: shards move simultaneously against
-    // each other's *prior* positions (Jacobi-style), so dumping the whole
-    // budget into one parallel pass lets conflicting moves oscillate and
-    // can end worse than it started. Spending half the remaining budget
-    // per pass (all of it on the last) lets each merge feed the next
-    // pass's scoring, converging the parallel reaction onto the serial
-    // one's quality at a fraction of its critical path.
-    uint64_t pass_budget = remaining;
-    if (sharded && pass < options_.reaction_passes &&
-        remaining != Restreamer::kUnlimitedMoves) {
-      pass_budget = (remaining + 1) / 2;
-    }
 
     RestreamPassStats stats =
-        sharded ? restreamer.RunShardedIncrementalPass(
-                      partitioner, prior, pass_budget,
-                      options_.reaction_shards, pool.get())
-                : restreamer.RunIncrementalPass(partitioner, prior,
-                                                pass_budget);
+        restreamer.RunIncrementalPass(partitioner, prior, remaining);
     stats.pass = pass;
     const bool improved = stats.edge_cut_fraction < best_cut;
     if (improved) {
@@ -154,37 +123,17 @@ DriftReaction DriftController::React(const GraphStream& stream,
     }
     stats.best_edge_cut_fraction = best_cut;
     reaction.passes.push_back(stats);
-    if (sharded) {
-      // Jacobi iteration: the next pass must see the *merged* positions —
-      // even a non-improving damped pass moved toward the drifted workload
-      // and seeds a better-informed retry. Keep-best adoption still
-      // guarantees the final result never regresses.
-      prior = partitioner->assignment();
-    } else {
-      // Keep-best prior, mirroring Restreamer::Run's anytime semantics. A
-      // non-improving pass under a deterministic ordering would replay the
-      // same prior to the same result — stop instead.
-      prior = reaction.assignment;
-      if (!improved && options_.order != RestreamOrder::kRandom) break;
-    }
+    // Keep-best prior, mirroring Restreamer::Run's anytime semantics. A
+    // non-improving pass under a deterministic ordering would replay the
+    // same prior to the same result — stop instead.
+    prior = reaction.assignment;
+    if (!improved && options_.order != RestreamOrder::kRandom) break;
   }
 
   reaction.edge_cut_after = best_cut;
   reaction.migration_fraction =
       MigrationFraction(original, reaction.assignment);
   reaction.seconds = timer.ElapsedSeconds();
-  // The k-worker latency: swap each sharded pass's wall time for its
-  // share-nothing critical path, keeping the (serial) rest of the reaction.
-  double pass_wall = 0.0;
-  double pass_critical = 0.0;
-  for (const RestreamPassStats& stats : reaction.passes) {
-    pass_wall += stats.seconds;
-    pass_critical += stats.critical_path_seconds > 0.0
-                         ? stats.critical_path_seconds
-                         : stats.seconds;
-  }
-  reaction.critical_path_seconds =
-      reaction.seconds - pass_wall + pass_critical;
 
   detector_.Rebase(std::move(rebase_to), best_cut);
   ++num_reactions_;

@@ -49,32 +49,19 @@ struct DriftControllerOptions {
   uint32_t reaction_passes = 2;
   /// Seed for the replay orderings.
   uint64_t seed = 42;
-  /// Share-nothing shards per budgeted pass (> 1 = parallel reaction via
-  /// Restreamer::RunShardedIncrementalPass: the replay splits by prior
-  /// partition, each worker restreams its shard against the read-only live
-  /// assignment with a proportional budget slice, and the merge composes
-  /// the result). 1 = the serial pass; results at 1 are bit-identical to
-  /// it, and at any shard count they are deterministic for a fixed seed.
-  /// Sharded reactions run *damped*: each pass spends half the remaining
-  /// budget (all of it on the last) and the next pass's prior is the
-  /// merged result, so conflicting simultaneous shard moves cannot
-  /// oscillate; give a sharded reaction about twice the serial
-  /// `reaction_passes` (e.g. 4) — its critical path per pass is ~1/shards
-  /// of a serial pass, so the extra passes still finish far earlier.
-  uint32_t reaction_shards = 1;
 };
 
 /// Uniform options contract (see `ValidateRestreamOptions`): rejects —
 /// without mutating — the first invalid field: a NaN or negative
-/// `max_migration_fraction`, `reaction_passes == 0`,
-/// `reaction_shards == 0`, a detector `fire_threshold` outside [0, 1] (or
-/// NaN), `min_consecutive == 0`, or a `clear_threshold` that is NaN,
-/// negative or above `fire_threshold` (the hysteresis band would invert).
+/// `max_migration_fraction`, `reaction_passes == 0`, a detector
+/// `fire_threshold` outside [0, 1] (or NaN), `min_consecutive == 0`, or a
+/// `clear_threshold` that is NaN, negative or above `fire_threshold` (the
+/// hysteresis band would invert).
 Status ValidateDriftControllerOptions(const DriftControllerOptions& options);
 
 /// Sanitized copy of `options`: every field `ValidateDriftControllerOptions`
 /// rejects is clamped to the conservative end instead — a garbage migration
-/// fraction freezes migration (0.0), zero passes/shards become 1, a garbage
+/// fraction freezes migration (0.0), zero passes become 1, a garbage
 /// fire threshold falls back to the default, and an inverted hysteresis
 /// band collapses (`clear_threshold = fire_threshold`). The DriftController
 /// constructor applies this to everything it is given.
@@ -103,11 +90,6 @@ struct DriftReaction {
   /// End-to-end reaction latency: adjacency rebuild + all passes + metric
   /// evaluation.
   double seconds = 0.0;
-  /// Reaction latency with one free core per shard: `seconds` with every
-  /// sharded pass's wall time replaced by its share-nothing critical path
-  /// (serial setup + slowest shard's CPU seconds + merge). Equals `seconds`
-  /// up to timer noise when `reaction_shards` is 1.
-  double critical_path_seconds = 0.0;
 };
 
 /// Wires DriftDetector verdicts to bounded-migration restream reactions.

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include "common/thread_pool.h"
-#include "common/timer.h"
 
 #include "edge_partition/dbh_partitioner.h"
 #include "edge_partition/hdrf_partitioner.h"
@@ -100,10 +96,7 @@ void EdgePartitioner::OnArrival(const ArrivalView& view) {
 }
 
 uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
-  return OnEdgeAt(u, v, edge_index_++);
-}
-
-uint32_t EdgePartitioner::OnEdgeAt(VertexId u, VertexId v, uint64_t index) {
+  const uint64_t index = edge_index_++;
   GrowTables(std::max(u, v));
   // The HDRF/DBH convention: the edge counts towards both partial degrees
   // before the placement rule sees them, so the very first edge already has
@@ -156,25 +149,20 @@ uint32_t EdgePartitioner::OnEdgeAt(VertexId u, VertexId v, uint64_t index) {
 }
 
 void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
-  // Rebuild in place: a restream pass re-streams the identical arrival
-  // sequence, so every retained map node is re-filled and no allocation or
-  // hash insert happens after the first pass. Reset, not BeginPass, is the
-  // operation that forgets the vertex population.
-  replicas_.BeginRebuild();
+  // A restream pass re-streams the same vertex population: reserve the
+  // replica map for it up front so the pass never rehashes.
+  replicas_ = ReplicaSet();
+  replicas_.ReserveVertices(degree_.size());
   std::fill(edge_counts_.begin(), edge_counts_.end(), 0);
   placements_.clear();
   stats_ = EdgePartitionerStats();
   prior_ = prior;
   migration_budget_ = kUnlimitedMigrationBudget;
   edge_index_ = 0;
-  shard_edge_capacity_.clear();
   RebuildLoadBounds();
 }
 
 void EdgePartitioner::Reset() {
-  // Unlike BeginPass, drop the replica map's retained nodes too: the next
-  // stream may cover a different vertex population.
-  replicas_ = ReplicaSet();
   BeginPass(nullptr);
   degree_.clear();
   label_of_.clear();
@@ -183,12 +171,6 @@ void EdgePartitioner::Reset() {
 
 void EdgePartitioner::SetMigrationBudget(uint64_t max_moves) {
   migration_budget_ = max_moves;
-}
-
-void EdgePartitioner::SetShardEdgeCapacities(std::vector<uint64_t> caps) {
-  if (caps.size() != options_.k) return;
-  shard_edge_capacity_ = std::move(caps);
-  RebuildLoadBounds();
 }
 
 void EdgePartitioner::NoteEdgeCountIncrement(uint32_t p) {
@@ -204,8 +186,7 @@ void EdgePartitioner::NoteEdgeCountIncrement(uint32_t p) {
       num_at_min_ += static_cast<uint32_t>(c == min_load_);
     }
   }
-  const uint64_t cap = CapOf(p);
-  if (cap != 0 && count >= cap) {
+  if (edge_capacity_ != 0 && count >= edge_capacity_) {
     full_words_[p >> 6] |= uint64_t{1} << (p & 63);
   }
 }
@@ -223,183 +204,8 @@ void EdgePartitioner::RebuildLoadBounds() {
   }
   full_words_.assign((options_.k + 63) / 64, 0);
   for (uint32_t p = 0; p < options_.k; ++p) {
-    const uint64_t cap = CapOf(p);
-    if (cap != 0 && edge_counts_[p] >= cap) {
-      full_words_[p >> 6] |= uint64_t{1} << (p & 63);
-    }
+    if (AtEdgeCapacity(p)) full_words_[p >> 6] |= uint64_t{1} << (p & 63);
   }
-}
-
-std::unique_ptr<EdgePartitioner> EdgePartitioner::CloneForShard() const {
-  Result<std::unique_ptr<EdgePartitioner>> clone =
-      MakeEdgePartitioner(Name(), options_);
-  if (!clone.ok()) return nullptr;
-  std::unique_ptr<EdgePartitioner> shard = std::move(clone).value();
-  shard->degree_ = degree_;
-  shard->label_of_ = label_of_;
-  shard->heat_scale_ = heat_scale_;
-  // The clone's replica map starts empty and refills with most of the
-  // parent's vertex population during its shard pass — reserve buckets up
-  // front so that build never rehashes mid-pass.
-  shard->replicas_.ReserveVertices(degree_.size());
-  return shard;
-}
-
-void EdgePartitioner::RefreshFromParent(const EdgePartitioner& parent) {
-  degree_ = parent.degree_;
-  label_of_ = parent.label_of_;
-  heat_scale_ = parent.heat_scale_;
-}
-
-void EdgePartitioner::AdoptMergedPass(
-    const std::vector<Edge>& edges, std::vector<uint32_t> placements,
-    const EdgePartitionerStats& folded_stats, ThreadPool* pool,
-    double* parallel_seconds) {
-  // Rebuild in place: the replay re-adds (exactly) the stream's vertex
-  // population, so retaining the mask table, map nodes and list capacities
-  // turns the rebuild allocation-free after the first sharded pass.
-  replicas_.BeginRebuild();
-  std::fill(edge_counts_.begin(), edge_counts_.end(), 0);
-  placements_.clear();
-  stats_ = folded_stats;
-  prior_ = nullptr;
-  migration_budget_ = kUnlimitedMigrationBudget;
-  shard_edge_capacity_.clear();
-  const size_t n = std::min(edges.size(), placements.size());
-
-  // Serial prefix scan: fix out-of-range picks against the running counts
-  // (the fixup pick depends on the counts of edges [0, i), so it cannot be
-  // reordered), rebuild the per-partition counts, and find the vertex
-  // range so the tables grow once.
-  VertexId max_vertex = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const Edge e = edges[i];
-    max_vertex = std::max({max_vertex, e.u, e.v});
-    uint32_t& pick = placements[i];
-    if (pick >= options_.k) {
-      ++stats_.assign_errors;
-      pick = static_cast<uint32_t>(
-          std::min_element(edge_counts_.begin(), edge_counts_.end()) -
-          edge_counts_.begin());
-    }
-    ++edge_counts_[pick];
-  }
-  if (n > 0) GrowTables(max_vertex);
-
-  const size_t workers = pool != nullptr ? pool->NumThreads() : 1;
-  if (workers > 1 && n > 0) {
-    // Ownership-parallel replay: worker t owns 64-vertex blocks with
-    // (v / 64) % workers == t, so every degree slot, mask word and replica
-    // list is written by exactly one thread — and in stream order, so each
-    // vertex's first-seen (primary) order is the serial one. Block-cyclic
-    // beats plain modulo here: a whole block's degree and mask cache lines
-    // stay with one thread, while hub-dense ID prefixes still spread
-    // across workers. Reserve first so AddOwned never reallocates the
-    // shared mask table.
-    replicas_.Reserve(max_vertex, options_.k > 0 ? options_.k - 1 : 0);
-    const auto owner_of = [workers](VertexId v) {
-      return static_cast<size_t>(v >> 6) % workers;
-    };
-    std::vector<std::vector<std::pair<VertexId, uint32_t>>> missed(workers);
-    std::vector<size_t> refilled(workers, 0);
-    std::vector<size_t> added(workers, 0);
-    std::vector<double> worker_cpu(workers, 0.0);
-    ParallelFor(*pool, workers, [&](size_t t) {
-      ThreadCpuTimer cpu;
-      const auto add = [&](VertexId x, uint32_t pick) {
-        ++degree_[x];
-        switch (replicas_.AddOwned(x, pick)) {
-          case ReplicaSet::OwnedAdd::kNoNode:
-            missed[t].emplace_back(x, pick);
-            break;
-          case ReplicaSet::OwnedAdd::kFirstForVertex:
-            ++refilled[t];
-            ++added[t];
-            break;
-          case ReplicaSet::OwnedAdd::kAdded:
-            ++added[t];
-            break;
-          case ReplicaSet::OwnedAdd::kPresent:
-            break;
-        }
-      };
-      for (size_t i = 0; i < n; ++i) {
-        const Edge e = edges[i];
-        const uint32_t pick = placements[i];
-        if (owner_of(e.u) == t) add(e.u, pick);
-        if (owner_of(e.v) == t) add(e.v, pick);
-      }
-      worker_cpu[t] = cpu.ElapsedSeconds();
-    });
-    // Vertices with no retained map node (new since the last rebuild) had
-    // every add skipped, in stream order; replay them serially. Distinct
-    // workers miss distinct vertices, so the worker order is free.
-    size_t num_missed = 0;
-    for (const auto& list : missed) {
-      num_missed += list.size();
-      for (const auto& [v, pick] : list) replicas_.Add(v, pick);
-    }
-    if (num_missed == 0) {
-      // Every retained node was re-filled iff the first-touch tally says
-      // so; the counted EndRebuild then skips the O(vertices) prune walk.
-      size_t total_refilled = 0;
-      size_t total_added = 0;
-      for (size_t t = 0; t < workers; ++t) {
-        total_refilled += refilled[t];
-        total_added += added[t];
-      }
-      replicas_.EndRebuild(total_refilled, total_added);
-    } else {
-      replicas_.EndRebuild();
-    }
-    if (parallel_seconds != nullptr) {
-      *parallel_seconds +=
-          *std::max_element(worker_cpu.begin(), worker_cpu.end());
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const Edge e = edges[i];
-      // One increment per endpoint per edge: exactly what a serial pass
-      // would have added on top of the pass-start degrees the shard clones
-      // scored with.
-      ++degree_[e.u];
-      ++degree_[e.v];
-      // Replay order == stream order, so each vertex's primary (first Add)
-      // matches the serial pass's.
-      replicas_.Add(e.u, placements[i]);
-      replicas_.Add(e.v, placements[i]);
-    }
-    replicas_.EndRebuild();
-  }
-  if (options_.record_placements) placements_ = std::move(placements);
-  edge_index_ = edges.size();
-  RebuildLoadBounds();
-}
-
-void EdgePartitioner::AdoptMergedPassLight(
-    std::vector<uint32_t> placements, const std::vector<uint64_t>& edge_counts,
-    const EdgePartitionerStats& folded_stats,
-    const std::vector<uint32_t>& stream_degree, uint64_t num_edges) {
-  if (!stream_degree.empty()) {
-    GrowTables(static_cast<VertexId>(stream_degree.size() - 1));
-    for (size_t v = 0; v < stream_degree.size(); ++v) {
-      degree_[v] += stream_degree[v];
-    }
-  }
-  if (edge_counts.size() == edge_counts_.size()) {
-    edge_counts_ = edge_counts;
-  }
-  stats_ = folded_stats;
-  prior_ = nullptr;
-  migration_budget_ = kUnlimitedMigrationBudget;
-  shard_edge_capacity_.clear();
-  if (options_.record_placements) {
-    placements_ = std::move(placements);
-  } else {
-    placements_.clear();
-  }
-  edge_index_ = num_edges;
-  RebuildLoadBounds();
 }
 
 bool EdgePartitioner::Eligible(VertexId u, VertexId v, uint32_t p) const {

@@ -36,8 +36,6 @@
 
 namespace loom {
 
-class ThreadPool;
-
 /// Workload-aware heat for an endpoint: a value in [0, 1] (larger = hotter)
 /// that scales the vertex's *effective* partial degree, so degree-sensitive
 /// placement rules (HDRF's θ, DBH's lower-degree hash) treat hot motif hubs
@@ -156,16 +154,9 @@ class EdgePartitioner {
   /// arriving vertex), `v` an earlier arrival. Updates both partial
   /// degrees *before* scoring (the HDRF/DBH convention), applies the
   /// replica-budget and edge-budget rules, and returns the chosen
-  /// partition.
+  /// partition. The call order is the edge's stream index, which looks up
+  /// its prior-pass placement during a restream pass.
   uint32_t OnEdge(VertexId u, VertexId v);
-
-  /// OnEdge with an explicit stream position: `index` is the edge's global
-  /// stream index, used to look up its prior-pass placement. The sharded
-  /// restream replays each shard's edges through this (a shard sees a
-  /// subsequence of the stream, so its local call order is not the global
-  /// index). Does not advance the internal stream position — OnEdge and
-  /// OnEdgeAt must not be mixed within one pass.
-  uint32_t OnEdgeAt(VertexId u, VertexId v, uint64_t index);
 
   /// Partitioner name for result tables ("hdrf", "dbh").
   virtual std::string Name() const = 0;
@@ -193,71 +184,6 @@ class EdgePartitioner {
   /// skipped). Reset to unlimited by BeginPass; call after BeginPass,
   /// before streaming. No effect without a prior.
   void SetMigrationBudget(uint64_t max_moves);
-
-  /// Fresh partitioner of the same algorithm and options, with this
-  /// partitioner's degree, label and heat tables copied (placement state
-  /// empty, as after BeginPass). The sharded restream hands one clone per
-  /// shard the pass-start tables so every shard scores with the same
-  /// effective degrees the serial pass would; labels never change across
-  /// passes, so the copies stay exact. Degrees DO grow every pass (OnEdge
-  /// re-increments them), so a clone kept across passes must be re-armed
-  /// with RefreshFromParent before each one.
-  std::unique_ptr<EdgePartitioner> CloneForShard() const;
-
-  /// Re-arms a persistent shard clone for the next pass: re-copies the
-  /// parent's pass-start degree/label/heat tables. The clone keeps its
-  /// replica-map allocation — the following BeginPass empties it in place —
-  /// so a reused clone streams every later pass without rebuilding its
-  /// hash map from scratch.
-  void RefreshFromParent(const EdgePartitioner& parent);
-
-  /// Installs per-partition edge-capacity slices for a shard pass,
-  /// overriding the scalar budget (`caps.size()` must be k; a 0 entry
-  /// leaves that partition unconstrained). The shard plan splits the
-  /// global capacity so per-shard bounds sum exactly to it. Cleared by
-  /// BeginPass/Reset; call after BeginPass, before streaming.
-  void SetShardEdgeCapacities(std::vector<uint64_t> caps);
-
-  /// Adopts a sharded pass's merged result as this partitioner's own:
-  /// replays `placements[i]` for `edges[i]` (global stream order),
-  /// rebuilding replicas — primary order matches the serial pass, since
-  /// replay order does — edge counts, the placement log and both partial
-  /// degrees (one increment per endpoint per edge, exactly what a serial
-  /// pass would have added), then installs `folded_stats` with
-  /// edges_assigned recomputed. Leaves the partitioner as if it had run
-  /// the pass itself: prior cleared, budget unlimited, shard capacity
-  /// slices dropped, load bounds rebuilt.
-  ///
-  /// With a multi-thread `pool`, the degree/replica replay runs
-  /// ownership-parallel (each worker owns disjoint vertex blocks, visiting
-  /// them in stream order) — bit-identical to the serial replay. When
-  /// `parallel_seconds` is non-null it accumulates the replay's off-thread
-  /// critical path (the slowest worker's CPU time); the calling thread's
-  /// own CPU is left for the caller to observe.
-  void AdoptMergedPass(const std::vector<Edge>& edges,
-                       std::vector<uint32_t> placements,
-                       const EdgePartitionerStats& folded_stats,
-                       ThreadPool* pool = nullptr,
-                       double* parallel_seconds = nullptr);
-
-  /// Lightweight adopt for an *intermediate* sharded pass: installs the
-  /// merged placement log, the per-partition counts folded from the shard
-  /// clones, the folded stats and one stream's worth of degree growth —
-  /// everything the next pass's clones and row metrics need — WITHOUT
-  /// rebuilding the replica lists. The replica set is left stale (the
-  /// previous full pass's), so replication metrics for the pass must come
-  /// from the shard-clone mask union, and the FINAL pass of a schedule
-  /// must use the full AdoptMergedPass so the partitioner ends
-  /// bit-identical to the serial one.
-  void AdoptMergedPassLight(std::vector<uint32_t> placements,
-                            const std::vector<uint64_t>& edge_counts,
-                            const EdgePartitionerStats& folded_stats,
-                            const std::vector<uint32_t>& stream_degree,
-                            uint64_t num_edges);
-
-  /// The scalar per-partition edge budget (0 = unconstrained); shard
-  /// capacity slices are carved from this.
-  uint64_t edge_capacity() const { return edge_capacity_; }
 
   /// Vertex→partition-set replica state of the current pass.
   const ReplicaSet& replicas() const { return replicas_; }
@@ -317,19 +243,11 @@ class EdgePartitioner {
     return replicas_.Has(x, p) || replicas_.MaskCountOf(x) < replica_cap_;
   }
 
-  /// Edge budget of partition `p`: the shard capacity slice when one is
-  /// installed, else the scalar budget. 0 = unconstrained.
-  uint64_t CapOf(uint32_t p) const {
-    return shard_edge_capacity_.empty() ? edge_capacity_
-                                        : shard_edge_capacity_[p];
-  }
-
   /// True iff `p` is past its edge budget. Equivalent to testing the
   /// full-partition bit word (the bits are maintained by
   /// NoteEdgeCountIncrement for the kernels that consume whole words).
   bool AtEdgeCapacity(uint32_t p) const {
-    const uint64_t cap = CapOf(p);
-    return cap != 0 && edge_counts_[p] >= cap;
+    return edge_capacity_ != 0 && edge_counts_[p] >= edge_capacity_;
   }
 
   /// Bookkeeping for one `++edge_counts_[p]`: advances the running max,
@@ -342,9 +260,9 @@ class EdgePartitioner {
   void NoteEdgeCountIncrement(uint32_t p);
 
   /// O(k) recompute of max/min load, the min population count and the
-  /// full-partition bit words from `edge_counts_` and the active budgets.
-  /// Called whenever counts change non-incrementally (BeginPass,
-  /// SetShardEdgeCapacities, AdoptMergedPass).
+  /// full-partition bit words from `edge_counts_` and the edge budget.
+  /// Called whenever counts change non-incrementally (construction,
+  /// BeginPass).
   void RebuildLoadBounds();
 
   EdgePartitionerOptions options_;
@@ -354,6 +272,7 @@ class EdgePartitioner {
   std::vector<uint32_t> placements_;
   std::vector<uint32_t> degree_;
   std::vector<Label> label_of_;
+  /// Per-partition edge budget (0 = unconstrained).
   uint64_t edge_capacity_ = 0;
   /// Replica budget resolved against k (options value 0 → k).
   uint32_t replica_cap_ = 0;
@@ -371,9 +290,6 @@ class EdgePartitioner {
   /// Bit p of word w set iff partition 64w + p is at/past its edge budget.
   /// ceil(k / 64) words; kernels AND the complement into eligibility.
   std::vector<uint64_t> full_words_;
-  /// Per-partition capacity slices for a shard pass (empty = use the
-  /// scalar `edge_capacity_`).
-  std::vector<uint64_t> shard_edge_capacity_;
 
  private:
   void GrowTables(VertexId v);

@@ -1,14 +1,9 @@
 #include "edge_partition/edge_restream.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
-#include "edge_partition/edge_shard_plan.h"
 #include "metrics/metrics.h"
 
 namespace loom {
@@ -89,294 +84,6 @@ Result<EdgeRestreamResult> EdgeRestreamer::Run(EdgePartitioner* partitioner) {
     row.assign_errors = stats.assign_errors;
     row.budget_denied_moves = stats.budget_denied_moves;
     row.seconds = timer.ElapsedSeconds();
-    row.critical_path_seconds = row.seconds;
-
-    const bool better =
-        !have_best || row.replication_factor < best_rf ||
-        (row.replication_factor == best_rf && row.balance < best_balance);
-    if (!options_.keep_best || better) {
-      best_placements = partitioner->placements();
-      best_rf = row.replication_factor;
-      best_balance = row.balance;
-      have_best = true;
-    }
-    row.best_replication_factor = best_rf;
-    result.passes.push_back(row);
-  }
-
-  result.placements = std::move(best_placements);
-  result.replication_factor = best_rf;
-  result.balance = best_balance;
-  return result;
-}
-
-Result<EdgeRestreamResult> EdgeRestreamer::RunSharded(
-    EdgePartitioner* partitioner, uint32_t num_shards, ThreadPool* pool) {
-  // One shard still exercises the full sharded machinery (plan, clone,
-  // merge) — that is what makes the 1-shard bit-identity pin meaningful.
-  num_shards = std::max<uint32_t>(1, num_shards);
-  if (!partitioner->options().record_placements) {
-    return Status::InvalidArgument(
-        "edge restreaming needs record_placements: the per-edge log is the "
-        "restream prior");
-  }
-  // One pool for the whole schedule — per-pass pool construction is the
-  // wall-clock tax the parallel_restream rows exposed.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(num_shards);
-    pool = owned_pool.get();
-  }
-
-  EdgeRestreamResult result;
-  partitioner->Reset();
-  const uint32_t k = partitioner->options().k;
-
-  std::vector<uint32_t> best_placements;
-  double best_rf = 0.0;
-  double best_balance = 0.0;
-  bool have_best = false;
-
-  // Prior for the running pass (BeginPass borrows the pointer; the shard
-  // clones all read it concurrently, read-only).
-  std::vector<uint32_t> prior;
-  // The recorded stream, materialized once before the first sharded pass
-  // (the arrival sequence is identical every pass).
-  std::vector<Edge> edges;
-  std::vector<uint32_t> stream_degree;
-  bool materialized = false;
-  // Shard clones persist across passes: each pass re-arms them with the
-  // parent's grown degree tables (RefreshFromParent) and BeginPass then
-  // empties their replica maps in place, so only the first sharded pass
-  // pays clone construction and hash-map population.
-  std::vector<std::unique_ptr<EdgePartitioner>> clones;
-
-  for (uint32_t pass = 1; pass <= options_.num_passes; ++pass) {
-    WallTimer timer;
-    EdgeRestreamPassStats row;
-    row.pass = pass;
-    // >= 0 when a light merge computed this pass's replication factor from
-    // the shard clones' mask union (the parent's replica set is stale then).
-    double light_rf = -1.0;
-
-    if (pass == 1) {
-      // Pass one streams cold — there is no prior to split by; identical
-      // to the serial schedule's first pass.
-      source_->Reset();
-      partitioner->Run(*source_);
-    } else {
-      double setup_seconds = 0.0;
-      ThreadCpuTimer setup_cpu;
-      if (!materialized) {
-        source_->Reset();
-        ArrivalView view;
-        while (source_->Next(&view)) {
-          if (view.vertex == kInvalidVertex) continue;
-          for (const VertexId neighbor : view.back_edges) {
-            edges.push_back(Edge{view.vertex, neighbor});
-          }
-        }
-        // One stream's worth of degree growth — what every further pass
-        // adds to the partitioner's retained degrees (the light adopt
-        // applies it as a vector add instead of replaying the edges).
-        for (const Edge& e : edges) {
-          const VertexId top = std::max(e.u, e.v);
-          if (top >= stream_degree.size()) stream_degree.resize(top + 1, 0);
-          ++stream_degree[e.u];
-          ++stream_degree[e.v];
-        }
-        materialized = true;
-      }
-      prior = best_placements;
-      uint64_t global_moves = EdgePartitioner::kUnlimitedMigrationBudget;
-      if (options_.max_migration_fraction < 1.0) {
-        global_moves = static_cast<uint64_t>(
-            options_.max_migration_fraction *
-            static_cast<double>(prior.size()));
-      }
-      if (clones.size() != num_shards) clones.resize(num_shards);
-      setup_seconds += setup_cpu.ElapsedSeconds();
-
-      std::atomic<bool> clones_ok{true};
-      {
-        EdgeShardPlan plan = BuildEdgeShardPlan(
-            edges, prior, k, num_shards, global_moves,
-            partitioner->edge_capacity(), pool, &setup_seconds);
-
-        struct ShardOutcome {
-          std::vector<uint32_t> picks;
-          EdgePartitionerStats stats;
-          double cpu_seconds = 0.0;
-        };
-        std::vector<ShardOutcome> outcomes(num_shards);
-        ParallelFor(*pool, num_shards, [&](size_t s) {
-          ThreadCpuTimer cpu;
-          // First sharded pass: cut this shard's clone here, off the
-          // serial setup path. Later passes re-arm the persistent clone.
-          if (clones[s] == nullptr) {
-            clones[s] = partitioner->CloneForShard();
-            if (clones[s] == nullptr) {
-              clones_ok = false;
-              return;
-            }
-          } else {
-            clones[s]->RefreshFromParent(*partitioner);
-          }
-          EdgePartitioner& clone = *clones[s];
-          const EdgeRestreamShard& shard = plan.shards[s];
-          clone.BeginPass(&prior);
-          if (!shard.capacities.empty()) {
-            clone.SetShardEdgeCapacities(shard.capacities);
-          }
-          clone.SetMigrationBudget(shard.migration_budget);
-          ShardOutcome& out = outcomes[s];
-          out.picks.reserve(shard.edges.size());
-          for (size_t j = 0; j < shard.edges.size(); ++j) {
-            out.picks.push_back(clone.OnEdgeAt(
-                shard.edges[j].u, shard.edges[j].v, shard.indices[j]));
-          }
-          out.stats = clone.stats();
-          out.cpu_seconds = cpu.ElapsedSeconds();
-        });
-
-        if (!clones_ok) {
-          // CloneForShard declined — run the pass serially under the same
-          // global budget. Clone failure is deterministic, so the whole
-          // schedule degenerates to the serial restream.
-          partitioner->BeginPass(&prior);
-          if (global_moves != EdgePartitioner::kUnlimitedMigrationBudget) {
-            partitioner->SetMigrationBudget(global_moves);
-          }
-          source_->Reset();
-          partitioner->Run(*source_);
-        } else {
-          // Merge: the shards' edge sets are disjoint by construction, so
-          // scattering by global index rebuilds the full placement; the
-          // replica-union (and exact replication-factor accounting) happens
-          // in AdoptMergedPass's stream-order replay. The scatter and the
-          // replay both run on the pool (disjoint writes), so the merge's
-          // critical path is this thread's CPU plus the slowest helper's.
-          ThreadCpuTimer merge_cpu;
-          double merge_parallel_seconds = 0.0;
-          std::vector<uint32_t> merged(edges.size(), 0);
-          EdgePartitionerStats folded;
-          double max_shard_seconds = 0.0;
-          for (uint32_t s = 0; s < num_shards; ++s) {
-            const ShardOutcome& out = outcomes[s];
-            folded.edges_assigned += out.stats.edges_assigned;
-            folded.overflow_fallbacks += out.stats.overflow_fallbacks;
-            folded.cap_relaxations += out.stats.cap_relaxations;
-            folded.assign_errors += out.stats.assign_errors;
-            folded.prior_moves += out.stats.prior_moves;
-            folded.budget_denied_moves += out.stats.budget_denied_moves;
-            row.shard_seconds.push_back(out.cpu_seconds);
-            max_shard_seconds = std::max(max_shard_seconds, out.cpu_seconds);
-          }
-          {
-            std::vector<double> task_cpu(num_shards, 0.0);
-            ParallelFor(*pool, num_shards, [&](size_t s) {
-              ThreadCpuTimer cpu;
-              const EdgeRestreamShard& shard = plan.shards[s];
-              const ShardOutcome& out = outcomes[s];
-              for (size_t j = 0; j < shard.indices.size(); ++j) {
-                merged[shard.indices[j]] = out.picks[j];
-              }
-              task_cpu[s] = cpu.ElapsedSeconds();
-            });
-            merge_parallel_seconds +=
-                *std::max_element(task_cpu.begin(), task_cpu.end());
-          }
-          if (pass == options_.num_passes) {
-            // The final pass installs the full merged state — the stream-order
-            // replica replay rebuilds the parent's replica lists, which the
-            // caller may inspect after the schedule finishes.
-            partitioner->AdoptMergedPass(edges, std::move(merged), folded, pool,
-                                         &merge_parallel_seconds);
-          } else {
-            // Light adopt: intermediate passes skip the stream-order replica
-            // replay. The replication factor is still exact — the shard edge
-            // sets partition the stream, so the union of the clones' masks is
-            // precisely the distinct (vertex, pick) pairs of the merged
-            // placement — and the edge counts fold from the clones' own
-            // per-pick tallies. The parent's replica lists go stale; only the
-            // final pass's full adopt (or a serial fallback's BeginPass)
-            // reads them again, and both rebuild from scratch.
-            std::vector<uint64_t> folded_counts(k, 0);
-            uint32_t mask_words = 1;
-            for (uint32_t s = 0; s < num_shards; ++s) {
-              const std::vector<uint64_t>& counts = clones[s]->edge_counts();
-              for (uint32_t p = 0; p < k; ++p) folded_counts[p] += counts[p];
-              mask_words = std::max(mask_words,
-                                    clones[s]->replicas().words_per_vertex());
-            }
-            const size_t num_vertices = stream_degree.size();
-            std::vector<uint64_t> chunk_pairs(num_shards, 0);
-            std::vector<uint64_t> chunk_verts(num_shards, 0);
-            std::vector<double> task_cpu(num_shards, 0.0);
-            ParallelFor(*pool, num_shards, [&](size_t c) {
-              ThreadCpuTimer cpu;
-              const size_t lo = num_vertices * c / num_shards;
-              const size_t hi = num_vertices * (c + 1) / num_shards;
-              uint64_t pairs = 0;
-              uint64_t verts = 0;
-              for (size_t v = lo; v < hi; ++v) {
-                uint64_t any = 0;
-                for (uint32_t w = 0; w < mask_words; ++w) {
-                  uint64_t word = 0;
-                  for (uint32_t s = 0; s < num_shards; ++s) {
-                    word |= clones[s]->replicas().MaskWordOf(
-                        static_cast<VertexId>(v), w);
-                  }
-                  pairs += static_cast<uint64_t>(__builtin_popcountll(word));
-                  any |= word;
-                }
-                if (any != 0) ++verts;
-              }
-              chunk_pairs[c] = pairs;
-              chunk_verts[c] = verts;
-              task_cpu[c] = cpu.ElapsedSeconds();
-            });
-            merge_parallel_seconds +=
-                *std::max_element(task_cpu.begin(), task_cpu.end());
-            uint64_t union_pairs = 0;
-            uint64_t union_verts = 0;
-            for (uint32_t c = 0; c < num_shards; ++c) {
-              union_pairs += chunk_pairs[c];
-              union_verts += chunk_verts[c];
-            }
-            light_rf = union_verts > 0 ? static_cast<double>(union_pairs) /
-                                             static_cast<double>(union_verts)
-                                       : 0.0;
-            partitioner->AdoptMergedPassLight(std::move(merged), folded_counts,
-                                              folded, stream_degree,
-                                              edges.size());
-          }
-          row.num_shards = num_shards;
-          row.critical_path_seconds = setup_seconds + max_shard_seconds +
-                                      merge_cpu.ElapsedSeconds() +
-                                      merge_parallel_seconds;
-        }
-      }
-    }
-
-    const EdgePartitionerStats& stats = partitioner->stats();
-    row.replication_factor = light_rf >= 0.0
-                                 ? light_rf
-                                 : ReplicationFactor(partitioner->replicas());
-    row.balance = EdgeBalanceMaxOverAvg(partitioner->edge_counts());
-    row.moved_fraction =
-        stats.edges_assigned > 0
-            ? static_cast<double>(stats.prior_moves) /
-                  static_cast<double>(stats.edges_assigned)
-            : 0.0;
-    row.overflow_fallbacks = stats.overflow_fallbacks;
-    row.cap_relaxations = stats.cap_relaxations;
-    row.assign_errors = stats.assign_errors;
-    row.budget_denied_moves = stats.budget_denied_moves;
-    row.seconds = timer.ElapsedSeconds();
-    if (row.critical_path_seconds == 0.0) {
-      row.critical_path_seconds = row.seconds;
-    }
 
     const bool better =
         !have_best || row.replication_factor < best_rf ||

@@ -23,8 +23,6 @@
 
 namespace loom {
 
-class ThreadPool;
-
 struct EdgeRestreamOptions {
   /// Total passes including the initial stream (>= 1).
   uint32_t num_passes = 2;
@@ -62,23 +60,12 @@ struct EdgeRestreamPassStats {
   /// Fraction of edges whose partition changed from the prior (0 for pass
   /// one).
   double moved_fraction = 0.0;
-  /// Counters copied from EdgePartitionerStats for the pass (summed over
-  /// shards for a sharded pass).
+  /// Counters copied from EdgePartitionerStats for the pass.
   uint64_t overflow_fallbacks = 0;
   uint64_t cap_relaxations = 0;
   uint64_t assign_errors = 0;
   uint64_t budget_denied_moves = 0;
   double seconds = 0.0;
-  /// Workers this pass ran on: 1 for a serial pass (including pass one of
-  /// a sharded schedule, which streams cold and has no prior to split by).
-  uint32_t num_shards = 1;
-  /// Sharded passes: each shard's replay thread-CPU seconds.
-  std::vector<double> shard_seconds;
-  /// Scheduling-independent cost of the pass: for a sharded pass, setup
-  /// CPU (stream materialization + shard plan + clones) plus the slowest
-  /// shard's replay CPU plus the merge/adopt CPU; for a serial pass, equal
-  /// to `seconds`.
-  double critical_path_seconds = 0.0;
 };
 
 /// Final placement plus the per-pass trajectory.
@@ -104,23 +91,6 @@ class EdgeRestreamer {
   /// does not record placements. After the call the partitioner holds the
   /// *last* pass's state; the returned placements are the reported pass's.
   Result<EdgeRestreamResult> Run(EdgePartitioner* partitioner);
-
-  /// Run with the restream passes (2..num_passes) sharded across
-  /// `num_shards` workers. Pass one streams cold and is serial — there is
-  /// no prior to split by. Each later pass materializes the recorded
-  /// stream once, splits it by prior partition (BuildEdgeShardPlan: budget
-  /// floors sum to at most the global allowance, capacity slices to
-  /// exactly the global budget), replays every shard on a clone
-  /// (CloneForShard) over `pool` — or an internally owned pool when null —
-  /// and merges the disjoint per-shard assignments back into `partitioner`
-  /// via AdoptMergedPass, so replication-factor accounting, degrees and
-  /// the keep-best decision are exact. One shard still runs the full
-  /// plan/clone/merge machinery and is bit-identical to `Run` — the pin
-  /// the restream tests hold; a partitioner whose CloneForShard fails
-  /// falls back to serial passes under the same budget.
-  Result<EdgeRestreamResult> RunSharded(EdgePartitioner* partitioner,
-                                        uint32_t num_shards,
-                                        ThreadPool* pool = nullptr);
 
   const EdgeRestreamOptions& options() const { return options_; }
 

@@ -32,12 +32,6 @@ class BufferedLdgPartitioner : public StreamingPartitioner {
 
   std::string Name() const override { return "ldg-buffered"; }
 
-  /// Shard clone: fresh instance with its own (empty) window of the same
-  /// size.
-  std::unique_ptr<StreamingPartitioner> CloneForShard() const override {
-    return std::make_unique<BufferedLdgPartitioner>(options_);
-  }
-
  private:
   void AssignMember(const WindowMember& member);
 

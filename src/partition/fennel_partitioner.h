@@ -26,11 +26,6 @@ class FennelPartitioner : public StreamingPartitioner {
   double alpha() const { return alpha_; }
   double gamma() const { return gamma_; }
 
-  /// Shard clone: fresh instance; alpha/gamma re-derive from the options.
-  std::unique_ptr<StreamingPartitioner> CloneForShard() const override {
-    return std::make_unique<FennelPartitioner>(options_);
-  }
-
  private:
   double gamma_ = 1.5;
   double alpha_ = 1.0;

@@ -21,12 +21,6 @@ class HashPartitioner : public StreamingPartitioner {
                 Span<const VertexId> back_edges) override;
 
   std::string Name() const override { return "hash"; }
-
-  /// Stateless heuristic: a shard clone is just a fresh instance with the
-  /// same options (and therefore the same placement hash seed).
-  std::unique_ptr<StreamingPartitioner> CloneForShard() const override {
-    return std::make_unique<HashPartitioner>(options_);
-  }
 };
 
 }  // namespace loom

@@ -22,12 +22,6 @@ class LdgPartitioner : public StreamingPartitioner {
 
   std::string Name() const override { return "ldg"; }
 
-  /// Shard clone: fresh instance with the same options; the scoring
-  /// scratch is per-pass state rebuilt from scratch anyway.
-  std::unique_ptr<StreamingPartitioner> CloneForShard() const override {
-    return std::make_unique<LdgPartitioner>(options_);
-  }
-
  private:
   /// Scratch: edges from the arriving vertex into each partition.
   std::vector<uint32_t> edge_counts_;

@@ -9,13 +9,6 @@ namespace loom {
 PartitionAssignment::PartitionAssignment(uint32_t k, size_t capacity)
     : k_(k == 0 ? 1 : k), capacity_(capacity), sizes_(k_, 0) {}
 
-void PartitionAssignment::SetCapacities(std::vector<size_t> capacities) {
-  assert((capacities.empty() || capacities.size() == k_) &&
-         "per-partition capacities must cover every partition");
-  if (!capacities.empty() && capacities.size() != k_) return;
-  per_part_capacity_ = std::move(capacities);
-}
-
 Status PartitionAssignment::Assign(VertexId v, uint32_t part) {
   if (part >= k_) return Status::InvalidArgument("partition index out of range");
   if (PartOf(v) >= 0) {

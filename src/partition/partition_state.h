@@ -43,36 +43,14 @@ class PartitionAssignment {
   uint32_t k() const { return k_; }
   size_t capacity() const { return capacity_; }
 
-  /// Installs per-partition capacity bounds (size must be k), overriding
-  /// the scalar capacity for Assign/FreeCapacity checks. Unlike the
-  /// constructor's scalar (where 0 = unconstrained), an entry of 0 means
-  /// partition p has no room at all; pass an empty vector to revert to the
-  /// scalar bound. This is how a share-nothing restream shard is confined
-  /// to its slice of each partition: the slices across shards sum to at
-  /// most the global bound, so the merged assignment respects C with zero
-  /// coordination (see restream/shard_plan.h).
-  void SetCapacities(std::vector<size_t> capacities);
-
-  /// Capacity bound of `part`: the per-partition override when installed,
-  /// else the scalar capacity (0 = unconstrained in scalar mode only).
-  size_t CapacityOf(uint32_t part) const {
-    if (!per_part_capacity_.empty() && part < k_) {
-      return per_part_capacity_[part];
-    }
-    return capacity_;
-  }
-
   /// Vertex count per partition.
   const std::vector<uint32_t>& Sizes() const { return sizes_; }
 
   /// Remaining capacity of `part` (SIZE_MAX when unconstrained).
   size_t FreeCapacity(uint32_t part) const {
-    if (per_part_capacity_.empty() && capacity_ == 0) {
-      return ~static_cast<size_t>(0);
-    }
+    if (capacity_ == 0) return ~static_cast<size_t>(0);
     if (part >= k_) return 0;
-    const size_t cap = CapacityOf(part);
-    return sizes_[part] >= cap ? 0 : cap - sizes_[part];
+    return sizes_[part] >= capacity_ ? 0 : capacity_ - sizes_[part];
   }
 
   /// Total vertices assigned so far.
@@ -94,18 +72,13 @@ class PartitionAssignment {
   size_t NumOverflowed() const { return num_overflowed_; }
 
  private:
-  /// True when `part` cannot take another vertex under the active bound.
+  /// True when `part` cannot take another vertex under the bound C.
   bool AtCapacity(uint32_t part) const {
-    if (!per_part_capacity_.empty()) {
-      return sizes_[part] >= per_part_capacity_[part];
-    }
     return capacity_ != 0 && sizes_[part] >= capacity_;
   }
 
   uint32_t k_;
   size_t capacity_;
-  /// Per-partition capacity overrides; empty = scalar `capacity_` applies.
-  std::vector<size_t> per_part_capacity_;
   std::vector<int32_t> part_of_;
   std::vector<uint32_t> sizes_;
   size_t num_assigned_ = 0;

@@ -59,30 +59,6 @@ void StreamingPartitioner::SetMigrationBudget(uint64_t max_moves) {
   }
 }
 
-void StreamingPartitioner::SetMigrationBudget(
-    uint64_t max_moves, std::vector<uint32_t> home_claims) {
-  migration_budget_ = max_moves;
-  home_claims_ = std::move(home_claims);
-  if (prior_ == nullptr || max_moves == kUnlimitedMigrationBudget) {
-    home_claims_.clear();
-    return;
-  }
-  // Empty claims with a live finite budget fall back to the whole prior's
-  // sizes (the one-arg overload's semantics): AssignOrFallback indexes
-  // home_claims_ unconditionally on the budgeted path, so it must cover
-  // every partition whenever the budget is finite.
-  if (home_claims_.empty()) {
-    home_claims_.assign(prior_->Sizes().begin(), prior_->Sizes().end());
-  }
-  assert(home_claims_.size() == assignment_.Sizes().size() &&
-         "home claims must cover every partition");
-}
-
-void StreamingPartitioner::SetShardCapacities(std::vector<size_t> capacities) {
-  if (capacities.empty()) return;
-  assignment_.SetCapacities(std::move(capacities));
-}
-
 void StreamingPartitioner::AdoptAssignment(PartitionAssignment assignment,
                                            const PartitionerStats& stats) {
   assignment_ = std::move(assignment);

@@ -8,7 +8,6 @@
 /// never revisits the decision.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,19 +87,12 @@ struct PartitionerStats {
 ///    via `SetMigrationBudget`), then stream + `Finish` again. `Reset()` is
 ///    the no-prior special case: back to fresh, nothing remembered.
 ///  * **Adoption**: `AdoptAssignment` installs an externally composed
-///    result (a sharded merge, a keep-best reaction) as if a serial pass
-///    had just finished — the partitioner continues live from it.
-///  * **Sharding**: `CloneForShard` produces an un-streamed clone sharing
-///    only immutable inputs, for share-nothing parallel passes.
+///    result (a keep-best drift reaction) as if a serial pass had just
+///    finished — the partitioner continues live from it.
 ///
 /// `stats()` always describes the *current* pass (BeginPass/Reset clear it;
-/// AdoptAssignment overwrites it with the merged stats). `options()` is
+/// AdoptAssignment overwrites it with the adopted stats). `options()` is
 /// immutable after construction.
-///
-/// Members marked **[internal]** (`SetShardCapacities`, the two-argument
-/// `SetMigrationBudget` overload) exist for the sharded restream driver and
-/// are not part of the supported public surface — their preconditions are
-/// tied to the shard-plan bookkeeping and they may change without notice.
 class StreamingPartitioner {
  public:
   explicit StreamingPartitioner(const PartitionerOptions& options)
@@ -125,18 +117,6 @@ class StreamingPartitioner {
 
   /// Partitioner name for result tables.
   virtual std::string Name() const = 0;
-
-  /// Creates a fresh partitioner of the same concrete type and options for
-  /// one share-nothing restream shard. The clone shares *no mutable state*
-  /// with `this` — only immutable read-only inputs (LOOM's workload trie) —
-  /// so clones of one partitioner may run concurrently on disjoint shard
-  /// streams. The clone starts un-streamed; the sharded driver configures
-  /// it via BeginPass / SetShardCapacities / SetMigrationBudget. Returns
-  /// nullptr when the concrete type does not support sharding (the sharded
-  /// pass then falls back to the serial one).
-  virtual std::unique_ptr<StreamingPartitioner> CloneForShard() const {
-    return nullptr;
-  }
 
   /// Drains `source` (from its current position) through OnVertex and
   /// finishes. Early-stop: once a migration budget is exhausted mid-pass,
@@ -189,28 +169,10 @@ class StreamingPartitioner {
   /// effect without a prior.
   void SetMigrationBudget(uint64_t max_moves);
 
-  /// **[internal]** Shard-clone variant: installs explicit per-partition
-  /// home claims instead of deriving them from the whole prior. A shard clone replays
-  /// only its own shard's vertices, so only *their* home slots may be
-  /// reserved — claims for partitions owned by other shards would never
-  /// settle and would permanently block inbound moves. `home_claims` must
-  /// have one entry per partition (the count of this shard's replayed
-  /// vertices whose prior home is that partition); an empty vector falls
-  /// back to the prior's sizes (the one-arg overload's semantics), and the
-  /// claims are ignored when unbudgeted or without a prior.
-  void SetMigrationBudget(uint64_t max_moves,
-                          std::vector<uint32_t> home_claims);
-
-  /// **[internal]** Confines this partitioner to per-partition capacity
-  /// slices (see PartitionAssignment::SetCapacities). The sharded restream driver calls
-  /// this after BeginPass so each clone's slice of every partition sums
-  /// across shards to at most the global bound C. An empty vector is a
-  /// no-op (scalar capacity stays in force).
-  void SetShardCapacities(std::vector<size_t> capacities);
-
-  /// Installs an externally composed assignment and stats — the merge step
-  /// of a sharded pass — and drops any prior / migration budget, leaving
-  /// the partitioner in the same logical state a serial pass ends in.
+  /// Installs an externally composed assignment and stats — the adopted
+  /// result of a drift reaction — and drops any prior / migration budget,
+  /// leaving the partitioner in the same logical state a serial pass ends
+  /// in.
   void AdoptAssignment(PartitionAssignment assignment,
                        const PartitionerStats& stats);
 

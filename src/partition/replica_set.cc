@@ -1,7 +1,6 @@
 #include "partition/replica_set.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace loom {
 
@@ -62,57 +61,9 @@ bool ReplicaSet::Remove(VertexId v, uint32_t partition) {
   return true;
 }
 
-void ReplicaSet::BeginRebuild() {
-  for (auto& [vertex, parts] : replicas_) {
-    (void)vertex;
-    parts.clear();
-  }
-  std::fill(masks_.begin(), masks_.end(), 0);
-  num_replicas_ = 0;
-}
-
-void ReplicaSet::EndRebuild() {
-  num_replicas_ = 0;
-  for (auto it = replicas_.begin(); it != replicas_.end();) {
-    if (it->second.empty()) {
-      it = replicas_.erase(it);
-    } else {
-      num_replicas_ += it->second.size();
-      it = std::next(it);
-    }
-  }
-}
-
-void ReplicaSet::Reserve(VertexId max_vertex, uint32_t max_partition) {
-  // If the bit is already set the table covers the range; otherwise set
-  // and clear it — SetMaskBit does the resize/restride, the clear restores
-  // the contents.
-  if (Has(max_vertex, max_partition)) return;
-  SetMaskBit(max_vertex, max_partition);
-  ClearMaskBit(max_vertex, max_partition);
-}
-
 void ReplicaSet::ReserveVertices(size_t num_vertices) {
   replicas_.reserve(num_vertices);
   masks_.reserve(num_vertices * words_per_vertex_);
-}
-
-ReplicaSet::OwnedAdd ReplicaSet::AddOwned(VertexId v, uint32_t partition) {
-  if (Has(v, partition)) return OwnedAdd::kPresent;
-  const auto it = replicas_.find(v);
-  if (it == replicas_.end()) return OwnedAdd::kNoNode;
-  SetMaskBit(v, partition);
-  const bool first = it->second.empty();
-  it->second.push_back(partition);
-  return first ? OwnedAdd::kFirstForVertex : OwnedAdd::kAdded;
-}
-
-void ReplicaSet::EndRebuild(size_t refilled_vertices, size_t total_replicas) {
-  if (refilled_vertices == replicas_.size()) {
-    num_replicas_ = total_replicas;
-    return;
-  }
-  EndRebuild();
 }
 
 uint32_t ReplicaSet::MaskCountOf(VertexId v) const {
@@ -127,15 +78,12 @@ uint32_t ReplicaSet::MaskCountOf(VertexId v) const {
 
 const std::vector<uint32_t>* ReplicaSet::PartitionsOf(VertexId v) const {
   const auto it = replicas_.find(v);
-  // A node emptied by BeginRebuild and not yet re-filled reads as absent.
-  if (it == replicas_.end() || it->second.empty()) return nullptr;
-  return &it->second;
+  return it == replicas_.end() ? nullptr : &it->second;
 }
 
 uint32_t ReplicaSet::PrimaryOf(VertexId v) const {
   const auto it = replicas_.find(v);
-  if (it == replicas_.end() || it->second.empty()) return kNoReplica;
-  return it->second.front();
+  return it == replicas_.end() ? kNoReplica : it->second.front();
 }
 
 size_t ReplicaSet::NumReplicasOf(VertexId v) const {

@@ -112,58 +112,9 @@ class ReplicaSet {
   /// Number of distinct vertices with at least one replica.
   size_t NumReplicatedVertices() const { return replicas_.size(); }
 
-  /// Empties the set while keeping every allocation — the mask table, the
-  /// hash-map nodes and each list's capacity — so an immediately following
-  /// rebuild over (nearly) the same vertex population re-Adds without a
-  /// single allocation or hash-map insert. The sharded edge restream's
-  /// merged-pass replay calls this once per pass; `= ReplicaSet()` there
-  /// costs a full destruct + realloc of ~|V| nodes and lists.
-  ///
-  /// Between BeginRebuild and EndRebuild the map transiently holds empty
-  /// lists, so `NumReplicatedVertices` over-counts and `CheckInvariants`
-  /// fails — always close the pair before the set escapes.
-  void BeginRebuild();
-
-  /// Ends a BeginRebuild rebuild: erases map entries whose lists stayed
-  /// empty (vertices not re-added), restoring the no-empty-lists invariant,
-  /// and recounts `NumReplicas` from the lists (AddOwned does not keep the
-  /// running total). O(vertices).
-  void EndRebuild();
-
-  /// Counted EndRebuild for an ownership-parallel rebuild whose workers
-  /// tallied their AddOwned outcomes: when `refilled_vertices` equals the
-  /// retained node count, every node was re-filled — install
-  /// `total_replicas` as the replica total and skip the prune walk
-  /// entirely. Any mismatch falls back to the walking EndRebuild.
-  void EndRebuild(size_t refilled_vertices, size_t total_replicas);
-
-  /// Pre-sizes the mask table to cover (`max_vertex`, `max_partition`) so
-  /// no later SetMaskBit within that range reallocates or restrides — the
-  /// precondition for calling AddOwned from concurrent owner threads.
-  void Reserve(VertexId max_vertex, uint32_t max_partition);
-
   /// Reserves hash-map buckets (and mask storage) for `num_vertices`
   /// distinct vertices, so a streaming build inserts without rehashing.
   void ReserveVertices(size_t num_vertices);
-
-  /// AddOwned outcome, reported so workers can count re-filled vertices
-  /// and added replicas for the counted EndRebuild overload.
-  enum class OwnedAdd : uint8_t {
-    kNoNode,         ///< `v` has no retained map node; nothing changed.
-    kFirstForVertex, ///< added, and `v`'s list was empty before.
-    kAdded,          ///< added to an already re-filled vertex.
-    kPresent,        ///< idempotent hit; nothing changed.
-  };
-
-  /// Owner-thread Add for an ownership-parallel rebuild. Requires: inside
-  /// a BeginRebuild/EndRebuild pair, after a `Reserve` covering (`v`,
-  /// `partition`), with every vertex written by exactly one thread. Only
-  /// `v`'s own mask words and list are touched, so concurrent calls on
-  /// distinct vertices never race. On kNoNode — `v` has no retained map
-  /// node — nothing changes and the caller must apply that add with the
-  /// serial `Add` after joining (inserting a node would mutate shared map
-  /// structure).
-  OwnedAdd AddOwned(VertexId v, uint32_t partition);
 
   /// Accounting audit: true iff `NumReplicas` matches the summed list
   /// lengths, no list is empty, no list holds a duplicate partition, and

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <future>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
-#include "restream/shard_plan.h"
 #include "stream/cluster_log.h"
 
 namespace loom {
@@ -166,47 +162,11 @@ class FileReplayCursor : public ArrivalSource {
   uint64_t pos_ = 0;
 };
 
-// Runs fn(begin, end) over `n` items in `chunks` ranges on `pool` and
-// returns the LPT makespan model of the stage: max(slowest chunk, total
-// chunk CPU / workers) — the stage latency on a machine with the pool's
-// worker count in free cores. Chunk CPU is thread CPU time, so the model
-// holds even when the bench machine has fewer cores than workers.
-template <typename F>
-double TimedParallelChunks(ThreadPool& pool, size_t n, const F& fn) {
-  const size_t chunks = pool.NumThreads() * 4;
-  std::vector<double> chunk_cpu(chunks, 0.0);
-  ParallelFor(pool, chunks, [&](size_t c) {
-    ThreadCpuTimer cpu;
-    fn(c * n / chunks, (c + 1) * n / chunks);
-    chunk_cpu[c] = cpu.ElapsedSeconds();
-  });
-  double max_chunk = 0.0;
-  double total = 0.0;
-  for (const double s : chunk_cpu) {
-    max_chunk = std::max(max_chunk, s);
-    total += s;
-  }
-  return std::max(max_chunk,
-                  total / static_cast<double>(pool.NumThreads()));
-}
-
 }  // namespace
 
 std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
                                             const PartitionAssignment& prior,
-                                            Rng& rng, ThreadPool* pool,
-                                            double* critical_seconds_out)
-    const {
-  // Calling-thread CPU covers every serial portion; the fanned-out scoring
-  // stage is modelled separately (the calling thread sleeps in the join).
-  ThreadCpuTimer self_cpu;
-  double parallel_seconds = 0.0;
-  const auto account = [&] {
-    if (critical_seconds_out != nullptr) {
-      *critical_seconds_out += self_cpu.ElapsedSeconds() + parallel_seconds;
-    }
-  };
-
+                                            Rng& rng) const {
   std::vector<VertexId> perm;
   if (OutOfCore()) {
     perm.reserve(file_->NumVertices());
@@ -222,11 +182,9 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
 
   switch (order) {
     case RestreamOrder::kOriginal:
-      account();
       return perm;
     case RestreamOrder::kRandom:
       rng.Shuffle(&perm);
-      account();
       return perm;
     case RestreamOrder::kGain:
     case RestreamOrder::kAmbivalence:
@@ -277,8 +235,7 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
   std::vector<double> key;
   if (OutOfCore()) {
     // One sequential sweep of the full-neighbourhood records; O(V) keys and
-    // O(k) scratch, never the adjacency. Kept serial: the file cursor's
-    // residency accounting is single-consumer.
+    // O(k) scratch, never the adjacency.
     key.assign(file_->IdBound(), 0.0);
     std::vector<uint32_t> counts(k, 0);
     for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
@@ -288,33 +245,18 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
     }
   } else {
     key.assign(graph_.NumVertices(), 0.0);
-    // Pure per-vertex scoring: a chunk writes only key[v] for its own range,
-    // so the parallel fan-out below is bit-identical to the serial loop.
-    const auto score_range = [&](VertexId begin, VertexId end) {
-      std::vector<uint32_t> counts(k, 0);
-      for (VertexId v = begin; v < end; ++v) {
-        const std::vector<VertexId>& neighbors = graph_.Neighbors(v);
-        key[v] = gain_key(scored_gain(
-            v, Span<const VertexId>(neighbors.data(), neighbors.size()),
-            counts));
-      }
-    };
-    const VertexId n = graph_.NumVertices();
-    if (pool == nullptr || n < 1024) {
-      score_range(0, n);
-    } else {
-      parallel_seconds += TimedParallelChunks(
-          *pool, n, [&](size_t begin, size_t end) {
-            score_range(static_cast<VertexId>(begin),
-                        static_cast<VertexId>(end));
-          });
+    std::vector<uint32_t> counts(k, 0);
+    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
+      const std::vector<VertexId>& neighbors = graph_.Neighbors(v);
+      key[v] = gain_key(scored_gain(
+          v, Span<const VertexId>(neighbors.data(), neighbors.size()),
+          counts));
     }
   }
   std::stable_sort(perm.begin(), perm.end(), [&key](VertexId a, VertexId b) {
     if (key[a] != key[b]) return key[a] < key[b];
     return a < b;
   });
-  account();
   return perm;
 }
 
@@ -336,21 +278,14 @@ double Restreamer::CutFraction(const PartitionAssignment& a) const {
 
 GraphStream Restreamer::ReplayStream(RestreamOrder order,
                                      const PartitionAssignment& prior,
-                                     Rng& rng, ThreadPool* pool,
-                                     double* critical_seconds_out) const {
-  const std::vector<VertexId> perm =
-      PassOrder(order, prior, rng, pool, critical_seconds_out);
-  ThreadCpuTimer self_cpu;
-  double parallel_seconds = 0.0;
+                                     Rng& rng) const {
+  const std::vector<VertexId> perm = PassOrder(order, prior, rng);
   std::vector<VertexArrival> arrivals(perm.size());
   ++materializations_;
   // Restream passes know the whole graph: each arrival carries the full
   // neighbourhood, and scores fall through to the prior for neighbours not
   // yet re-assigned this pass.
   if (OutOfCore()) {
-    // Serial by design: the file cursor's residency accounting is
-    // single-consumer, and the sharded pass is the only caller anyway —
-    // its shards own the parallelism.
     const std::vector<uint32_t>& index_of = FileIndexOfVertex();
     for (size_t i = 0; i < perm.size(); ++i) {
       const FileArrivalSource::Record record = file_->At(index_of[perm[i]]);
@@ -360,24 +295,12 @@ GraphStream Restreamer::ReplayStream(RestreamOrder order,
                                     record.full_edges.end());
     }
   } else {
-    // Each slot is written exactly once, so the parallel build is
-    // bit-identical to the serial one.
-    const auto build_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId v = perm[i];
-        arrivals[i].vertex = v;
-        arrivals[i].label = graph_.LabelOf(v);
-        arrivals[i].back_edges = graph_.Neighbors(v);
-      }
-    };
-    if (pool == nullptr || perm.size() < 1024) {
-      build_range(0, perm.size());
-    } else {
-      parallel_seconds += TimedParallelChunks(*pool, perm.size(), build_range);
+    for (size_t i = 0; i < perm.size(); ++i) {
+      const VertexId v = perm[i];
+      arrivals[i].vertex = v;
+      arrivals[i].label = graph_.LabelOf(v);
+      arrivals[i].back_edges = graph_.Neighbors(v);
     }
-  }
-  if (critical_seconds_out != nullptr) {
-    *critical_seconds_out += self_cpu.ElapsedSeconds() + parallel_seconds;
   }
   return GraphStream(std::move(arrivals));
 }
@@ -390,8 +313,7 @@ RestreamPassStats Restreamer::RunIncrementalPass(
   // The replay ordering is part of the reaction latency: an incremental pass
   // is judged end-to-end, ordering included. The replay itself goes through
   // a borrowing cursor — no stream copy in either mode.
-  const std::vector<VertexId> perm =
-      PassOrder(options_.order, prior, rng, nullptr, nullptr);
+  const std::vector<VertexId> perm = PassOrder(options_.order, prior, rng);
   partitioner->BeginPass(&prior);
   partitioner->SetMigrationBudget(max_moves);
   if (OutOfCore()) {
@@ -414,124 +336,6 @@ RestreamPassStats Restreamer::RunIncrementalPass(
   s.forced_placements = partitioner->stats().forced_placements;
   s.assign_errors = partitioner->stats().assign_errors;
   s.budget_denied_moves = partitioner->stats().budget_denied_moves;
-  return s;
-}
-
-RestreamPassStats Restreamer::RunShardedIncrementalPass(
-    StreamingPartitioner* partitioner, const PartitionAssignment& prior,
-    uint64_t max_moves, uint32_t num_shards, ThreadPool* pool) const {
-  num_shards = std::max<uint32_t>(1, num_shards);
-
-  // Clones must agree with the prior's partition count (BeginPass would
-  // discard a mismatched prior) and the partitioner must support cloning;
-  // otherwise the serial pass is the correct degenerate form.
-  std::vector<std::unique_ptr<StreamingPartitioner>> clones;
-  clones.reserve(num_shards);
-  bool cloneable = prior.k() == partitioner->options().k;
-  for (uint32_t s = 0; cloneable && s < num_shards; ++s) {
-    clones.push_back(partitioner->CloneForShard());
-    if (clones.back() == nullptr) cloneable = false;
-  }
-  if (!cloneable) {
-    return RunIncrementalPass(partitioner, prior, max_moves);
-  }
-
-  Rng rng(options_.seed);
-  WallTimer timer;
-  // Reuse the caller's persistent pool when given one; otherwise own a
-  // pass-local pool (the degenerate single-call form).
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(num_shards);
-    pool = owned_pool.get();
-  }
-  // The global replay (ordering included) is shared: each shard keeps the
-  // global order restricted to its own vertices, so the decomposition is a
-  // pure function of (stream, prior, order, seed, num_shards). The replay
-  // build and the shard split fan out over the same pool — they would
-  // otherwise dominate the critical path of a budgeted pass, whose
-  // streaming phase early-stops once the budget is spent. `setup_seconds`
-  // is their accumulated share-nothing critical path.
-  double setup_seconds = 0.0;
-  const GraphStream replay =
-      ReplayStream(options_.order, prior, rng, pool, &setup_seconds);
-  const PartitionerOptions& popts = partitioner->options();
-  const size_t capacity = ComputeCapacity(
-      popts.k, popts.num_vertices_hint, popts.capacity_slack);
-  const ShardPlan plan = BuildShardPlan(replay, prior, num_shards, max_moves,
-                                        capacity, pool, &setup_seconds);
-
-  // Share-nothing execution: every clone owns its mutable state and reads
-  // only the shared prior (and, for LOOM, the immutable trie). Futures are
-  // joined in shard order; scheduling cannot leak into any result.
-  std::vector<double> shard_seconds(num_shards, 0.0);
-  {
-    std::vector<std::future<void>> done;
-    done.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      StreamingPartitioner* clone = clones[s].get();
-      const RestreamShard& shard = plan.shards[s];
-      double* seconds_out = &shard_seconds[s];
-      done.push_back(pool->Submit([clone, &shard, &prior, seconds_out] {
-        ThreadCpuTimer cpu;
-        clone->BeginPass(&prior);
-        clone->SetShardCapacities(shard.capacities);
-        clone->SetMigrationBudget(shard.migration_budget, shard.home_claims);
-        clone->Run(shard.stream);
-        clone->ClearPrior();
-        *seconds_out = cpu.ElapsedSeconds();
-      }));
-    }
-    for (std::future<void>& f : done) f.get();
-  }
-
-  // Merge: shard vertex sets are disjoint (every vertex replays in exactly
-  // one shard), so composition is a union. The per-shard capacity slices
-  // sum to exactly C per partition, so Assign stays within the bound;
-  // ForceAssign is a belt-and-braces escape hatch mirroring the serial
-  // overflow path (a shard itself force-places only when its whole slice
-  // set is exhausted).
-  ThreadCpuTimer merge_cpu;
-  PartitionAssignment merged(popts.k, capacity);
-  PartitionerStats folded;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const PartitionAssignment& shard_result = clones[s]->assignment();
-    for (VertexId v = 0; v < shard_result.IdBound(); ++v) {
-      const int32_t p = shard_result.PartOf(v);
-      if (p < 0) continue;
-      Status status = merged.Assign(v, static_cast<uint32_t>(p));
-      if (!status.ok() && status.code() == StatusCode::kCapacityExceeded) {
-        status = merged.ForceAssign(v, static_cast<uint32_t>(p));
-      }
-      if (!status.ok()) ++folded.assign_errors;
-    }
-    const PartitionerStats& shard_stats = clones[s]->stats();
-    folded.overflow_fallbacks += shard_stats.overflow_fallbacks;
-    folded.forced_placements += shard_stats.forced_placements;
-    folded.assign_errors += shard_stats.assign_errors;
-    folded.prior_moves += shard_stats.prior_moves;
-    folded.budget_denied_moves += shard_stats.budget_denied_moves;
-  }
-  partitioner->AdoptAssignment(std::move(merged), folded);
-  const double merge_seconds = merge_cpu.ElapsedSeconds();
-
-  RestreamPassStats s;
-  s.pass = 1;
-  s.seconds = timer.ElapsedSeconds();
-  s.num_shards = num_shards;
-  s.shard_seconds = shard_seconds;
-  s.critical_path_seconds =
-      setup_seconds +
-      *std::max_element(shard_seconds.begin(), shard_seconds.end()) +
-      merge_seconds;
-  s.edge_cut_fraction = CutFraction(partitioner->assignment());
-  s.best_edge_cut_fraction = s.edge_cut_fraction;
-  s.balance = BalanceMaxOverAvg(partitioner->assignment());
-  s.migration_fraction = MigrationFraction(prior, partitioner->assignment());
-  s.overflow_fallbacks = folded.overflow_fallbacks;
-  s.forced_placements = folded.forced_placements;
-  s.assign_errors = folded.assign_errors;
-  s.budget_denied_moves = folded.budget_denied_moves;
   return s;
 }
 
@@ -561,7 +365,7 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
     if (pass == 1) {
       partitioner->BeginPass(nullptr);
     } else {
-      perm = PassOrder(options_.order, prior, rng, nullptr, nullptr);
+      perm = PassOrder(options_.order, prior, rng);
       if (memoize) {
         partitioner->TakeClusterLog(&prev_log);
         // The final pass's log has no consumer — skip recording it, which

@@ -31,8 +31,6 @@
 
 namespace loom {
 
-class ThreadPool;
-
 /// How passes >= 2 order the replayed vertices.
 enum class RestreamOrder {
   /// Replay the pass-one arrival order.
@@ -144,19 +142,6 @@ struct RestreamPassStats {
   /// budget (0 on unbudgeted passes).
   uint64_t budget_denied_moves = 0;
   double seconds = 0.0;
-  /// Share-nothing shards the pass ran on (1 = serial pass).
-  uint32_t num_shards = 1;
-  /// Sharded passes only: per-shard thread-CPU seconds (BeginPass through
-  /// ClearPrior), index = shard. Empty for serial passes.
-  std::vector<double> shard_seconds;
-  /// Sharded passes only: serial setup (replay build + shard plan) plus the
-  /// slowest shard's CPU seconds plus the merge — the pass latency on a
-  /// machine with one free core per shard. 0 for serial passes (use
-  /// `seconds`). On a machine with fewer cores than shards `seconds` (wall
-  /// time) cannot shrink, but this number still measures the share-nothing
-  /// critical path because the per-shard component is CPU time, not wall
-  /// time.
-  double critical_path_seconds = 0.0;
 };
 
 /// Outcome of a full restream run.
@@ -178,14 +163,13 @@ struct RestreamResult {
 ///    once at construction (GraphFromStream); serial passes replay through
 ///    a borrowing cursor over that adjacency, so no per-pass stream copy is
 ///    ever made (`materializations()` counts the O(E) builds — a 3-pass
-///    serial run performs exactly one).
+///    run performs exactly one).
 ///  * **Out-of-core** — constructed from an mmap-ed FileArrivalSource
 ///    written with full neighbourhoods. Pass one streams the file's back
 ///    edges; later passes replay full-neighbourhood records in prioritized
-///    order through the mapping. Serial passes keep O(V) memory (ordering
-///    keys, permutation, vertex index — never the edges); only the sharded
-///    pass and ReplayStream still materialise, because share-nothing shards
-///    need owned streams. `graph()` is empty in this mode.
+///    order through the mapping. Passes keep O(V) memory (ordering keys,
+///    permutation, vertex index — never the edges); only ReplayStream
+///    materialises. `graph()` is empty in this mode.
 class Restreamer {
  public:
   Restreamer(const GraphStream& stream, const RestreamOptions& options);
@@ -214,37 +198,6 @@ class Restreamer {
                                        const PartitionAssignment& prior,
                                        uint64_t max_moves) const;
 
-  /// The sharded parallel form of RunIncrementalPass: splits the replay by
-  /// prior partition into `num_shards` share-nothing shards (shard_plan.h),
-  /// restreams them concurrently on a fixed worker pool — each worker
-  /// driving its own `partitioner->CloneForShard()` against the shared
-  /// read-only `prior` with a proportional slice of `max_moves` and of each
-  /// partition's capacity — then merges the disjoint shard assignments and
-  /// folds their stats into `partitioner` (AdoptAssignment), leaving it in
-  /// the same logical state the serial pass would.
-  ///
-  /// Guarantees: the result is a pure function of (stream, prior, options,
-  /// max_moves, num_shards) — worker scheduling never leaks into it;
-  /// `num_shards == 1` is bit-identical to RunIncrementalPass (same
-  /// assignment, same counters); and the merged result never migrates more
-  /// than `max_moves` vertices nor exceeds the serial capacity bound C in
-  /// any partition the prior respected it in. Falls back to the serial pass
-  /// when the partitioner does not support cloning or the prior's k
-  /// mismatches. The returned stats carry per-shard seconds and the
-  /// share-nothing critical path.
-  ///
-  /// With a non-null `pool` the pass runs on the caller's worker pool
-  /// instead of constructing its own — a drift loop chaining reaction
-  /// passes pays the thread spin-up once instead of per pass (the
-  /// wall-clock tax the parallel_restream wall_speedup rows exposed). A
-  /// pool larger than `num_shards` is fine: determinism is input-only
-  /// (futures join in shard order).
-  RestreamPassStats RunShardedIncrementalPass(StreamingPartitioner* partitioner,
-                                              const PartitionAssignment& prior,
-                                              uint64_t max_moves,
-                                              uint32_t num_shards,
-                                              ThreadPool* pool = nullptr) const;
-
   /// `max_moves` value that disables the migration cap.
   static constexpr uint64_t kUnlimitedMoves =
       StreamingPartitioner::kUnlimitedMigrationBudget;
@@ -252,22 +205,10 @@ class Restreamer {
   /// The pass >= 2 stream for `order` given a prior assignment: arrivals in
   /// prioritized order, each carrying its full neighbourhood, materialised
   /// into an owned GraphStream (counted by `materializations()`). Exposed
-  /// for tests and for drivers that schedule passes themselves — serial
-  /// passes no longer use it; the sharded pass does, because share-nothing
-  /// shards need owned streams. With a non-null `pool` the gain scoring and
-  /// arrival construction fan out over it — bit-identical output (every
-  /// chunk writes only its own slots), just built on more cores; the
-  /// sharded pass reuses its worker pool here so the serial setup does not
-  /// dominate its critical path. When `critical_seconds_out` is non-null
-  /// the build's share-nothing critical path is *added* to it:
-  /// calling-thread CPU seconds plus, per fanned-out stage, the LPT
-  /// makespan model max(slowest chunk, total chunk CPU / workers) — i.e.
-  /// the build latency on a machine with the pool's worker count in free
-  /// cores, measured machine-independently.
+  /// for tests and for drivers that schedule passes themselves — the passes
+  /// run here replay through borrowing cursors instead.
   GraphStream ReplayStream(RestreamOrder order,
-                           const PartitionAssignment& prior, Rng& rng,
-                           ThreadPool* pool = nullptr,
-                           double* critical_seconds_out = nullptr) const;
+                           const PartitionAssignment& prior, Rng& rng) const;
 
   /// The adjacency rebuilt from the recorded stream; empty in out-of-core
   /// mode (the whole point is never to build it).
@@ -275,19 +216,17 @@ class Restreamer {
 
   /// How many times this Restreamer has built O(E) neighbourhood state: the
   /// construction-time GraphFromStream (materialised mode) plus one per
-  /// ReplayStream call. Serial multi-pass runs replay through borrowing
-  /// cursors, so a 3-pass Run() reports exactly 1 in materialised mode and
+  /// ReplayStream call. Multi-pass runs replay through borrowing cursors,
+  /// so a 3-pass Run() reports exactly 1 in materialised mode and
   /// 0 out-of-core — the regression guard for the per-pass re-copying this
   /// class used to do.
   uint64_t materializations() const { return materializations_; }
 
  private:
-  /// The vertex permutation for a pass >= 2. Accumulates its critical-path
-  /// cost into `critical_seconds_out` (see ReplayStream) when non-null.
+  /// The vertex permutation for a pass >= 2.
   std::vector<VertexId> PassOrder(RestreamOrder order,
-                                  const PartitionAssignment& prior, Rng& rng,
-                                  ThreadPool* pool,
-                                  double* critical_seconds_out) const;
+                                  const PartitionAssignment& prior,
+                                  Rng& rng) const;
 
   /// True when backed by a FileArrivalSource instead of a GraphStream.
   bool OutOfCore() const { return file_ != nullptr; }

@@ -28,7 +28,7 @@
 ///    the summary against the expectation the live placement was built for.
 ///    On a confirmed fire the service enqueues a *reaction task* onto the
 ///    pipeline worker: re-point LOOM at the drifted summary, run the
-///    bounded-migration sharded restream reaction (PR 5's engine) against
+///    bounded-migration restream reaction (`DriftController::React`) against
 ///    the recorded stream, adopt the keep-best result, and publish a fresh
 ///    snapshot atomically. Reads continue un-blocked throughout; ingest
 ///    batches queue behind the reaction (FIFO) and resume after it.

@@ -76,7 +76,7 @@ class StreamCursor : public ArrivalSource {
 /// Drains `source` (from its current position) into an owning GraphStream —
 /// the bridge back to consumers that genuinely need random access. This is
 /// the O(E)-memory operation the cursor refactor exists to avoid; call sites
-/// are expected to be small streams (tests, sharded replay construction).
+/// are expected to be small streams (tests).
 GraphStream MaterializeStream(ArrivalSource& source);
 
 }  // namespace loom

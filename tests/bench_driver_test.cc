@@ -202,7 +202,7 @@ TEST_F(BenchDriverTest, EdgeCutJsonIsValidWithExpectedKeys) {
   const std::string text = ReadFileOrDie(*out_dir_ + "/BENCH_edge_cut.json");
   ASSERT_FALSE(text.empty());
   EXPECT_TRUE(JsonChecker(text).Valid()) << text;
-  EXPECT_NE(text.find("\"schema\": \"loom-bench-edge-cut-v8\""),
+  EXPECT_NE(text.find("\"schema\": \"loom-bench-edge-cut-v9\""),
             std::string::npos);
   for (const char* key :
        {"\"edge_cut_fraction\"", "\"balance\"", "\"vertices_per_second\"",
@@ -227,27 +227,6 @@ TEST_F(BenchDriverTest, EdgeCutJsonHasRestreamSection) {
     EXPECT_NE(text.find(key), std::string::npos)
         << "missing restream key " << key;
   }
-}
-
-TEST_F(BenchDriverTest, EdgeCutJsonHasParallelRestreamSection) {
-  const std::string text = ReadFileOrDie(*out_dir_ + "/BENCH_edge_cut.json");
-  ASSERT_FALSE(text.empty());
-  EXPECT_NE(text.find("\"parallel_restream\": ["), std::string::npos)
-      << "missing parallel_restream section";
-  // Schema v4 keys: the shard sweep, the share-nothing critical path /
-  // speedup pair, and the serial-equivalence verdict the driver computes
-  // for the 1-shard row (bit-identity with the serial reaction).
-  for (const char* key :
-       {"\"num_shards\"", "\"reaction_passes\"",
-        "\"serial_edge_cut_fraction\"", "\"migration_budget_moves\"",
-        "\"critical_path_seconds\"", "\"speedup_vs_serial\"",
-        "\"wall_speedup\"", "\"serial_equivalent\": true"}) {
-    EXPECT_NE(text.find(key), std::string::npos)
-        << "missing parallel_restream key " << key;
-  }
-  // Both engines swept: the one-shot heuristic and the full LOOM pipeline.
-  EXPECT_NE(text.find("\"num_shards\": 4"), std::string::npos)
-      << "missing the 4-shard sweep point";
 }
 
 TEST_F(BenchDriverTest, EdgeCutJsonHasDriftSection) {
@@ -317,16 +296,12 @@ TEST_F(BenchDriverTest, EdgeCutJsonHasEdgePartitionSection) {
       << "missing edge_partition section";
   // Schema v7 keys: the vertex-cut quality axes (replication factor,
   // edge balance), both streaming algorithms on both tiers, and the
-  // lambda knob the HDRF rows sweep. Schema v8 adds the sharded restream
-  // sweep: shard count, share-nothing critical path, and the 1-shard
-  // serial-equivalence verdict.
+  // lambda knob the HDRF rows sweep.
   for (const char* key :
        {"\"replication_factor\"", "\"edges_per_second\"",
         "\"restream_passes\"", "\"lambda\"", "\"cap_relaxations\"",
         "\"partitioner\": \"hdrf\"", "\"partitioner\": \"dbh\"",
-        "\"tier\": \"in-memory\"", "\"tier\": \"file-backed-ba\"",
-        "\"shards\"", "\"critical_path_seconds\"",
-        "\"speedup_vs_serial\"", "\"serial_equivalent\": true"}) {
+        "\"tier\": \"in-memory\"", "\"tier\": \"file-backed-ba\""}) {
     EXPECT_NE(text.find(key), std::string::npos)
         << "missing edge_partition key " << key;
   }

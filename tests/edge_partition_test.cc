@@ -538,6 +538,36 @@ TEST(EdgeRestreamTest, KeepBestNeverRegresses) {
   EXPECT_DOUBLE_EQ(result->replication_factor,
                    result->passes.back().best_replication_factor);
   EXPECT_EQ(result->placements.size(), CountStreamEdges(stream));
+  EXPECT_TRUE(part.replicas().CheckInvariants());
+}
+
+// BeginPass must start the pass from an empty replica set: a pass that
+// streams only part of the earlier population counts only the vertices it
+// saw, so its replication factor stays >= 1.
+TEST(EdgeRestreamTest, BeginPassStartsFromEmptyReplicaSet) {
+  std::vector<VertexArrival> arrivals(100);
+  for (VertexId v = 0; v < 100; ++v) {
+    arrivals[v].vertex = v;
+    if (v > 0) arrivals[v].back_edges = {v - 1};
+  }
+  const GraphStream path(arrivals);
+  const GraphStream half(std::vector<VertexArrival>(arrivals.begin(),
+                                                    arrivals.begin() + 50));
+  EdgePartitionerOptions opt;
+  opt.k = 4;
+  HdrfPartitioner part(opt);
+  StreamCursor full_cursor(path);
+  part.Run(full_cursor);
+  ASSERT_TRUE(part.replicas().CheckInvariants());
+
+  part.BeginPass(nullptr);
+  EXPECT_TRUE(part.replicas().CheckInvariants());
+  EXPECT_EQ(part.replicas().NumReplicatedVertices(), 0u);
+  StreamCursor half_cursor(half);
+  part.Run(half_cursor);
+  EXPECT_TRUE(part.replicas().CheckInvariants());
+  EXPECT_EQ(part.replicas().NumReplicatedVertices(), 50u);
+  EXPECT_GE(ReplicationFactor(part.replicas()), 1.0);
 }
 
 TEST(EdgeRestreamTest, ZeroBudgetFreezesPlacement) {
@@ -600,6 +630,118 @@ TEST(EdgeRestreamTest, OptionsContract) {
   EXPECT_EQ(SanitizeEdgeRestreamOptions(opt).max_migration_fraction, 0.0);
   EXPECT_TRUE(ValidateEdgeRestreamOptions(EdgeRestreamOptions()).ok());
 }
+
+// Budgeted multi-pass edge restream properties, for each edge partitioner.
+class EdgeRestreamPropertyTest
+    : public ::testing::TestWithParam<const char*> {
+ protected:
+  static Result<EdgeRestreamResult> Restream(const GraphStream& stream,
+                                             const EdgeRestreamOptions& ropt,
+                                             EdgePartitioner* part) {
+    StreamCursor cursor(stream);
+    EdgeRestreamer restreamer(&cursor, ropt);
+    return restreamer.Run(part);
+  }
+
+  static EdgePartitionerOptions Options(uint64_t m) {
+    EdgePartitionerOptions opt;
+    opt.k = 8;
+    opt.num_edges_hint = m;
+    return opt;
+  }
+};
+
+TEST_P(EdgeRestreamPropertyTest, DeterministicAcrossRepeatedRuns) {
+  const GraphStream stream = PowerLawStream(1200, 5, 61);
+  const uint64_t m = CountStreamEdges(stream);
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = 3;
+  ropt.max_migration_fraction = 0.2;
+  auto a = MakeEdgePartitioner(GetParam(), Options(m));
+  auto b = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto ra = Restream(stream, ropt, (*a).get());
+  auto rb = Restream(stream, ropt, (*b).get());
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  EXPECT_EQ(ra->placements, rb->placements);
+  EXPECT_DOUBLE_EQ(ra->replication_factor, rb->replication_factor);
+  EXPECT_DOUBLE_EQ(ra->balance, rb->balance);
+  ASSERT_EQ(ra->passes.size(), rb->passes.size());
+  for (size_t i = 0; i < ra->passes.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ra->passes[i].replication_factor,
+                     rb->passes[i].replication_factor);
+    EXPECT_DOUBLE_EQ(ra->passes[i].moved_fraction,
+                     rb->passes[i].moved_fraction);
+    EXPECT_EQ(ra->passes[i].budget_denied_moves,
+              rb->passes[i].budget_denied_moves);
+  }
+}
+
+TEST_P(EdgeRestreamPropertyTest, EveryPassBudgetedAndClean) {
+  // Without keep-best every pass is adopted, so each budgeted pass's move
+  // count is checked against the strict cap, and no pass needs a cap
+  // relaxation or errors an assignment.
+  const GraphStream stream = PowerLawStream(1500, 5, 67);
+  const uint64_t m = CountStreamEdges(stream);
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = 3;
+  ropt.max_migration_fraction = 0.1;
+  ropt.keep_best = false;
+  const uint64_t budget = static_cast<uint64_t>(0.1 * static_cast<double>(m));
+  auto part = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(part.ok());
+  auto result = Restream(stream, ropt, (*part).get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->passes.size(), 3u);
+  for (const EdgeRestreamPassStats& pass : result->passes) {
+    EXPECT_EQ(pass.cap_relaxations, 0u) << "pass " << pass.pass;
+    EXPECT_EQ(pass.assign_errors, 0u) << "pass " << pass.pass;
+    if (pass.pass > 1) {
+      EXPECT_LE(pass.moved_fraction * static_cast<double>(m),
+                static_cast<double>(budget) + 0.5)
+          << "pass " << pass.pass;
+    }
+  }
+  EXPECT_EQ(result->placements.size(), m);
+}
+
+TEST_P(EdgeRestreamPropertyTest, ReplicaSetConsistentAfterRun) {
+  // The partitioner's replica set describes its last pass: invariants hold,
+  // every edge is counted once and the replication factor is at least one.
+  const GraphStream stream = SmallStream(600, 2400, 71);
+  const uint64_t m = CountStreamEdges(stream);
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = 3;
+  auto part = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(part.ok());
+  auto result = Restream(stream, ropt, (*part).get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE((*part)->replicas().CheckInvariants());
+  EXPECT_GE(ReplicationFactor((*part)->replicas()), 1.0);
+  EXPECT_GE(result->replication_factor, 1.0);
+  uint64_t total = 0;
+  for (const uint64_t c : (*part)->edge_counts()) total += c;
+  EXPECT_EQ(total, m);
+  EXPECT_EQ((*part)->placements().size(), m);
+}
+
+TEST_P(EdgeRestreamPropertyTest, KeepBestNeverWorseThanPassOne) {
+  const GraphStream stream = PowerLawStream(1000, 5, 73);
+  const uint64_t m = CountStreamEdges(stream);
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = 3;
+  auto part = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(part.ok());
+  auto result = Restream(stream, ropt, (*part).get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->passes.size(), 3u);
+  EXPECT_LE(result->replication_factor,
+            result->passes[0].replication_factor + 1e-12);
+  EXPECT_DOUBLE_EQ(result->passes[0].moved_fraction, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeRestream, EdgeRestreamPropertyTest,
+                         ::testing::Values("hdrf", "dbh"));
 
 // ---------------------------------------------------------------------------
 // Golden hashes: ER/BA bench families, bench-fast shape (4000 vertices).
@@ -696,107 +838,6 @@ TEST(EdgePartitionGoldenTest, ScalarAndBitmaskKernelsMatchPins) {
       EXPECT_EQ(hash, row.hash)
           << row.family << " lambda=" << row.lambda
           << (scalar ? " scalar" : " bitmask");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded edge restream
-
-EdgePartitionerOptions ShardedOptions(uint64_t num_edges) {
-  EdgePartitionerOptions opt;
-  opt.k = 8;
-  opt.num_edges_hint = num_edges;
-  return opt;
-}
-
-TEST(EdgeRestreamShardedTest, OneShardBitIdenticalToSerial) {
-  // One shard still runs the full plan/clone/merge machinery, so this pins
-  // the whole sharded path (budget floors, capacity slices, AdoptMergedPass
-  // replay) against the serial driver — placements, quality metrics and
-  // every per-pass counter must match exactly.
-  const GraphStream stream = PowerLawStream(1200, 5, 61);
-  const uint64_t m = CountStreamEdges(stream);
-  for (const char* name : {"hdrf", "dbh"}) {
-    EdgeRestreamOptions ropt;
-    ropt.num_passes = 3;
-    ropt.max_migration_fraction = 0.2;
-
-    auto serial_part = MakeEdgePartitioner(name, ShardedOptions(m));
-    ASSERT_TRUE(serial_part.ok());
-    StreamCursor serial_cursor(stream);
-    EdgeRestreamer serial(&serial_cursor, ropt);
-    auto serial_result = serial.Run((*serial_part).get());
-    ASSERT_TRUE(serial_result.ok()) << name;
-
-    auto sharded_part = MakeEdgePartitioner(name, ShardedOptions(m));
-    ASSERT_TRUE(sharded_part.ok());
-    StreamCursor sharded_cursor(stream);
-    EdgeRestreamer sharded(&sharded_cursor, ropt);
-    auto sharded_result = sharded.RunSharded((*sharded_part).get(), 1);
-    ASSERT_TRUE(sharded_result.ok()) << name;
-
-    EXPECT_EQ(serial_result->placements, sharded_result->placements) << name;
-    EXPECT_DOUBLE_EQ(serial_result->replication_factor,
-                     sharded_result->replication_factor);
-    EXPECT_DOUBLE_EQ(serial_result->balance, sharded_result->balance);
-    ASSERT_EQ(serial_result->passes.size(), sharded_result->passes.size());
-    for (size_t i = 0; i < serial_result->passes.size(); ++i) {
-      const EdgeRestreamPassStats& a = serial_result->passes[i];
-      const EdgeRestreamPassStats& b = sharded_result->passes[i];
-      EXPECT_DOUBLE_EQ(a.replication_factor, b.replication_factor) << name;
-      EXPECT_DOUBLE_EQ(a.best_replication_factor, b.best_replication_factor);
-      EXPECT_DOUBLE_EQ(a.balance, b.balance) << name;
-      EXPECT_DOUBLE_EQ(a.moved_fraction, b.moved_fraction) << name;
-      EXPECT_EQ(a.overflow_fallbacks, b.overflow_fallbacks) << name;
-      EXPECT_EQ(a.cap_relaxations, b.cap_relaxations) << name;
-      EXPECT_EQ(a.assign_errors, b.assign_errors) << name;
-      EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves) << name;
-    }
-  }
-}
-
-TEST(EdgeRestreamShardedTest, ShardSweepDeterministicBudgetedAndClean) {
-  // Across shard counts: repeat runs are placement-identical (input-only
-  // determinism), the global migration budget is never exceeded on any
-  // pass, and no pass needs a cap relaxation or errors an assignment —
-  // the capacity slices hand each shard a consistent fragment of the
-  // global balance budget.
-  const GraphStream stream = PowerLawStream(1500, 5, 67);
-  const uint64_t m = CountStreamEdges(stream);
-  EdgeRestreamOptions ropt;
-  ropt.num_passes = 3;
-  ropt.max_migration_fraction = 0.1;
-  const uint64_t budget = static_cast<uint64_t>(0.1 * static_cast<double>(m));
-  for (const char* name : {"hdrf", "dbh"}) {
-    for (const uint32_t shards : {1u, 2u, 4u}) {
-      std::vector<uint32_t> first;
-      for (int rep = 0; rep < 2; ++rep) {
-        auto part = MakeEdgePartitioner(name, ShardedOptions(m));
-        ASSERT_TRUE(part.ok());
-        StreamCursor cursor(stream);
-        EdgeRestreamer restreamer(&cursor, ropt);
-        auto result = restreamer.RunSharded((*part).get(), shards);
-        ASSERT_TRUE(result.ok()) << name << " shards=" << shards;
-        for (const EdgeRestreamPassStats& pass : result->passes) {
-          EXPECT_EQ(pass.cap_relaxations, 0u)
-              << name << " shards=" << shards << " pass=" << pass.pass;
-          EXPECT_EQ(pass.assign_errors, 0u)
-              << name << " shards=" << shards << " pass=" << pass.pass;
-          if (pass.pass > 1) {
-            EXPECT_LE(pass.moved_fraction * static_cast<double>(m),
-                      static_cast<double>(budget) + 0.5)
-                << name << " shards=" << shards << " pass=" << pass.pass;
-            EXPECT_EQ(pass.num_shards, shards);
-          }
-        }
-        if (rep == 0) {
-          first = result->placements;
-        } else {
-          EXPECT_EQ(first, result->placements)
-              << name << " shards=" << shards;
-        }
-      }
     }
   }
 }

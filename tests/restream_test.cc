@@ -1,14 +1,20 @@
 // Tests for the restreaming/repartitioning subsystem: replay-stream
 // construction, ReLDG prior semantics, the anytime (monotone best-cut)
-// contract over the benchmark graph families for ldg/fennel/loom, and
-// migration-cost accounting.
+// contract over the benchmark graph families for ldg/fennel/loom,
+// migration-cost accounting, the bounded-migration incremental pass for
+// every standard partitioner, and RestreamOptions validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/loom.h"
+#include "core/partitioner_factory.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
 #include "partition/fennel_partitioner.h"
@@ -276,6 +282,224 @@ TEST(RestreamerTest, OverfullStreamRestreamsWithoutDrops) {
   }
   EXPECT_EQ(r.assignment.NumAssigned(), g.NumVertices());
   EXPECT_TRUE(AllAssigned(g, r.assignment));
+}
+
+// Bounded-migration incremental pass (the drift reaction's building block),
+// for every standard partitioner: repeat runs are bit-identical, the budget
+// is a strict cap that never costs capacity, and the returned stats describe
+// the assignment the partitioner is left holding.
+class IncrementalPassProperty
+    : public ::testing::TestWithParam<std::string> {
+ protected:
+  // Test graph with planted motifs so LOOM has clusters to re-score.
+  static LabeledGraph TestGraph(uint64_t seed) {
+    Rng rng(seed);
+    LabeledGraph g = BarabasiAlbert(900, 4, LabelConfig{3, 0.2}, rng);
+    PlantMotifs(&g, TriangleQuery(0, 1, 2), 24, rng, /*locality_span=*/16);
+    return g;
+  }
+
+  // A fresh partitioner named by the test parameter. LOOM partitioners are
+  // owned by their Loom, which is kept alive in `looms_`.
+  StreamingPartitioner* Make(const LabeledGraph& g) {
+    const PartitionerOptions popts = Opts(6, g.NumVertices(), g.NumEdges());
+    if (GetParam() != "loom") {
+      auto made = MakePartitioner(GetParam(), popts);
+      EXPECT_TRUE(made.ok()) << GetParam();
+      owned_.push_back(std::move(made).value());
+      return owned_.back().get();
+    }
+    Workload w;
+    EXPECT_TRUE(w.Add("tri", TriangleQuery(0, 1, 2), 1.0).ok());
+    EXPECT_TRUE(w.Add("ab", PathQuery({0, 1}), 1.0).ok());
+    w.Normalize();
+    LoomOptions o;
+    o.partitioner = popts;
+    o.partitioner.window_size = 64;
+    o.matcher.frequency_threshold = 0.4;
+    auto created = Loom::Create(w, o);
+    EXPECT_TRUE(created.ok());
+    looms_.push_back(std::move(created).value());
+    return &looms_.back()->Partitioner();
+  }
+
+  static RestreamOptions DecisiveOrder() {
+    RestreamOptions ropts;
+    ropts.order = RestreamOrder::kDecisive;
+    return ropts;
+  }
+
+ private:
+  std::vector<std::unique_ptr<StreamingPartitioner>> owned_;
+  std::vector<std::unique_ptr<Loom>> looms_;
+};
+
+TEST_P(IncrementalPassProperty, DeterministicAcrossRepeatedRuns) {
+  const LabeledGraph g = TestGraph(43);
+  Rng rng(44);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  const Restreamer restreamer(stream, DecisiveOrder());
+
+  StreamingPartitioner* live = Make(g);
+  live->Run(stream);
+  const PartitionAssignment prior = live->assignment();
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.25);
+
+  StreamingPartitioner* first = Make(g);
+  StreamingPartitioner* second = Make(g);
+  const RestreamPassStats a =
+      restreamer.RunIncrementalPass(first, prior, budget);
+  const RestreamPassStats b =
+      restreamer.RunIncrementalPass(second, prior, budget);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_EQ(first->assignment().PartOf(v), second->assignment().PartOf(v))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(first->assignment().Sizes(), second->assignment().Sizes());
+  EXPECT_EQ(a.edge_cut_fraction, b.edge_cut_fraction);
+  EXPECT_EQ(a.balance, b.balance);
+  EXPECT_EQ(a.migration_fraction, b.migration_fraction);
+  EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves);
+}
+
+TEST_P(IncrementalPassProperty, BudgetNeverExceeded) {
+  const LabeledGraph g = TestGraph(47);
+  Rng rng(48);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  const Restreamer restreamer(stream, DecisiveOrder());
+  const size_t cap = ComputeCapacity(6, g.NumVertices(), 1.1);
+
+  StreamingPartitioner* live = Make(g);
+  live->Run(stream);
+  const PartitionAssignment prior = live->assignment();
+
+  for (const double fraction : {0.0, 0.1, 0.3}) {
+    SCOPED_TRACE(fraction);
+    const uint64_t budget = MigrationBudgetMoves(prior, fraction);
+    StreamingPartitioner* pass = Make(g);
+    const RestreamPassStats stats =
+        restreamer.RunIncrementalPass(pass, prior, budget);
+    const MigrationStats moved = ComputeMigration(prior, pass->assignment());
+    EXPECT_LE(moved.moved, budget);
+    if (fraction == 0.0) {
+      EXPECT_EQ(moved.moved, 0u);
+    }
+    EXPECT_EQ(stats.forced_placements, 0u);
+    EXPECT_EQ(stats.assign_errors, 0u);
+    EXPECT_TRUE(AllAssigned(g, pass->assignment()));
+    for (const uint32_t size : pass->assignment().Sizes()) {
+      EXPECT_LE(size, cap);
+    }
+  }
+}
+
+TEST_P(IncrementalPassProperty, StatsDescribeTheResultingAssignment) {
+  const LabeledGraph g = TestGraph(53);
+  Rng rng(54);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  const Restreamer restreamer(stream, DecisiveOrder());
+
+  StreamingPartitioner* live = Make(g);
+  live->Run(stream);
+  const PartitionAssignment prior = live->assignment();
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.25);
+
+  StreamingPartitioner* pass = Make(g);
+  const RestreamPassStats stats =
+      restreamer.RunIncrementalPass(pass, prior, budget);
+  const MigrationStats moved = ComputeMigration(prior, pass->assignment());
+  EXPECT_EQ(pass->stats().prior_moves, moved.moved);
+  EXPECT_DOUBLE_EQ(stats.migration_fraction,
+                   MigrationFraction(prior, pass->assignment()));
+  EXPECT_DOUBLE_EQ(stats.balance, BalanceMaxOverAvg(pass->assignment()));
+  EXPECT_DOUBLE_EQ(stats.edge_cut_fraction,
+                   EdgeCutFraction(restreamer.graph(), pass->assignment()));
+  EXPECT_EQ(stats.best_edge_cut_fraction, stats.edge_cut_fraction);
+  EXPECT_EQ(pass->assignment().NumAssigned(), g.NumVertices());
+  // The pass ends with the prior cleared and no live budget.
+  EXPECT_FALSE(pass->HasPrior());
+  EXPECT_FALSE(pass->MigrationBudgetExhausted());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitioners, IncrementalPassProperty,
+    ::testing::ValuesIn(KnownPartitioners()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// An over-capacity prior (k*C < n, so the prior itself overflows C) must
+// still be re-placed in full by a budgeted pass: capacity pressure forces
+// placements but never drops a vertex or errors an assignment.
+TEST(RestreamerTest, OverfullPriorIncrementalPassAssignsEveryVertex) {
+  Rng rng(71);
+  const LabeledGraph g = BarabasiAlbert(600, 3, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  const PartitionerOptions popts =
+      Opts(4, g.NumVertices() / 2, 0, /*slack=*/1.0);
+  RestreamOptions ropts;
+  ropts.order = RestreamOrder::kDecisive;
+  const Restreamer restreamer(stream, ropts);
+
+  LdgPartitioner live(popts);
+  live.Run(stream);
+  const PartitionAssignment prior = live.assignment();
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.2);
+
+  LdgPartitioner pass(popts);
+  const RestreamPassStats stats =
+      restreamer.RunIncrementalPass(&pass, prior, budget);
+  EXPECT_TRUE(AllAssigned(g, pass.assignment()));
+  EXPECT_EQ(stats.assign_errors, 0u);
+  EXPECT_GT(stats.forced_placements, 0u);
+  EXPECT_EQ(pass.assignment().NumAssigned(), g.NumVertices());
+}
+
+TEST(RestreamOptionsValidationTest, ClampsPassesAndRejectsInvalidBudgets) {
+  RestreamOptions zero_passes;
+  zero_passes.num_passes = 0;
+  EXPECT_EQ(SanitizeRestreamOptions(zero_passes).num_passes, 1u);
+
+  RestreamOptions nan_budget;
+  nan_budget.max_migration_fraction = std::nan("");
+  EXPECT_EQ(SanitizeRestreamOptions(nan_budget).max_migration_fraction, 0.0);
+
+  RestreamOptions negative_budget;
+  negative_budget.max_migration_fraction = -0.5;
+  EXPECT_EQ(SanitizeRestreamOptions(negative_budget).max_migration_fraction,
+            0.0);
+
+  // MigrationBudgetMoves itself must never turn NaN into an unbudgeted
+  // pass (the pre-fix behaviour cast NaN — undefined behaviour).
+  PartitionAssignment prior(2, 10);
+  ASSERT_TRUE(prior.Assign(0, 0).ok());
+  ASSERT_TRUE(prior.Assign(1, 1).ok());
+  EXPECT_EQ(MigrationBudgetMoves(prior, std::nan("")), 0u);
+  EXPECT_EQ(MigrationBudgetMoves(prior, -1.0), 0u);
+}
+
+TEST(RestreamOptionsValidationTest, RestreamerSanitizesOnConstruction) {
+  Rng rng(61);
+  const LabeledGraph g = ErdosRenyiGnm(300, 900, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+
+  // num_passes = 0 still runs one pass; a NaN budget freezes migration on
+  // the prior-bearing passes instead of silently unbudgeting them.
+  RestreamOptions ropts;
+  ropts.num_passes = 0;
+  LdgPartitioner one_pass(Opts(4, g.NumVertices()));
+  const RestreamResult r = Restreamer(stream, ropts).Run(&one_pass);
+  EXPECT_EQ(r.passes.size(), 1u);
+
+  RestreamOptions nan_opts;
+  nan_opts.num_passes = 2;
+  nan_opts.max_migration_fraction = std::nan("");
+  LdgPartitioner frozen(Opts(4, g.NumVertices()));
+  const RestreamResult rf = Restreamer(stream, nan_opts).Run(&frozen);
+  ASSERT_EQ(rf.passes.size(), 2u);
+  EXPECT_EQ(rf.passes[1].migration_fraction, 0.0);
 }
 
 }  // namespace

@@ -409,7 +409,8 @@ TEST(ServingSnapshotTest, EpochsAreMonotoneAndSizesStayConsistent) {
 
 TEST(ServingDriftTest, ScenarioServesQueriesWhileTheReactionRuns) {
   ServingScenarioConfig config;
-  config.n = 2500;
+  // Large enough that the serial reaction runs for several milliseconds.
+  config.n = 10000;
   config.num_clients = 4;
   config.arrivals_per_second = 200000.0;
   const ServingScenarioResult r = RunServingScenario(config);

@@ -1,4 +1,4 @@
-// Tests for the fixed worker pool behind the sharded restream engine:
+// Tests for the fixed worker pool behind the serving facade:
 // futures carry results and exceptions, every submitted task runs exactly
 // once (including across destruction), and ParallelFor covers every index.
 

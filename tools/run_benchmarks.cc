@@ -1,22 +1,21 @@
 // run_benchmarks: machine-readable perf baseline driver.
 //
 // Runs a fast subset of the bench/ experiments (edge-cut quality across the
-// standard partitioner set, multi-pass restreaming, the sharded parallel
-// restream sweep, the drift-reaction scenario, self-timed microbenchmarks
+// standard partitioner set, multi-pass restreaming, the drift-reaction and
+// serving scenarios, streaming edge partitioning, self-timed microbenchmarks
 // of the hot paths, and the end-to-end streaming-throughput harness) and
 // writes BENCH_edge_cut.json and BENCH_micro.json so successive PRs can
 // regress against a recorded trajectory. The JSON schema is documented in
 // docs/BENCH_SCHEMA.md.
 //
 // Usage:
-//   run_benchmarks [--fast] [--full] [--out DIR] [--threads N]
+//   run_benchmarks [--fast] [--full] [--out DIR]
 //                  [--large-n N] [--large-degree M] [--large-file PATH]
 //
 // --fast (default) keeps total runtime to a few seconds; --full runs the
 // paper-scale configuration — including the LiveJournal-class `large` tier
-// (~5M vertices / ~50M edges, file-backed). --threads N caps the
-// parallel-restream sweep's shard counts (default 4; powers of two up to
-// N). --large-n / --large-degree override the large tier's synthetic scale;
+// (~5M vertices / ~50M edges, file-backed). --large-n / --large-degree
+// override the large tier's synthetic scale;
 // --large-file points it at a pre-built loom-stream file instead. Exit
 // status is non-zero on any failure — including a peak-RSS reading above
 // the large tier's O(V) ceiling — and the JSON files are only left behind
@@ -33,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "drift_scenario.h"
 #include "edge_partition/edge_partitioner.h"
@@ -423,198 +421,6 @@ bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
   return true;
 }
 
-// Parallel-restream rows: for ldg and loom on each graph family, one
-// damped drift-style reaction (decisive ordering, 25% cumulative budget,
-// live single-pass assignment as prior, `kReactionPasses` budgeted passes
-// spending half the remaining budget each — all of it on the last — with
-// keep-best adoption) per shard count in {1, 2, 4, ..., threads}, all on
-// the same pass schedule so the only variable is the worker count. Every
-// row records the final cut, migration, measured wall seconds and the
-// share-nothing critical path (per pass: serial setup + slowest shard's
-// thread-CPU seconds + merge — the reaction latency with one free core per
-// shard; wall time cannot shrink on a machine with fewer free cores), plus
-// the speedup of that critical path over the serial reference reaction.
-// The driver itself enforces the section's hard invariants — global budget
-// respected, no forced placements, 1-shard bit-equivalence with the serial
-// RunIncrementalPass-based reaction — and CI re-asserts them from the
-// JSON.
-struct ParallelReactionResult {
-  PartitionAssignment assignment{1, 0};
-  double edge_cut = 0.0;
-  double migration = 0.0;
-  double wall_seconds = 0.0;
-  double critical_path_seconds = 0.0;
-  uint64_t budget_denied_moves = 0;
-  uint64_t overflow_fallbacks = 0;
-  uint64_t forced_placements = 0;
-  uint64_t assign_errors = 0;
-  double balance = 0.0;
-};
-
-constexpr uint32_t kReactionPasses = 4;
-
-// Runs the damped keep-best reaction at `num_shards` (0 = the serial
-// RunIncrementalPass reference — identical schedule, serial engine).
-ParallelReactionResult RunParallelReaction(const Restreamer& restreamer,
-                                           const LabeledGraph& g,
-                                           StreamingPartitioner* p,
-                                           const PartitionAssignment& original,
-                                           uint64_t total_budget,
-                                           uint32_t num_shards) {
-  ParallelReactionResult r;
-  PartitionAssignment prior = original;
-  r.assignment = original;
-  double best_cut = EdgeCutFraction(g, original);
-  // One pool for the whole reaction — thread spin-up is paid once, not per
-  // pass, which is what the wall_speedup column measures.
-  std::unique_ptr<ThreadPool> pool;
-  if (num_shards > 0) pool = std::make_unique<ThreadPool>(num_shards);
-  for (uint32_t pass = 1; pass <= kReactionPasses; ++pass) {
-    const size_t spent = ComputeMigration(original, prior).moved;
-    const uint64_t remaining =
-        total_budget > spent ? total_budget - spent : 0;
-    if (remaining == 0) break;
-    const uint64_t pass_budget =
-        pass < kReactionPasses ? (remaining + 1) / 2 : remaining;
-    const RestreamPassStats stats =
-        num_shards == 0
-            ? restreamer.RunIncrementalPass(p, prior, pass_budget)
-            : restreamer.RunShardedIncrementalPass(p, prior, pass_budget,
-                                                   num_shards, pool.get());
-    r.wall_seconds += stats.seconds;
-    r.critical_path_seconds += num_shards <= 1
-                                   ? stats.seconds
-                                   : stats.critical_path_seconds;
-    r.budget_denied_moves += stats.budget_denied_moves;
-    r.overflow_fallbacks += stats.overflow_fallbacks;
-    r.forced_placements += stats.forced_placements;
-    r.assign_errors += stats.assign_errors;
-    if (stats.edge_cut_fraction < best_cut) {
-      best_cut = stats.edge_cut_fraction;
-      r.assignment = p->assignment();
-    }
-    prior = p->assignment();
-  }
-  r.edge_cut = best_cut;
-  r.migration = MigrationFraction(original, r.assignment);
-  r.balance = BalanceMaxOverAvg(r.assignment);
-  return r;
-}
-
-bool RunParallelRestreamRows(const EdgeCutConfig& cfg,
-                             const Workload& workload, uint32_t threads,
-                             std::vector<JsonObject>* rows) {
-  const double kBudgetFraction = 0.25;
-  std::vector<uint32_t> shard_counts;
-  for (uint32_t s = 1; s <= threads; s *= 2) shard_counts.push_back(s);
-
-  for (const GraphKind kind : cfg.kinds) {
-    Rng rng(cfg.seed + 2);
-    LabeledGraph g = MakeGraph(kind, cfg.n, cfg.avg_degree,
-                               LabelConfig{4, 0.3}, rng);
-    const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-
-    PartitionerOptions popts;
-    popts.k = cfg.k;
-    popts.num_vertices_hint = g.NumVertices();
-    popts.num_edges_hint = g.NumEdges();
-
-    PartitionerSet set = MakeStandardSet(popts, workload, 0.3);
-    RestreamOptions ropts;
-    ropts.order = RestreamOrder::kDecisive;
-    const Restreamer restreamer(stream, ropts);
-
-    for (StreamingPartitioner* p : set.All()) {
-      const std::string name = p->Name();
-      if (name != "ldg" && name != "loom") continue;
-
-      // Live prior: the single-pass assignment a drift reaction starts
-      // from.
-      p->Run(stream);
-      const PartitionAssignment prior = p->assignment();
-      const uint64_t budget = MigrationBudgetMoves(prior, kBudgetFraction);
-
-      const ParallelReactionResult serial = RunParallelReaction(
-          restreamer, g, p, prior, budget, /*num_shards=*/0);
-
-      for (const uint32_t num_shards : shard_counts) {
-        const ParallelReactionResult r = RunParallelReaction(
-            restreamer, g, p, prior, budget, num_shards);
-
-        const size_t moved = ComputeMigration(prior, r.assignment).moved;
-        if (moved > budget || r.forced_placements != 0 ||
-            r.assign_errors != 0) {
-          std::cerr << "run_benchmarks: parallel restream invariant "
-                       "violated ("
-                    << name << ", shards=" << num_shards
-                    << ": moved=" << moved << "/" << budget
-                    << ", forced=" << r.forced_placements
-                    << ", errors=" << r.assign_errors << ")\n";
-          return false;
-        }
-        bool serial_equivalent = true;
-        if (num_shards == 1) {
-          const size_t bound = std::max(serial.assignment.IdBound(),
-                                        r.assignment.IdBound());
-          for (VertexId v = 0; v < bound && serial_equivalent; ++v) {
-            serial_equivalent =
-                serial.assignment.PartOf(v) == r.assignment.PartOf(v);
-          }
-          if (!serial_equivalent) {
-            std::cerr << "run_benchmarks: 1-shard reaction diverged from "
-                         "the serial RunIncrementalPass reaction ("
-                      << name << ")\n";
-            return false;
-          }
-        }
-
-        JsonObject row;
-        row.Add("graph", GraphKindName(kind));
-        row.Add("partitioner", name);
-        row.Add("ordering", RestreamOrderName(ropts.order));
-        row.Add("num_shards", static_cast<uint64_t>(num_shards));
-        row.Add("reaction_passes", static_cast<uint64_t>(kReactionPasses));
-        row.Add("edge_cut_fraction", r.edge_cut);
-        row.Add("serial_edge_cut_fraction", serial.edge_cut);
-        row.Add("balance", r.balance);
-        row.Add("migration_fraction", r.migration);
-        row.Add("max_migration_fraction", kBudgetFraction);
-        row.Add("migration_budget_moves", budget);
-        row.Add("prior_moves", static_cast<uint64_t>(moved));
-        row.Add("budget_denied_moves", r.budget_denied_moves);
-        row.Add("overflow_fallbacks", r.overflow_fallbacks);
-        row.Add("forced_placements", r.forced_placements);
-        row.Add("assign_errors", r.assign_errors);
-        row.Add("seconds", r.wall_seconds);
-        row.Add("peak_rss_bytes", PeakRssBytes());
-        row.Add("critical_path_seconds", r.critical_path_seconds);
-        row.Add("serial_seconds", serial.wall_seconds);
-        row.Add("speedup_vs_serial",
-                r.critical_path_seconds > 0.0
-                    ? serial.wall_seconds / r.critical_path_seconds
-                    : 0.0);
-        row.Add("wall_speedup", r.wall_seconds > 0.0
-                                    ? serial.wall_seconds / r.wall_seconds
-                                    : 0.0);
-        // Only the 1-shard row carries the bit-equivalence verdict — it is
-        // the only row the check runs on (multi-shard results legitimately
-        // differ from the serial engine's).
-        if (num_shards == 1) {
-          row.AddRaw("serial_equivalent",
-                     serial_equivalent ? "true" : "false");
-        }
-        rows->push_back(std::move(row));
-      }
-    }
-  }
-  if (rows->empty()) {
-    std::cerr
-        << "run_benchmarks: parallel restream section produced no rows\n";
-    return false;
-  }
-  return true;
-}
-
 // Drift rows: the piecewise-stationary scenario (bench/drift_scenario.h),
 // one row per strategy — no-reaction (stale live assignment), the budgeted
 // drift reaction, and the cold multi-pass restream. CI's bench-smoke job
@@ -741,7 +547,7 @@ bool RunServingRows(bool fast, std::vector<JsonObject>* rows) {
 // regular so validators can compare the two at equal settings), plus one
 // budgeted two-pass HDRF restream row per family. Replication factor and
 // balance are the §vertex-cut quality axes; edges/s the throughput axis.
-bool RunEdgePartitionRows(const EdgeCutConfig& cfg, uint32_t threads,
+bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
                           std::vector<JsonObject>* rows) {
   for (const GraphKind kind : cfg.kinds) {
     Rng rng(cfg.seed + 2);
@@ -820,131 +626,12 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg, uint32_t threads,
       row.Add("peak_rss_bytes", PeakRssBytes());
       rows->push_back(std::move(row));
     }
-
-    // Sharded restream sweep: HDRF, five budgeted passes per shard count
-    // in {1, 2, ..., threads}, all against one serial reference run. The
-    // 1-shard row must be placement-identical to the serial engine (the
-    // sweep fails otherwise); multi-shard rows report the share-nothing
-    // critical path and two speedups against the serial engine: whole-run,
-    // and restream-only (passes >= 2 — pass one streams cold and serially
-    // in both schedules, so it only dilutes the sharding signal).
-    EdgePartitionerOptions sopts;
-    sopts.k = cfg.k;
-    sopts.num_edges_hint = g.NumEdges();
-    sopts.num_vertices_hint = g.NumVertices();
-    sopts.seed = cfg.seed;
-    EdgeRestreamOptions ropts;
-    ropts.num_passes = 5;
-    ropts.max_migration_fraction = 0.25;
-
-    auto serial_part = MakeEdgePartitioner("hdrf", sopts);
-    if (!serial_part.ok()) return false;
-    StreamCursor serial_cursor(stream);
-    EdgeRestreamer serial_restreamer(&serial_cursor, ropts);
-    const WallTimer serial_timer;
-    auto serial_run = serial_restreamer.Run(serial_part->get());
-    const double serial_seconds = serial_timer.ElapsedSeconds();
-    if (!serial_run.ok()) {
-      std::cerr << "run_benchmarks: sharded edge restream serial reference: "
-                << serial_run.status().ToString() << "\n";
-      return false;
-    }
-    double serial_restream_seconds = 0.0;
-    for (const EdgeRestreamPassStats& pass : serial_run->passes) {
-      if (pass.pass > 1) serial_restream_seconds += pass.seconds;
-    }
-
-    std::vector<uint32_t> shard_counts;
-    for (uint32_t s = 1; s <= threads; s *= 2) shard_counts.push_back(s);
-    for (const uint32_t num_shards : shard_counts) {
-      auto partitioner = MakeEdgePartitioner("hdrf", sopts);
-      if (!partitioner.ok()) return false;
-      StreamCursor cursor(stream);
-      EdgeRestreamer restreamer(&cursor, ropts);
-      const WallTimer timer;
-      auto run = restreamer.RunSharded(partitioner->get(), num_shards);
-      const double seconds = timer.ElapsedSeconds();
-      if (!run.ok()) {
-        std::cerr << "run_benchmarks: sharded edge restream: "
-                  << run.status().ToString() << "\n";
-        return false;
-      }
-      double critical_path = 0.0;
-      double restream_critical_path = 0.0;
-      for (const EdgeRestreamPassStats& pass : run->passes) {
-        const double pass_critical = pass.critical_path_seconds > 0.0
-                                         ? pass.critical_path_seconds
-                                         : pass.seconds;
-        critical_path += pass_critical;
-        if (pass.pass > 1) restream_critical_path += pass_critical;
-        if (pass.cap_relaxations != 0 || pass.assign_errors != 0) {
-          std::cerr << "run_benchmarks: sharded edge restream invariant "
-                       "violated (shards="
-                    << num_shards << ", pass=" << pass.pass
-                    << ": relaxations=" << pass.cap_relaxations
-                    << ", errors=" << pass.assign_errors << ")\n";
-          return false;
-        }
-      }
-      const bool serial_equivalent =
-          run->placements == serial_run->placements;
-      if (num_shards == 1 && !serial_equivalent) {
-        std::cerr << "run_benchmarks: 1-shard edge restream diverged from "
-                     "the serial EdgeRestreamer::Run placements\n";
-        return false;
-      }
-
-      JsonObject row;
-      row.Add("tier", std::string("in-memory"));
-      row.Add("graph", GraphKindName(kind));
-      row.Add("partitioner", std::string("hdrf"));
-      row.Add("lambda", sopts.lambda);
-      row.Add("k", static_cast<uint64_t>(cfg.k));
-      row.Add("restream_passes", static_cast<uint64_t>(ropts.num_passes));
-      row.Add("shards", static_cast<uint64_t>(num_shards));
-      row.Add("num_vertices", static_cast<uint64_t>(g.NumVertices()));
-      row.Add("num_edges", static_cast<uint64_t>(g.NumEdges()));
-      row.Add("replication_factor", run->replication_factor);
-      row.Add("balance", run->balance);
-      row.Add("seconds", seconds);
-      row.Add("edges_per_second",
-              seconds > 0
-                  ? static_cast<double>(g.NumEdges()) *
-                        static_cast<double>(ropts.num_passes) / seconds
-                  : 0.0);
-      row.Add("moved_fraction", run->passes.back().moved_fraction);
-      row.Add("best_replication_factor",
-              run->passes.back().best_replication_factor);
-      row.Add("critical_path_seconds", critical_path);
-      row.Add("serial_seconds", serial_seconds);
-      row.Add("speedup_vs_serial",
-              critical_path > 0.0 ? serial_seconds / critical_path : 0.0);
-      row.Add("restream_critical_path_seconds", restream_critical_path);
-      row.Add("serial_restream_seconds", serial_restream_seconds);
-      row.Add("restream_speedup_vs_serial",
-              restream_critical_path > 0.0
-                  ? serial_restream_seconds / restream_critical_path
-                  : 0.0);
-      const EdgePartitionerStats& stats = (*partitioner)->stats();
-      row.Add("overflow_fallbacks", stats.overflow_fallbacks);
-      row.Add("cap_relaxations", stats.cap_relaxations);
-      row.Add("assign_errors", stats.assign_errors);
-      // Only the 1-shard row carries the bit-equivalence verdict — it is
-      // the only shard count the check runs on (multi-shard placements
-      // legitimately differ from the serial engine's).
-      if (num_shards == 1) {
-        row.AddRaw("serial_equivalent", serial_equivalent ? "true" : "false");
-      }
-      row.Add("peak_rss_bytes", PeakRssBytes());
-      rows->push_back(std::move(row));
-    }
   }
   return true;
 }
 
 bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
-                       const std::string& mode, uint32_t threads,
-                       const std::string& path) {
+                       const std::string& mode, const std::string& path) {
   // The large tier goes first: its O(V) peak-RSS assertion is against the
   // process high-water mark, which the in-memory sections below would
   // otherwise raise (see RunLargeSection).
@@ -1002,36 +689,27 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
   std::vector<JsonObject> restream_rows;
   if (!RunRestreamRows(cfg, workload, &restream_rows)) return false;
 
-  std::vector<JsonObject> parallel_rows;
-  if (!RunParallelRestreamRows(cfg, workload, threads, &parallel_rows)) {
-    return false;
-  }
-
   std::vector<JsonObject> drift_rows;
   if (!RunDriftRows(mode == "fast", &drift_rows)) return false;
 
   std::vector<JsonObject> serving_rows;
   if (!RunServingRows(mode == "fast", &serving_rows)) return false;
 
-  if (!RunEdgePartitionRows(cfg, threads, &edge_partition_rows)) {
-    return false;
-  }
+  if (!RunEdgePartitionRows(cfg, &edge_partition_rows)) return false;
 
   JsonObject config;
   config.Add("n", static_cast<uint64_t>(cfg.n));
   config.Add("k", static_cast<uint64_t>(cfg.k));
   config.Add("avg_degree", static_cast<uint64_t>(cfg.avg_degree));
   config.Add("seed", cfg.seed);
-  config.Add("threads", static_cast<uint64_t>(threads));
 
   JsonObject root;
-  root.Add("schema", std::string("loom-bench-edge-cut-v8"));
+  root.Add("schema", std::string("loom-bench-edge-cut-v9"));
   root.Add("mode", mode);
   root.AddRaw("config", config.Render(2));
   root.AddRaw("large", RenderArray(large_rows, 2));
   root.AddRaw("results", RenderArray(rows, 2));
   root.AddRaw("restream", RenderArray(restream_rows, 2));
-  root.AddRaw("parallel_restream", RenderArray(parallel_rows, 2));
   root.AddRaw("drift", RenderArray(drift_rows, 2));
   root.AddRaw("serving", RenderArray(serving_rows, 2));
   root.AddRaw("edge_partition", RenderArray(edge_partition_rows, 2));
@@ -1043,7 +721,6 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
 int Main(int argc, char** argv) {
   bool fast = true;
   std::string out_dir = ".";
-  uint32_t threads = 4;
   uint64_t large_n = 0;  // 0 = mode default
   uint32_t large_degree = 10;
   std::string large_file;
@@ -1055,9 +732,6 @@ int Main(int argc, char** argv) {
       fast = false;
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const int parsed = std::atoi(argv[++i]);
-      threads = parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
     } else if (arg == "--large-n" && i + 1 < argc) {
       large_n = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--large-degree" && i + 1 < argc) {
@@ -1067,8 +741,7 @@ int Main(int argc, char** argv) {
       large_file = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "Usage: run_benchmarks [--fast|--full] [--out DIR] "
-                   "[--threads N] [--large-n N] [--large-degree M] "
-                   "[--large-file PATH]\n";
+                   "[--large-n N] [--large-degree M] [--large-file PATH]\n";
       return 0;
     } else {
       std::cerr << "run_benchmarks: unknown argument '" << arg << "'\n";
@@ -1111,7 +784,7 @@ int Main(int argc, char** argv) {
   };
 
   std::cout << "run_benchmarks: edge-cut section (" << mode << ") ...\n";
-  if (!RunEdgeCutSection(cfg, large_cfg, mode, threads, edge_cut_tmp)) {
+  if (!RunEdgeCutSection(cfg, large_cfg, mode, edge_cut_tmp)) {
     return fail();
   }
 
