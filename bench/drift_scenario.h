@@ -2,10 +2,9 @@
 #define LOOM_BENCH_DRIFT_SCENARIO_H_
 
 /// \file
-/// The piecewise-stationary drift scenario shared by `bench_drift`, the
-/// `drift` section of `BENCH_edge_cut.json` (tools/run_benchmarks) and
-/// `tests/drift_test.cc`, so the number CI validates is the number the
-/// table prints and the test asserts on.
+/// The piecewise-stationary drift scenario shared by the `drift` section of
+/// `BENCH_edge_cut.json` (tools/run_benchmarks) and `tests/drift_test.cc`,
+/// so the number CI validates is the number the test asserts on.
 ///
 /// Shape: a graph planted with the motifs of two workloads on disjoint
 /// label sets is streamed once and partitioned by LOOM built for workload A

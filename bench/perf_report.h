@@ -4,9 +4,8 @@
 /// \file
 /// Shared machinery for the machine-readable perf baseline
 /// (`BENCH_micro.json`, schema v3): the self-timed micro loops, the
-/// end-to-end streaming-throughput harness, and the JSON emitter. Used by
-/// both `tools/run_benchmarks` (full baseline refresh) and the standalone
-/// `bench_throughput` binary (throughput-focused runs + the CI perf smoke).
+/// end-to-end streaming-throughput harness, and the JSON emitter used by
+/// `tools/run_benchmarks`.
 ///
 /// Schema v2 = v1's `results` micro rows plus a `throughput` section: one
 /// row per (graph family × partitioner) streaming the FULL pipeline —
@@ -54,8 +53,8 @@ struct MicroResult {
   double seconds = 0.0;
 };
 
-/// Runs the self-timed hot-path loops (mirroring bench_micro.cc, without
-/// the google-benchmark dependency so the driver runs everywhere).
+/// Runs the self-timed hot-path loops (no benchmark-framework dependency,
+/// so the driver runs everywhere).
 std::vector<MicroResult> RunMicroLoops(bool fast);
 
 // ------------------------------------------------------------ throughput
@@ -78,7 +77,7 @@ std::vector<ThroughputRow> RunThroughput(bool fast);
 
 // ----------------------------------------------------------------- report
 
-/// Writes `BENCH_micro.json` (schema loom-bench-micro-v2): micro `results`
+/// Writes `BENCH_micro.json` (schema loom-bench-micro-v3): micro `results`
 /// plus the `throughput` section. Returns false on I/O or validation
 /// failure (a zero-iteration loop, an empty section).
 bool WriteMicroReport(const std::string& path, const std::string& mode,

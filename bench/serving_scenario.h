@@ -2,10 +2,10 @@
 #define LOOM_BENCH_SERVING_SCENARIO_H_
 
 /// \file
-/// The concurrent serving scenario shared by `bench_serving`, the `serving`
-/// section of `BENCH_edge_cut.json` (tools/run_benchmarks) and
-/// `tests/serving_test.cc` — one definition of the workload the numbers CI
-/// validates are measured on.
+/// The concurrent serving scenario shared by the `serving` section of
+/// `BENCH_edge_cut.json` (tools/run_benchmarks) and `tests/serving_test.cc`
+/// — one definition of the workload the numbers CI validates are measured
+/// on.
 ///
 /// Shape: a `loom::Service` built for workload A fronts a graph planted
 /// with the motifs of workloads A and B. An open-loop ingest driver streams

@@ -51,7 +51,8 @@ int main() {
   //     with the workload's structures occurring as temporally local events
   //     (people who befriend each other sign up around the same time). The
   //     stream replays signup order (the natural temporal ordering); see
-  //     bench_orderings for how other §3.1 orderings change the picture.
+  //     `bench_experiments --exp orderings` for how other §3.1 orderings
+  //     change the picture.
   Rng rng(7);
   LabeledGraph graph = BarabasiAlbert(30000, 3, LabelConfig{3, 0.4}, rng);
   for (const QuerySpec& q : workload.queries()) {

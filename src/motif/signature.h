@@ -16,8 +16,8 @@
 /// property the paper relies on: if a motif M embeds in S then sig(M)
 /// divides sig(S) (no false negatives); false positives — distinct
 /// topologies with equal factor multisets — are possible and rare, exactly
-/// the "non-authoritative" behaviour §4.3 describes and `bench_signature`
-/// quantifies.
+/// the "non-authoritative" behaviour §4.3 describes (pinned by the
+/// `NoFalseNegatives` and `EqualSignatureDistinctTopologyExample` tests).
 
 #include <cstdint>
 

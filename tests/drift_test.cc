@@ -1,7 +1,7 @@
 // Drift subsystem contract tests: detector thresholds + hysteresis, the
 // strict migration budget of incremental restream passes, and the
-// end-to-end piecewise-stationary scenario (shared with bench_drift and
-// run_benchmarks' `drift` JSON section).
+// end-to-end piecewise-stationary scenario (shared with run_benchmarks'
+// `drift` JSON section).
 
 #include <gtest/gtest.h>
 

@@ -138,9 +138,9 @@ TEST(SignatureTest, CollisionsExistButAreDetectable) {
   // The known collision shape: cycle abab vs two shapes sharing the factor
   // multiset {2 va, 2 vb, 4 eab} — e.g. the multigraph-free "theta" is not
   // constructible on 4 vertices; so equality collisions require >= 5
-  // vertices: cycle ababab vs two triangles? Documented and measured in
-  // bench_signature instead; here we assert the fingerprint hash agrees
-  // with multiset equality on the fixtures.
+  // vertices: cycle ababab vs two triangles? A collision is constructed in
+  // EqualSignatureDistinctTopologyExample below; here we assert the
+  // fingerprint hash agrees with multiset equality on the fixtures.
   EXPECT_EQ(scheme.SignatureOf(PaperQ1()).Hash(),
             scheme.SignatureOf(CycleQuery({1, 0, 1, 0})).Hash());
 }

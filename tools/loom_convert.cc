@@ -6,7 +6,7 @@
 // (self-loops and duplicate edges dropped), ordered, and written. Generator
 // input (--gen) streams straight into the O(V)-memory StreamFileWriter and
 // never materialises the graph — the path the million-vertex bench tier and
-// the CI large-smoke job use.
+// the CI bench-smoke job use.
 //
 // Usage:
 //   loom_convert --in edges.txt --out stream.loomstrm

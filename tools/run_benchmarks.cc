@@ -15,13 +15,15 @@
 // --fast (default) keeps total runtime to a few seconds; --full runs the
 // paper-scale configuration — including the LiveJournal-class `large` tier
 // (~5M vertices / ~50M edges, file-backed). --large-n / --large-degree
-// override the large tier's synthetic scale;
+// override the large tier's synthetic scale (integers in [1, 2^32-1]);
 // --large-file points it at a pre-built loom-stream file instead. Exit
-// status is non-zero on any failure — including a peak-RSS reading above
-// the large tier's O(V) ceiling — and the JSON files are only left behind
-// when every section succeeded.
+// status is 2 on a malformed argument and 1 on any other failure —
+// including a peak-RSS reading above the large tier's O(V) ceiling — and
+// the JSON files are only left behind when every section succeeded.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -423,7 +425,7 @@ bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
 
 // Drift rows: the piecewise-stationary scenario (bench/drift_scenario.h),
 // one row per strategy — no-reaction (stale live assignment), the budgeted
-// drift reaction, and the cold multi-pass restream. CI's bench-smoke job
+// drift reaction, and the cold multi-pass restream. tools/check_bench.py
 // asserts the reaction contract on these rows: detector fired and stayed
 // quiet when it should, cut within 2 points of cold, migration <= budget,
 // and no silent capacity pressure (overflow/forced/assign-error counts are
@@ -485,7 +487,7 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
 // Serving rows: the concurrent serving-under-drift scenario
 // (bench/serving_scenario.h), one row per operation kind — ingest-batch,
 // locate and touches — each carrying its tail latencies plus the shared
-// structural outcomes. CI's bench-smoke job asserts: non-zero query counts,
+// structural outcomes. tools/check_bench.py asserts: non-zero query counts,
 // p50 <= p99 <= p999 per row, at least one drift reaction, queries served
 // during it, and zero assign errors.
 bool RunServingRows(bool fast, std::vector<JsonObject>* rows) {
@@ -718,10 +720,24 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
 
 // --------------------------------------------------------------------- main
 
+// Parses a decimal in [1, UINT32_MAX]. Signs, junk, zero and overflow are
+// rejected rather than wrapped or clamped into a different run.
+bool ParsePositiveU32(const char* text, uint32_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value == 0 || value > UINT32_MAX) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(value);
+  return true;
+}
+
 int Main(int argc, char** argv) {
   bool fast = true;
   std::string out_dir = ".";
-  uint64_t large_n = 0;  // 0 = mode default
+  uint32_t large_n = 0;  // 0 = mode default
   uint32_t large_degree = 10;
   std::string large_file;
   for (int i = 1; i < argc; ++i) {
@@ -732,11 +748,15 @@ int Main(int argc, char** argv) {
       fast = false;
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
-    } else if (arg == "--large-n" && i + 1 < argc) {
-      large_n = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--large-degree" && i + 1 < argc) {
-      const int parsed = std::atoi(argv[++i]);
-      large_degree = parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
+    } else if ((arg == "--large-n" || arg == "--large-degree") &&
+               i + 1 < argc) {
+      uint32_t* target = arg == "--large-n" ? &large_n : &large_degree;
+      if (!ParsePositiveU32(argv[++i], target)) {
+        std::cerr << "run_benchmarks: " << arg
+                  << " needs an integer in [1, 4294967295], got '" << argv[i]
+                  << "'\n";
+        return 2;
+      }
     } else if (arg == "--large-file" && i + 1 < argc) {
       large_file = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
