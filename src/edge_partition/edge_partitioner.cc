@@ -96,6 +96,10 @@ void EdgePartitioner::OnArrival(const ArrivalView& view) {
 }
 
 uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
+  // An invalid endpoint names no vertex: place nothing and skip the edge
+  // before it takes a stream index, so the placement log and a restream
+  // prior stay aligned across passes.
+  if (u == kInvalidVertex || v == kInvalidVertex) return options_.k;
   const uint64_t index = edge_index_++;
   GrowTables(std::max(u, v));
   // The HDRF/DBH convention: the edge counts towards both partial degrees
@@ -149,10 +153,9 @@ uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
 }
 
 void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
-  // A restream pass re-streams the same vertex population: reserve the
-  // replica map for it up front so the pass never rehashes.
-  replicas_ = ReplicaSet();
-  replicas_.ReserveVertices(degree_.size());
+  // A restream pass re-streams the same vertex population: clearing in
+  // place keeps the replica rows, so the pass allocates nothing for them.
+  replicas_.Clear();
   std::fill(edge_counts_.begin(), edge_counts_.end(), 0);
   placements_.clear();
   stats_ = EdgePartitionerStats();
@@ -236,7 +239,7 @@ uint32_t EdgePartitioner::FallbackPartition(VertexId u, VertexId v) {
   ++stats_.cap_relaxations;
   best = options_.k;
   for (const VertexId x : {u, v}) {
-    const std::vector<uint32_t>* parts = replicas_.PartitionsOf(x);
+    const ReplicaSet::PartitionList* parts = replicas_.PartitionsOf(x);
     if (parts == nullptr) continue;
     for (const uint32_t p : *parts) {
       // Canonical least-loaded-then-lowest-index order, independent of the
@@ -258,7 +261,6 @@ uint32_t EdgePartitioner::FallbackPartition(VertexId u, VertexId v) {
 }
 
 void EdgePartitioner::GrowTables(VertexId v) {
-  if (v == kInvalidVertex) return;
   if (v >= degree_.size()) {
     const size_t old_size = degree_.size();
     degree_.resize(v + 1, 0);

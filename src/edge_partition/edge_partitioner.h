@@ -147,7 +147,8 @@ class EdgePartitioner {
   void Run(ArrivalSource& source);
 
   /// Consumes one arrival: records the vertex's label for the heat hook and
-  /// places each carried back edge via OnEdge.
+  /// places each carried back edge via OnEdge. An arrival whose vertex is
+  /// kInvalidVertex is ignored.
   void OnArrival(const ArrivalView& view);
 
   /// Places one edge, in stream order; `u` is the later endpoint (the
@@ -155,7 +156,9 @@ class EdgePartitioner {
   /// degrees *before* scoring (the HDRF/DBH convention), applies the
   /// replica-budget and edge-budget rules, and returns the chosen
   /// partition. The call order is the edge's stream index, which looks up
-  /// its prior-pass placement during a restream pass.
+  /// its prior-pass placement during a restream pass. An edge with an
+  /// endpoint equal to kInvalidVertex places nothing, changes no state
+  /// (it takes no stream index) and returns `options().k`.
   uint32_t OnEdge(VertexId u, VertexId v);
 
   /// Partitioner name for result tables ("hdrf", "dbh").

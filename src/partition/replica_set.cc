@@ -4,66 +4,56 @@
 
 namespace loom {
 
-void ReplicaSet::SetMaskBit(VertexId v, uint32_t partition) {
-  const uint32_t word = partition >> 6;
-  if (word >= words_per_vertex_) {
-    // Restride: the first partition index >= 64 * stride widens every
-    // vertex's mask row in place (old word w of vertex v moves to the same
-    // word of the wider row). Happens at most log2(k/64) times per set.
-    const uint32_t new_stride = word + 1;
-    std::vector<uint64_t> wide(
-        (masks_.size() / words_per_vertex_) * new_stride, 0);
-    const size_t num_vertices = masks_.size() / words_per_vertex_;
-    for (size_t i = 0; i < num_vertices; ++i) {
-      for (uint32_t w = 0; w < words_per_vertex_; ++w) {
-        wide[i * new_stride + w] = masks_[i * words_per_vertex_ + w];
-      }
+void ReplicaSet::Restride(uint32_t words) {
+  // Happens at most ceil(k / 64) - 1 times per set: only a partition index
+  // >= 64 * stride widens the rows.
+  std::vector<uint64_t> wide(lists_.size() * words, 0);
+  for (size_t i = 0; i < lists_.size(); ++i) {
+    for (uint32_t w = 0; w < words_per_vertex_; ++w) {
+      wide[i * words + w] = masks_[i * words_per_vertex_ + w];
     }
-    masks_ = std::move(wide);
-    words_per_vertex_ = new_stride;
   }
-  const size_t base = static_cast<size_t>(v) * words_per_vertex_;
-  if (base + words_per_vertex_ > masks_.size()) {
-    masks_.resize((static_cast<size_t>(v) + 1) * words_per_vertex_, 0);
-  }
-  masks_[base + word] |= uint64_t{1} << (partition & 63);
-}
-
-void ReplicaSet::ClearMaskBit(VertexId v, uint32_t partition) {
-  const uint32_t word = partition >> 6;
-  if (word >= words_per_vertex_) return;
-  const size_t base = static_cast<size_t>(v) * words_per_vertex_;
-  if (base + word >= masks_.size()) return;
-  masks_[base + word] &= ~(uint64_t{1} << (partition & 63));
+  masks_ = std::move(wide);
+  words_per_vertex_ = words;
 }
 
 void ReplicaSet::Add(VertexId v, uint32_t partition) {
   // Mask-first: the hot edge-partition path calls Add twice per edge and
   // the replica almost always exists already — answer that case from the
-  // dense table without hashing.
+  // mask word alone.
   if (Has(v, partition)) return;
-  SetMaskBit(v, partition);
-  replicas_[v].push_back(partition);
+  const uint32_t word = partition >> 6;
+  if (word >= words_per_vertex_) Restride(word + 1);
+  if (v >= lists_.size()) {
+    lists_.resize(static_cast<size_t>(v) + 1);
+    masks_.resize(lists_.size() * words_per_vertex_, 0);
+  }
+  masks_[static_cast<size_t>(v) * words_per_vertex_ + word] |=
+      uint64_t{1} << (partition & 63);
+  PartitionList& parts = lists_[v];
+  if (parts.empty()) ++num_vertices_;
+  parts.push_back(partition);
   ++num_replicas_;
 }
 
 bool ReplicaSet::Remove(VertexId v, uint32_t partition) {
   if (!Has(v, partition)) return false;
-  const auto it = replicas_.find(v);
-  auto& parts = it->second;
-  const auto pos = std::find(parts.begin(), parts.end(), partition);
+  PartitionList& parts = lists_[v];
   // erase (not swap-and-pop) keeps insertion order, so removing the
   // primary promotes the oldest surviving secondary.
-  parts.erase(pos);
-  ClearMaskBit(v, partition);
+  parts.erase(std::find(parts.begin(), parts.end(), partition));
+  masks_[static_cast<size_t>(v) * words_per_vertex_ + (partition >> 6)] &=
+      ~(uint64_t{1} << (partition & 63));
   --num_replicas_;
-  if (parts.empty()) replicas_.erase(it);
+  if (parts.empty()) --num_vertices_;
   return true;
 }
 
-void ReplicaSet::ReserveVertices(size_t num_vertices) {
-  replicas_.reserve(num_vertices);
-  masks_.reserve(num_vertices * words_per_vertex_);
+void ReplicaSet::Clear() {
+  for (PartitionList& parts : lists_) parts.clear();
+  std::fill(masks_.begin(), masks_.end(), 0);
+  num_replicas_ = 0;
+  num_vertices_ = 0;
 }
 
 uint32_t ReplicaSet::MaskCountOf(VertexId v) const {
@@ -76,60 +66,27 @@ uint32_t ReplicaSet::MaskCountOf(VertexId v) const {
   return count;
 }
 
-const std::vector<uint32_t>* ReplicaSet::PartitionsOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  return it == replicas_.end() ? nullptr : &it->second;
-}
-
-uint32_t ReplicaSet::PrimaryOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  return it == replicas_.end() ? kNoReplica : it->second.front();
-}
-
-size_t ReplicaSet::NumReplicasOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  return it == replicas_.end() ? 0 : it->second.size();
-}
-
 bool ReplicaSet::CheckInvariants() const {
+  if (masks_.size() != lists_.size() * words_per_vertex_) return false;
   size_t total = 0;
-  VertexId max_vertex = 0;
-  for (const auto& [vertex, parts] : replicas_) {
-    max_vertex = std::max(max_vertex, vertex);
-    if (parts.empty()) return false;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      for (size_t j = i + 1; j < parts.size(); ++j) {
-        if (parts[i] == parts[j]) return false;
-      }
-    }
-    // Every listed partition must be set in the mask.
-    for (const uint32_t p : parts) {
-      if (!Has(vertex, p)) return false;
-    }
-    total += parts.size();
-  }
-  if (total != num_replicas_) return false;
-  // Every set mask bit must be listed (no stale bits). Scan the dense
-  // table directly so vertices absent from the map are audited too.
-  const size_t num_rows = masks_.size() / words_per_vertex_;
-  for (size_t i = 0; i < num_rows; ++i) {
+  size_t vertices = 0;
+  for (size_t i = 0; i < lists_.size(); ++i) {
     const VertexId v = static_cast<VertexId>(i);
-    const auto it = replicas_.find(v);
-    for (uint32_t w = 0; w < words_per_vertex_; ++w) {
-      uint64_t bits = masks_[i * words_per_vertex_ + w];
-      while (bits != 0) {
-        const uint32_t p =
-            (w << 6) + static_cast<uint32_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        if (it == replicas_.end()) return false;
-        if (std::find(it->second.begin(), it->second.end(), p) ==
-            it->second.end()) {
-          return false;
-        }
+    const PartitionList& parts = lists_[i];
+    for (size_t a = 0; a < parts.size(); ++a) {
+      for (size_t b = a + 1; b < parts.size(); ++b) {
+        if (parts[a] == parts[b]) return false;
       }
+      // Every listed partition must be set in the mask.
+      if (!Has(v, parts[a])) return false;
     }
+    // The list is duplicate-free and fully set, so the row holds no stale
+    // bit iff its popcount equals the list length.
+    if (MaskCountOf(v) != parts.size()) return false;
+    total += parts.size();
+    if (!parts.empty()) ++vertices;
   }
-  return true;
+  return total == num_replicas_ && vertices == num_vertices_;
 }
 
 }  // namespace loom

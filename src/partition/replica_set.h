@@ -9,12 +9,12 @@
 /// computes hotspot replicas, the query engine accounts for them, and the
 /// edge partitioners (src/edge_partition/) use it as their vertex→
 /// partition-set state — the membership-heavy role that motivates the
-/// bitmask index below.
+/// dense, hash-free layout below.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "graph/graph.h"
 
 namespace loom {
@@ -36,30 +36,48 @@ inline constexpr uint32_t kNoReplica = ~uint32_t{0};
 ///  * erasing a secondary never changes the primary; erasing the primary
 ///    promotes the *oldest surviving secondary* (insertion order is
 ///    preserved, never re-sorted);
-///  * erasing the last replica removes the vertex entirely, so
-///    `NumReplicatedVertices` never counts empty lists;
+///  * erasing the last replica forgets the vertex (`PartitionsOf` is null
+///    again), so `NumReplicatedVertices` never counts empty lists;
 ///  * `NumReplicas` equals the sum of list lengths under any interleaving
 ///    of Add / Remove / re-Add (re-adding an erased partition appends it
 ///    as a secondary — the erase forgot its seniority).
 ///
-/// ## Bitmask index
+/// ## Dense layout
 ///
-/// Alongside the insertion-ordered lists the set maintains a dense
-/// per-vertex partition bitmask: `words_per_vertex()` `uint64_t` words per
-/// vertex, bit p of word w set iff the vertex has a replica in partition
-/// 64w + p. Partitions below 64 live in word 0 — the one-load fast path
-/// HDRF's scoring kernel iterates — and the stride grows automatically
-/// (restriding the table) the first time a partition >= 64 appears, so
-/// k > 64 degrades to a word-vector walk rather than breaking.
+/// Every per-vertex table is a flat array indexed by vertex id, so no
+/// operation hashes and a new replica allocates nothing until its vertex
+/// holds more than `kInlineReplicas` of them:
+///
+///  * *lists*: one `PartitionList` per id, the insertion-ordered partitions
+///    stored inline (a `SmallVector<uint32_t, 8>`, 56 B); a vertex's list
+///    moves to the heap on its ninth replica;
+///  * *masks*: `words_per_vertex()` `uint64_t` words per id, bit p of word
+///    w set iff the vertex has a replica in partition 64w + p. Partitions
+///    below 64 live in word 0 — the one-load fast path HDRF's scoring
+///    kernel iterates — and the stride grows automatically (restriding the
+///    table) the first time a partition >= 64 appears, so k > 64 degrades
+///    to a word-vector walk rather than breaking.
 ///
 /// The mask is *authoritative for membership*: `Has` is a mask probe and
-/// `Add` consults it before touching the hash map, so the edge-partition
-/// hot path (two idempotent Adds per edge, almost always already present)
-/// performs no hash lookup at all. Lists and masks always agree
-/// (`CheckInvariants` audits the correspondence); only ordering (primary
-/// seniority) lives exclusively in the lists.
+/// `Add` consults it before touching the list, so the edge-partition hot
+/// path (two idempotent Adds per edge, almost always already present)
+/// reads one word. Lists and masks always agree (`CheckInvariants` audits
+/// the correspondence); only ordering (primary seniority) lives
+/// exclusively in the lists.
+///
+/// Cost: both tables hold a row for every id up to the largest one added,
+/// replicated or not — 56 B plus 8 B per mask word per id. A streaming
+/// partitioner's ids are dense, so that is the whole cost there; a sparse
+/// user (say, `ComputeHotspotReplicas` replicating a few hot vertices of a
+/// large graph) pays it for every id below its largest vertex.
 class ReplicaSet {
  public:
+  /// Partitions stored inline per vertex before its list spills.
+  static constexpr size_t kInlineReplicas = 8;
+
+  /// One vertex's replica partitions, oldest (primary) first.
+  using PartitionList = SmallVector<uint32_t, kInlineReplicas>;
+
   ReplicaSet() = default;
 
   /// Replicates `v` into `partition` (idempotent). The first Add for `v`
@@ -72,7 +90,12 @@ class ReplicaSet {
   /// vertex.
   bool Remove(VertexId v, uint32_t partition);
 
-  /// True iff `v` has a replica in `partition`. A mask probe — no hashing.
+  /// Forgets every replica in place: rows, mask stride and spilled list
+  /// buffers are kept, so refilling the same ids (a restream pass)
+  /// allocates nothing.
+  void Clear();
+
+  /// True iff `v` has a replica in `partition`. A mask probe.
   bool Has(VertexId v, uint32_t partition) const {
     const uint32_t word = partition >> 6;
     if (word >= words_per_vertex_) return false;
@@ -91,51 +114,56 @@ class ReplicaSet {
   }
 
   /// Number of replicas of `v`, counted from the mask (popcount over the
-  /// stride words — no hashing; equals `NumReplicasOf`).
+  /// stride words; equals `NumReplicasOf`).
   uint32_t MaskCountOf(VertexId v) const;
 
   /// Mask words per vertex: 1 until a partition index >= 64 appears.
   uint32_t words_per_vertex() const { return words_per_vertex_; }
 
-  /// Partitions holding a replica of `v`, oldest (primary) first.
-  const std::vector<uint32_t>* PartitionsOf(VertexId v) const;
+  /// Partitions holding a replica of `v`, oldest (primary) first; null when
+  /// `v` has none. Valid until the set is next modified.
+  const PartitionList* PartitionsOf(VertexId v) const {
+    return v < lists_.size() && !lists_[v].empty() ? &lists_[v] : nullptr;
+  }
 
   /// Primary partition of `v`, or kNoReplica when unreplicated.
-  uint32_t PrimaryOf(VertexId v) const;
+  uint32_t PrimaryOf(VertexId v) const {
+    const PartitionList* parts = PartitionsOf(v);
+    return parts == nullptr ? kNoReplica : parts->front();
+  }
 
   /// Number of partitions holding a replica of `v`.
-  size_t NumReplicasOf(VertexId v) const;
+  size_t NumReplicasOf(VertexId v) const {
+    return v < lists_.size() ? lists_[v].size() : 0;
+  }
 
   /// Total number of (vertex, partition) replica pairs.
   size_t NumReplicas() const { return num_replicas_; }
 
   /// Number of distinct vertices with at least one replica.
-  size_t NumReplicatedVertices() const { return replicas_.size(); }
+  size_t NumReplicatedVertices() const { return num_vertices_; }
 
-  /// Reserves hash-map buckets (and mask storage) for `num_vertices`
-  /// distinct vertices, so a streaming build inserts without rehashing.
-  void ReserveVertices(size_t num_vertices);
-
-  /// Accounting audit: true iff `NumReplicas` matches the summed list
-  /// lengths, no list is empty, no list holds a duplicate partition, and
-  /// the bitmask index agrees with the lists bit-for-bit (set exactly where
-  /// a list holds the partition). O(replicas + mask words); meant for tests
+  /// Accounting audit: true iff `NumReplicas` and `NumReplicatedVertices`
+  /// match the lists, no list holds a duplicate partition, and the bitmask
+  /// index agrees with the lists bit-for-bit (set exactly where a list
+  /// holds the partition). O(rows + replicas + mask words); meant for tests
   /// and debug assertions, not hot paths.
   bool CheckInvariants() const;
 
  private:
-  /// Sets bit `partition` of `v`'s mask, growing the table (and, for
-  /// partitions >= 64 * stride, restriding every vertex's words) on demand.
-  void SetMaskBit(VertexId v, uint32_t partition);
+  /// Widens every row's mask to `words` words (old word w of vertex v
+  /// moves to the same word of the wider row).
+  void Restride(uint32_t words);
 
-  /// Clears bit `partition` of `v`'s mask (no-op when out of range).
-  void ClearMaskBit(VertexId v, uint32_t partition);
-
-  std::unordered_map<VertexId, std::vector<uint32_t>> replicas_;
-  size_t num_replicas_ = 0;
+  /// Per-id partition lists; `lists_.size()` is the row count of both
+  /// tables.
+  std::vector<PartitionList> lists_;
   /// Dense mask table: vertex v's words at [v * stride, (v + 1) * stride).
   std::vector<uint64_t> masks_;
   uint32_t words_per_vertex_ = 1;
+  size_t num_replicas_ = 0;
+  /// Rows with a non-empty list.
+  size_t num_vertices_ = 0;
 };
 
 }  // namespace loom

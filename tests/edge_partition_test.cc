@@ -361,6 +361,43 @@ TEST_P(EdgePartitionPropertyTest, FileBackedMatchesMaterialized) {
   std::remove(path.c_str());
 }
 
+// An edge naming kInvalidVertex places nothing and changes no state: the
+// partitioner must neither grow its tables to that id (a write far out of
+// bounds) nor give the edge a stream index.
+TEST_P(EdgePartitionPropertyTest, InvalidEndpointPlacesNothing) {
+  std::vector<VertexArrival> arrivals(3);
+  for (VertexId v = 0; v < 3; ++v) arrivals[v].vertex = v;
+  arrivals[1].back_edges = {0};
+  arrivals[2].back_edges = {1, kInvalidVertex};
+  const GraphStream stream(arrivals);
+  EdgePartitionerOptions opt;
+  opt.k = 4;
+  auto part = MakeEdgePartitioner(GetParam(), opt);
+  ASSERT_TRUE(part.ok());
+  StreamCursor cursor(stream);
+  (*part)->Run(cursor);
+
+  EXPECT_EQ((*part)->stats().edges_assigned, 2u);
+  EXPECT_EQ((*part)->placements().size(), 2u);
+  EXPECT_EQ((*part)->PartialDegree(2), 1u);
+  EXPECT_EQ((*part)->PartialDegree(kInvalidVertex), 0u);
+  EXPECT_EQ((*part)->replicas().NumReplicatedVertices(), 3u);
+  EXPECT_TRUE((*part)->replicas().CheckInvariants());
+
+  // A pass clamped to that log stays aligned with it: the invalid edges
+  // take no stream index, so both valid edges find their prior entry.
+  const std::vector<uint32_t> prior = (*part)->placements();
+  (*part)->BeginPass(&prior);
+  (*part)->SetMigrationBudget(0);
+  (*part)->OnEdge(1, 0);
+  EXPECT_EQ((*part)->OnEdge(kInvalidVertex, 0), opt.k);
+  EXPECT_EQ((*part)->OnEdge(2, kInvalidVertex), opt.k);
+  (*part)->OnEdge(2, 1);
+  EXPECT_EQ((*part)->placements(), prior);
+  EXPECT_EQ((*part)->stats().budget_denied_moves, 2u);
+  EXPECT_EQ((*part)->PartialDegree(0), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(EdgePartition, EdgePartitionPropertyTest,
                          ::testing::Values("hdrf", "dbh"));
 
@@ -383,6 +420,29 @@ TEST(EdgePartitionDifferentialTest, HdrfMatchesOracle) {
           << "seed=" << seed << " lambda=" << lambda;
     }
   }
+  // k = 100: the multi-word mask loop and the mid-pass restride. A cap of
+  // 2 makes FallbackPartition relax it, walking PartitionsOf; HDRF then
+  // places below partition 16, so only the default cap restrides here.
+  for (const uint64_t seed : {3u, 23u}) {
+    for (const uint32_t cap : {0u, 2u}) {
+      const GraphStream stream = SmallStream(300, 2400, seed);
+      EdgePartitionerOptions opt;
+      opt.k = 100;
+      opt.num_edges_hint = CountStreamEdges(stream);
+      opt.max_partitions_per_vertex = cap;
+      HdrfPartitioner part(opt);
+      StreamCursor cursor(stream);
+      part.Run(cursor);
+      EXPECT_EQ(part.placements(), OracleHdrf(stream, opt))
+          << "seed=" << seed << " cap=" << cap;
+      EXPECT_TRUE(part.replicas().CheckInvariants());
+      if (cap == 0) {
+        EXPECT_GE(part.replicas().words_per_vertex(), 2u);
+      } else {
+        EXPECT_GT(part.stats().cap_relaxations, 0u);
+      }
+    }
+  }
 }
 
 TEST(EdgePartitionDifferentialTest, DbhMatchesOracle) {
@@ -395,6 +455,27 @@ TEST(EdgePartitionDifferentialTest, DbhMatchesOracle) {
     StreamCursor cursor(stream);
     part.Run(cursor);
     EXPECT_EQ(part.placements(), OracleDbh(stream, opt)) << "seed=" << seed;
+  }
+  // k = 100, as in HdrfMatchesOracle.
+  for (const uint64_t seed : {5u, 29u}) {
+    for (const uint32_t cap : {0u, 2u}) {
+      const GraphStream stream = SmallStream(300, 2400, seed);
+      EdgePartitionerOptions opt;
+      opt.k = 100;
+      opt.num_edges_hint = CountStreamEdges(stream);
+      opt.max_partitions_per_vertex = cap;
+      DbhPartitioner part(opt);
+      StreamCursor cursor(stream);
+      part.Run(cursor);
+      EXPECT_EQ(part.placements(), OracleDbh(stream, opt))
+          << "seed=" << seed << " cap=" << cap;
+      EXPECT_TRUE(part.replicas().CheckInvariants());
+      if (cap == 0) {
+        EXPECT_GE(part.replicas().words_per_vertex(), 2u);
+      } else {
+        EXPECT_GT(part.stats().cap_relaxations, 0u);
+      }
+    }
   }
 }
 

@@ -183,12 +183,24 @@ TEST(ReplicaSetTest, BitmaskMatchesSetOracleUnderRandomChurn) {
   EXPECT_TRUE(set.CheckInvariants());
   EXPECT_EQ(set.NumReplicas(), total);
   EXPECT_GE(set.words_per_vertex(), 3u);  // the restride path actually ran
+  EXPECT_EQ(set.NumReplicatedVertices(), oracle.size());
   for (VertexId v = 0; v < kVertices; ++v) {
     const auto it = oracle.find(v);
     const size_t n = it == oracle.end() ? 0 : it->second.size();
     EXPECT_EQ(set.NumReplicasOf(v), n);
     EXPECT_EQ(set.MaskCountOf(v), static_cast<uint32_t>(n));
     EXPECT_EQ(set.PrimaryOf(v), n == 0 ? kNoReplica : it->second.front());
+    // Secondaries keep their insertion order through every Remove.
+    const auto* parts = set.PartitionsOf(v);
+    if (n == 0) {
+      EXPECT_EQ(parts, nullptr) << "v=" << v;
+    } else {
+      ASSERT_NE(parts, nullptr) << "v=" << v;
+      ASSERT_EQ(parts->size(), n) << "v=" << v;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ((*parts)[i], it->second[i]) << "v=" << v << " i=" << i;
+      }
+    }
     for (uint32_t p = 0; p < kPartitions; ++p) {
       const bool has =
           it != oracle.end() && std::find(it->second.begin(),
