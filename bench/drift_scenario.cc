@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/timer.h"
 #include "workload/query_builders.h"
 
 namespace loom {
@@ -114,7 +113,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
         controller.React(stream, &live->Partitioner(), current);
     result.cut_reaction = reaction.edge_cut_after;
     result.migration_reaction = reaction.migration_fraction;
-    result.seconds_reaction = reaction.seconds;
     for (const RestreamPassStats& pass : reaction.passes) {
       result.reaction_overflow_fallbacks += pass.overflow_fallbacks;
       result.reaction_forced_placements += pass.forced_placements;
@@ -143,10 +141,8 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
     // arrivals by recorded unit, which under gain ordering can shift the cut
     // by a few tenths of a point and silently move the contract's goalposts.
     ropts.memoize_clusters = false;
-    WallTimer timer;
     const Restreamer restreamer(stream, ropts);
     const RestreamResult cold_result = restreamer.Run(cold->get());
-    result.seconds_cold = timer.ElapsedSeconds();
     result.cut_cold = cold_result.edge_cut_fraction;
     result.migration_cold = MigrationFraction(original, cold_result.assignment);
   }

@@ -71,14 +71,12 @@ struct DriftScenarioResult {
   // --- the three assignments compared ---
   /// Edge cut of the stale live assignment (no reaction).
   double cut_no_reaction = 0.0;
-  /// Edge cut / migration / latency of the bounded-migration reaction.
+  /// Edge cut / migration of the bounded-migration reaction.
   double cut_reaction = 0.0;
   double migration_reaction = 0.0;
-  double seconds_reaction = 0.0;
-  /// Edge cut / migration / latency of the cold multi-pass restream.
+  /// Edge cut / migration of the cold multi-pass restream.
   double cut_cold = 0.0;
   double migration_cold = 0.0;
-  double seconds_cold = 0.0;
 
   // --- capacity-pressure counters summed over the reaction passes ---
   uint64_t reaction_overflow_fallbacks = 0;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/timer.h"
-
 namespace loom {
 namespace bench {
 
@@ -60,9 +58,7 @@ RunResult RunStreaming(StreamingPartitioner* partitioner,
   result.num_vertices = g.NumVertices();
   result.num_edges = g.NumEdges();
 
-  WallTimer timer;
   partitioner->Run(stream);
-  result.seconds = timer.ElapsedSeconds();
 
   const PartitionAssignment& a = partitioner->assignment();
   result.cut_fraction = EdgeCutFraction(g, a);
@@ -82,9 +78,7 @@ RunResult RunOffline(const LabeledGraph& g, const Workload& workload,
   opts.k = k;
   opts.balance_slack = slack;
   opts.seed = seed;
-  WallTimer timer;
   auto assignment = OfflineMultilevelPartition(g, opts);
-  result.seconds = timer.ElapsedSeconds();
   assert(assignment.ok());
 
   result.cut_fraction = EdgeCutFraction(g, *assignment);

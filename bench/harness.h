@@ -42,7 +42,6 @@ void PlantWorkloadMotifs(LabeledGraph* g, const Workload& workload,
 /// Result of one partitioner run.
 struct RunResult {
   std::string partitioner;
-  double seconds = 0.0;
   double cut_fraction = 0.0;
   double balance = 0.0;
   WorkloadIptStats ipt;

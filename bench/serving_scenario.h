@@ -2,26 +2,22 @@
 #define LOOM_BENCH_SERVING_SCENARIO_H_
 
 /// \file
-/// The concurrent serving scenario shared by the `serving` section of
-/// `BENCH_edge_cut.json` (tools/run_benchmarks) and `tests/serving_test.cc`
-/// — one definition of the workload the numbers CI validates are measured
-/// on.
+/// The concurrent serving-under-drift scenario behind
+/// `ServingDriftTest.ScenarioServesQueriesWhileTheReactionRuns`
+/// (tests/serving_test.cc). Its latencies are timed by `benchmark/`'s
+/// serve-drift workload, not here.
 ///
 /// Shape: a `loom::Service` built for workload A fronts a graph planted
 /// with the motifs of workloads A and B. An open-loop ingest driver streams
-/// the graph in batches at a configured arrival rate (batch latency is
-/// measured from each batch's *scheduled* send time to its pipeline
-/// completion, so queueing delay is charged honestly — no coordinated
-/// omission), while N client threads hammer `Locate`/`Touches` and feed
-/// `ObserveQuery`. Halfway through ingest the query mix flips from A to B;
-/// the drift loop fires and runs its bounded-migration reaction on the
-/// pipeline worker while the clients keep reading. The scenario reports
-/// tail latencies (p50/p99/p999) for ingest batches and both query kinds,
-/// plus how many queries were answered *while the reaction ran* — the
-/// lock-free-reads claim, measured.
+/// the graph in batches at a configured arrival rate, while N client
+/// threads hammer `Locate`/`Touches` and feed `ObserveQuery`. Halfway
+/// through ingest the query mix flips from A to B; the drift loop fires and
+/// runs its bounded-migration reaction on the pipeline worker while the
+/// clients keep reading. The scenario reports how many queries were
+/// answered *while the reaction ran* — the lock-free-reads claim — plus the
+/// structural outcomes of ingest and the reaction.
 
 #include <cstdint>
-#include <vector>
 
 #include "harness.h"
 #include "serving/service.h"
@@ -29,8 +25,7 @@
 namespace loom {
 namespace bench {
 
-/// Scenario knobs; defaults are the fast-mode configuration recorded in
-/// BENCH_edge_cut.json.
+/// Scenario knobs.
 struct ServingScenarioConfig {
   uint32_t n = 6000;
   uint32_t k = 8;
@@ -53,7 +48,6 @@ struct ServingScenarioConfig {
   double locate_fraction = 0.7;
 
   /// Service knobs (see ServiceOptions).
-  uint32_t front_end_shards = 2;
   uint32_t publish_every_batches = 1;
   uint64_t drift_check_every_queries = 64;
   size_t tracker_window = 128;
@@ -65,18 +59,7 @@ struct ServingScenarioConfig {
   double reaction_wait_seconds = 30.0;
 };
 
-/// p50/p99/p999 of one latency population, in seconds.
-struct LatencySummary {
-  uint64_t count = 0;
-  double p50_seconds = 0.0;
-  double p99_seconds = 0.0;
-  double p999_seconds = 0.0;
-};
-
-/// Sorts `samples` in place and reads the percentiles (empty-safe).
-LatencySummary Summarize(std::vector<double>* samples);
-
-/// Everything the bench table, the JSON section and the tests consume.
+/// Everything the test consumes.
 struct ServingScenarioResult {
   /// True iff ingest completed, the drift reaction ran, queries were
   /// answered during it, and the partitioner reported zero assign errors.
@@ -85,10 +68,6 @@ struct ServingScenarioResult {
   // --- ingest ---
   uint64_t ingested_vertices = 0;
   uint64_t ingested_batches = 0;
-  double ingest_seconds = 0.0;
-  double vertices_per_second = 0.0;
-  /// Scheduled-send → pipeline-completion latency per batch.
-  LatencySummary ingest_batch_latency;
 
   // --- queries ---
   uint64_t locate_queries = 0;
@@ -98,8 +77,6 @@ struct ServingScenarioResult {
   /// the clients plus a Locate-only probe thread that never takes the
   /// tracker mutex (so it keeps reading while the clients queue on it).
   uint64_t queries_during_reaction = 0;
-  LatencySummary locate_latency;
-  LatencySummary touches_latency;
 
   // --- drift loop ---
   uint64_t drift_fires = 0;
@@ -107,7 +84,6 @@ struct ServingScenarioResult {
   double reaction_cut_before = 0.0;
   double reaction_cut_after = 0.0;
   double reaction_migration = 0.0;
-  double reaction_seconds = 0.0;
 
   // --- integrity ---
   uint64_t assign_errors = 0;
@@ -115,9 +91,9 @@ struct ServingScenarioResult {
   uint64_t snapshot_epoch = 0;
 };
 
-/// Runs the scenario end to end. Latencies are machine-dependent; the
-/// structural outcomes (reaction fired, zero assign errors, queries served
-/// throughout) are not.
+/// Runs the scenario end to end. Thread scheduling decides the query
+/// counts; the structural outcomes (reaction fired, zero assign errors,
+/// queries served throughout) do not vary.
 ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config);
 
 }  // namespace bench

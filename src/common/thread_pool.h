@@ -3,7 +3,7 @@
 
 /// \file
 /// Fixed-size worker pool for share-nothing parallel stages (the serving
-/// facade's pipeline worker and its vertex-sharded front-end validation).
+/// facade's pipeline worker).
 /// Design goals, in order:
 ///
 ///  1. *Determinism of results.* Tasks are handed to workers FIFO in
@@ -15,8 +15,7 @@
 ///     the destructor drains outstanding tasks and joins every worker, so a
 ///     pool can never outlive the state its tasks reference.
 ///  3. *No dropped errors.* A task that throws stores the exception in its
-///     future; `Submit` + `future.get()` rethrows it on the joining thread
-///     (ParallelFor does this for every index).
+///     future; `Submit` + `future.get()` rethrows it on the joining thread.
 
 #include <condition_variable>
 #include <cstddef>
@@ -97,19 +96,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// Runs `fn(i)` for every `i` in `[0, n)` on `pool` and blocks until all
-/// complete. Futures are joined in index order, so the first failing index's
-/// exception is the one rethrown.
-template <typename F>
-void ParallelFor(ThreadPool& pool, size_t n, F&& fn) {
-  std::vector<std::future<void>> done;
-  done.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    done.push_back(pool.Submit([&fn, i] { fn(i); }));
-  }
-  for (std::future<void>& f : done) f.get();
-}
 
 }  // namespace loom
 

@@ -26,10 +26,6 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
     return Status::InvalidArgument(
         "ServiceOptions.publish_every_batches must be >= 1");
   }
-  if (options.front_end_shards == 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions.front_end_shards must be >= 1");
-  }
   if (options.tracker.window_queries == 0) {
     return Status::InvalidArgument(
         "ServiceOptions.tracker.window_queries must be >= 1");
@@ -44,7 +40,6 @@ ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
     options.drift_check_every_queries = 1;
   }
   if (options.publish_every_batches == 0) options.publish_every_batches = 1;
-  if (options.front_end_shards == 0) options.front_end_shards = 1;
   if (options.tracker.window_queries == 0) options.tracker.window_queries = 1;
   options.drift = SanitizeDriftControllerOptions(options.drift);
   return options;
@@ -101,9 +96,6 @@ Service::Service(ServiceOptions options, uint32_t num_labels,
       partitioner_(std::move(partitioner)),
       tracker_(num_labels, options_.tracker),
       controller_(options_.drift),
-      front_pool_(options_.front_end_shards > 1
-                      ? std::make_unique<ThreadPool>(options_.front_end_shards)
-                      : nullptr),
       pipeline_(1) {
   loom_ = dynamic_cast<LoomPartitioner*>(partitioner_.get());
   controller_.SetReference(std::move(reference));
@@ -130,39 +122,10 @@ void Service::EnqueuePipelineTask(F&& task) {
 
 Status Service::ValidateBatch(const VertexArrival* arrivals,
                               size_t count) const {
-  const uint32_t shards = options_.front_end_shards;
-  if (shards <= 1 || front_pool_ == nullptr) {
-    for (size_t i = 0; i < count; ++i) {
-      LOOM_RETURN_IF_ERROR(ValidateArrival(arrivals[i]));
-    }
-    return Status::OK();
+  for (size_t i = 0; i < count; ++i) {
+    LOOM_RETURN_IF_ERROR(ValidateArrival(arrivals[i]));
   }
-  // Vertex-sharded fan-out: shard s checks the arrivals whose vertex falls
-  // in its residue class. Each shard reports the smallest bad index it saw;
-  // the combined verdict is the overall first bad arrival, so the result is
-  // independent of shard scheduling (and identical to the serial scan).
-  std::vector<size_t> first_bad(shards, count);
-  std::vector<Status> shard_error(shards, Status::OK());
-  ParallelFor(*front_pool_, shards, [&](size_t shard) {
-    for (size_t i = 0; i < count; ++i) {
-      if (arrivals[i].vertex % shards != shard) continue;
-      Status status = ValidateArrival(arrivals[i]);
-      if (!status.ok()) {
-        first_bad[shard] = i;
-        shard_error[shard] = std::move(status);
-        return;
-      }
-    }
-  });
-  size_t best = count;
-  Status verdict = Status::OK();
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    if (first_bad[shard] < best) {
-      best = first_bad[shard];
-      verdict = shard_error[shard];
-    }
-  }
-  return verdict;
+  return Status::OK();
 }
 
 Status Service::Ingest(const VertexArrival* arrivals, size_t count) {

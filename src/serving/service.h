@@ -9,8 +9,8 @@
 ///
 /// Threading model:
 ///
-///  * **Ingest** (`Ingest`, any thread): arrivals are validated on a
-///    vertex-sharded front end, then handed to a single pipeline worker
+///  * **Ingest** (`Ingest`, any thread): arrivals are validated on the
+///    calling thread, then handed to a single pipeline worker
 ///    (SPSC: producers serialise on a mutex, one `ThreadPool(1)` consumes
 ///    FIFO) that drives the streaming partitioner, records the live stream
 ///    for later replay, and publishes placement snapshots. Batches are
@@ -190,7 +190,7 @@ class Service {
           std::unique_ptr<StreamingPartitioner> partitioner,
           MotifDistribution reference);
 
-  /// Front-end batch validation (vertex-sharded when configured).
+  /// Front-end batch validation on the calling thread.
   Status ValidateBatch(const VertexArrival* arrivals, size_t count) const;
 
   /// Pipeline-thread batch body: partitioner feed + stream recording +
@@ -274,8 +274,6 @@ class Service {
   std::atomic<uint64_t> assign_errors_{0};
   std::atomic<bool> sealed_flag_{false};
 
-  /// Front-end validation pool (null when `front_end_shards` <= 1).
-  std::unique_ptr<ThreadPool> front_pool_;
   /// The single pipeline worker. Declared LAST so its destructor — which
   /// drains and joins — runs FIRST, before any state its tasks reference.
   ThreadPool pipeline_;

@@ -58,11 +58,6 @@ struct ServiceOptions {
   /// memory for freshness). Reactions and `Seal` always publish.
   uint32_t publish_every_batches = 1;
 
-  /// Front-end validation shards: `Ingest` fans batch validation out over
-  /// this many vertex-sharded workers before the pipeline handoff. 1 =
-  /// validate inline on the calling thread.
-  uint32_t front_end_shards = 1;
-
   /// Test/bench hook, called on the pipeline thread after each ingest batch
   /// finishes processing (argument: the batch's 0-based sequence number).
   /// Keep it cheap — it runs inside the ingest pipeline.
@@ -70,13 +65,12 @@ struct ServiceOptions {
 };
 
 /// Rejects the first invalid field: k == 0, an unknown `partitioner` name,
-/// `drift_check_every_queries == 0`, `publish_every_batches == 0`,
-/// `front_end_shards == 0`, a zero tracker window, or anything
-/// `ValidateDriftControllerOptions` rejects.
+/// `drift_check_every_queries == 0`, `publish_every_batches == 0`, a zero
+/// tracker window, or anything `ValidateDriftControllerOptions` rejects.
 Status ValidateServiceOptions(const ServiceOptions& options);
 
 /// Clamps every field `ValidateServiceOptions` rejects: zero counts become
-/// 1 (k, cadences, shards, tracker window), an unknown partitioner name
+/// 1 (k, cadences, tracker window), an unknown partitioner name
 /// falls back to "loom", and the drift options are routed through
 /// `SanitizeDriftControllerOptions`.
 ServiceOptions SanitizeServiceOptions(ServiceOptions options);

@@ -1,13 +1,12 @@
 // Tests for the fixed worker pool behind the serving facade:
 // futures carry results and exceptions, every submitted task runs exactly
-// once (including across destruction), and ParallelFor covers every index.
+// once (including across destruction).
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -68,23 +67,6 @@ TEST(ThreadPoolTest, ExceptionsArriveThroughTheFuture) {
   EXPECT_THROW(f.get(), std::runtime_error);
   // The worker survives a throwing task.
   EXPECT_EQ(pool.Submit([] { return 3; }).get(), 3);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexAndRethrows) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> runs(64);
-  for (auto& r : runs) r.store(0);
-  ParallelFor(pool, runs.size(),
-              [&runs](size_t i) { runs[i].fetch_add(1); });
-  int total = 0;
-  for (auto& r : runs) total += r.load();
-  EXPECT_EQ(total, 64);
-
-  EXPECT_THROW(ParallelFor(pool, 4,
-                           [](size_t i) {
-                             if (i == 2) throw std::runtime_error("index 2");
-                           }),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Bench contract checker for the BENCH_*.json pair tools/run_benchmarks writes.
+"""Bench contract checker for the BENCH_edge_cut.json run_benchmarks writes.
 
-Usage: check_bench.py OUT_DIR [--baseline BENCH_micro.json]
+Usage: check_bench.py OUT_DIR [--baseline BENCH_edge_cut.json]
 
-OUT_DIR holds BENCH_edge_cut.json and BENCH_micro.json from one
-run_benchmarks run (--fast, --full, or --large-file PATH). Every section's
-contract from docs/BENCH_SCHEMA.md is checked. The out-of-core rows carry
-their provenance in `tier` (`file-backed-ba` when the driver generated the
+OUT_DIR holds BENCH_edge_cut.json from one run_benchmarks run (--fast,
+--full, or --large-file PATH). Every section's contract from
+docs/BENCH_SCHEMA.md is checked. The out-of-core rows carry their
+provenance in `tier` (`file-backed-ba` when the driver generated the
 stream, `file-backed-input` for --large-file), so one set of checks covers
 both runs and no mode flag is needed.
 
---baseline compares the fresh micro loops with a checked-in
-BENCH_micro.json and warns, never fails (machines differ), on any loop
-more than 25% slower.
+--baseline requires the run to equal a checked-in BENCH_edge_cut.json:
+the same schema, mode and config, and every row of every section equal to
+the baseline's row on every key. The file holds no timings, so any
+difference is a behaviour change. Rows are matched on their axes (graph,
+partitioner, pass, strategy, tier, ...); a missing or extra row is a
+violation. Rows of a tier only one file has are skipped: a --large-file
+run's `file-backed-input` rows have no baseline counterpart, and the
+baseline's `file-backed-ba` rows none in that run.
 
 Runs as the `bench_driver_test` ctest entry and in CI's bench-smoke job.
 Exit status is 1 with one line per violation, 2 on a usage error.
@@ -23,8 +28,7 @@ import json
 import os
 import sys
 
-EDGE_CUT_SCHEMA = "loom-bench-edge-cut-v9"
-MICRO_SCHEMA = "loom-bench-micro-v3"
+EDGE_CUT_SCHEMA = "loom-bench-edge-cut-v10"
 FILE_TIERS = ("file-backed-ba", "file-backed-input")
 EPS = 1e-9
 
@@ -54,8 +58,8 @@ def check_results(d):
     if not rows:
         return ["results: section empty"]
     errors = missing_keys("results", rows, {
-        "graph", "partitioner", "edge_cut_fraction", "balance", "seconds",
-        "vertices_per_second", "num_vertices", "num_edges", "peak_rss_bytes"})
+        "graph", "partitioner", "edge_cut_fraction", "balance", "num_vertices",
+        "num_edges"})
     want = {"hash", "ldg", "fennel", "ldg-buffered", "loom", "metis-like"}
     lacking = want - {r["partitioner"] for r in rows}
     if lacking:
@@ -125,42 +129,6 @@ def check_drift(d):
     return errors
 
 
-def check_serving(d):
-    rows = {r["operation"]: r for r in d["serving"]}
-    want = {"ingest-batch", "locate", "touches"}
-    if not want <= set(rows):
-        return [f"serving: operations {sorted(rows)}, need {sorted(want)}"]
-    errors = missing_keys("serving", list(rows.values()), {
-        "scenario", "count", "p50_seconds", "p99_seconds", "p999_seconds",
-        "num_clients", "front_end_shards", "drift_reactions",
-        "queries_during_reaction", "assign_errors", "snapshot_epoch"})
-    if errors:
-        return errors
-    for op, r in sorted(rows.items()):
-        if r["scenario"] != "serving-under-drift":
-            errors.append(f"serving {op}: scenario {r['scenario']!r}")
-        if r["count"] <= 0:
-            errors.append(f"serving {op}: no samples")
-        # Percentiles of one population are ordered by construction.
-        if not (r["p50_seconds"] <= r["p99_seconds"] + 1e-12 and
-                r["p99_seconds"] <= r["p999_seconds"] + 1e-12):
-            errors.append(f"serving {op}: percentiles out of order "
-                          f"{r['p50_seconds']}, {r['p99_seconds']}, "
-                          f"{r['p999_seconds']}")
-        if r["num_clients"] < 4:
-            errors.append(f"serving {op}: {r['num_clients']} clients, need 4")
-        # Lock-free reads, measured: queries answered while the reaction ran.
-        if r["drift_reactions"] < 1 or r["queries_during_reaction"] <= 0:
-            errors.append(f"serving {op}: no queries served during a reaction")
-        if r["assign_errors"] != 0:
-            errors.append(f"serving {op}: assign_errors = {r['assign_errors']}")
-    ingest = rows["ingest-batch"]
-    if ingest.get("ingested_vertices", 0) <= 0 or \
-            ingest.get("vertices_per_second", 0) <= 0:
-        errors.append("serving ingest-batch: nothing ingested")
-    return errors
-
-
 def check_large(d):
     rows = d["large"]
     if [r.get("partitioner") for r in rows] != ["ldg", "loom"]:
@@ -168,8 +136,8 @@ def check_large(d):
                 f"{[r.get('partitioner') for r in rows]}"]
     ldg, loom = rows
     errors = missing_keys("large", rows, {
-        "tier", "num_vertices", "num_edges", "k", "peak_rss_bytes",
-        "rss_ceiling_bytes", "rss_ok"})
+        "tier", "num_vertices", "num_edges", "k", "rss_ceiling_bytes",
+        "rss_ok"})
     errors += missing_keys("large ldg", [ldg], {
         "file_bytes", "materializations", "edge_cut_fraction_before",
         "edge_cut_fraction_after", "migration_fraction"})
@@ -184,13 +152,11 @@ def check_large(d):
     if len(sizes) != 1:
         errors.append(f"large: rows disagree on num_vertices {sorted(sizes)}")
     for r in rows:
-        name = r["partitioner"]
-        # The out-of-core guarantee: peak RSS under the O(V) ceiling.
+        # The out-of-core guarantee: peak RSS under the O(V) ceiling (the
+        # driver exits 1 above it, so a written row always says true).
         if r["rss_ok"] is not True:
-            errors.append(f"large {name}: rss_ok is {r['rss_ok']!r}")
-        if not 0 < r["peak_rss_bytes"] <= r["rss_ceiling_bytes"]:
-            errors.append(f"large {name}: peak RSS {r['peak_rss_bytes']} "
-                          f"outside (0, {r['rss_ceiling_bytes']}]")
+            errors.append(f"large {r['partitioner']}: rss_ok is "
+                          f"{r['rss_ok']!r}")
     if ldg["materializations"] != 0:
         errors.append(f"large ldg: materializations "
                       f"{ldg['materializations']}, must be 0")
@@ -218,8 +184,7 @@ def check_edge_partition(d):
     errors = missing_keys("edge_partition", rows, {
         "tier", "graph", "partitioner", "lambda", "k", "restream_passes",
         "num_vertices", "num_edges", "replication_factor", "balance",
-        "edges_per_second", "overflow_fallbacks", "cap_relaxations",
-        "assign_errors"})
+        "overflow_fallbacks", "cap_relaxations", "assign_errors"})
     if errors:
         return errors
     for i, r in enumerate(rows):
@@ -231,9 +196,6 @@ def check_edge_partition(d):
         if r["replication_factor"] < 1.0:
             errors.append(f"{where}: replication factor "
                           f"{r['replication_factor']} < 1")
-        if r["edges_per_second"] <= 0:
-            errors.append(f"{where}: edges_per_second "
-                          f"{r['edges_per_second']}")
         slack = 1.1 + r["k"] / r["num_edges"]
         if r["overflow_fallbacks"] == 0 and r["balance"] > slack + EPS:
             errors.append(f"{where}: balance {r['balance']} above {slack:.4f}")
@@ -289,58 +251,7 @@ def check_edge_partition(d):
     return errors
 
 
-def check_micro(m):
-    errors = []
-    if m.get("schema") != MICRO_SCHEMA:
-        errors.append(f"micro: schema {m.get('schema')!r}, want {MICRO_SCHEMA}")
-    results = m["results"]
-    errors += missing_keys("micro results", results, {
-        "name", "iterations", "seconds", "ns_per_op", "ops_per_second",
-        "peak_rss_bytes"})
-    names = {r.get("name") for r in results}
-    # The hot-path loops later changes regression-guard.
-    want = {"window_churn", "trie_signature_lookup", "signature_multiply_edge",
-            "score_vertices", "match_closure", "hdrf_pick_partition"}
-    if not want <= names:
-        errors.append(f"micro: loops missing {sorted(want - names)}")
-    if any(r.get("iterations", 0) <= 0 for r in results):
-        errors.append("micro: a loop ran zero iterations")
-
-    rows = m["throughput"]
-    if not rows:
-        return errors + ["throughput: section empty"]
-    errors += missing_keys("throughput", rows, {
-        "family", "partitioner", "num_vertices", "num_edges", "seconds",
-        "vertices_per_second", "edges_per_second"})
-    if not {"hash", "ldg", "loom"} <= {r.get("partitioner") for r in rows}:
-        errors.append("throughput: needs hash, ldg and loom rows")
-    if any(r.get("vertices_per_second", 0) <= 0 for r in rows):
-        errors.append("throughput: a row has no vertices_per_second")
-    return errors
-
-
-def compare_micro(m, baseline_path):
-    """Warns on loops >25% slower than the baseline; never an error."""
-    base = {r["name"]: r["ns_per_op"] for r in load(baseline_path)["results"]}
-    slower = [
-        f"{r['name']}: {base[r['name']]:.0f} -> {r['ns_per_op']:.0f} ns/op "
-        f"({r['ns_per_op'] / base[r['name']]:.2f}x)"
-        for r in sorted(m["results"], key=lambda r: r["name"])
-        if r["name"] in base and r["ns_per_op"] > base[r["name"]] * 1.25
-    ]
-    for line in slower:
-        print(f"::warning title=micro perf regression::{line}")
-    if not slower:
-        print("check_bench: no micro loop >25% slower than the baseline")
-
-
-def run_checks(out_dir):
-    try:
-        d = load(os.path.join(out_dir, "BENCH_edge_cut.json"))
-        m = load(os.path.join(out_dir, "BENCH_micro.json"))
-    except (OSError, ValueError) as e:
-        return [f"unreadable bench output: {e}"], None
-
+def run_checks(d):
     errors = []
     if d.get("schema") != EDGE_CUT_SCHEMA:
         errors.append(f"edge_cut: schema {d.get('schema')!r}, "
@@ -348,36 +259,120 @@ def run_checks(out_dir):
     if d.get("mode") not in ("fast", "full"):
         errors.append(f"edge_cut: mode {d.get('mode')!r}")
 
-    checks = (("results", check_results, d), ("restream", check_restream, d),
-              ("drift", check_drift, d), ("serving", check_serving, d),
-              ("large", check_large, d),
-              ("edge_partition", check_edge_partition, d),
-              ("micro", check_micro, m))
-    for name, check, data in checks:
+    checks = (("results", check_results), ("restream", check_restream),
+              ("drift", check_drift), ("large", check_large),
+              ("edge_partition", check_edge_partition))
+    for name, check in checks:
         # A missing section or mistyped field is one violation, not a crash.
         try:
-            errors += check(data)
+            errors += check(d)
         except (LookupError, TypeError, ValueError, ZeroDivisionError) as e:
             errors.append(f"{name}: malformed ({type(e).__name__}: {e})")
-    return errors, m
+    return errors
+
+
+# The keys that identify a row within its section: rows are matched on them
+# and violations name them.
+AXES = {
+    "large": ("tier", "partitioner"),
+    "results": ("graph", "partitioner"),
+    "restream": ("graph", "partitioner", "pass"),
+    "drift": ("strategy",),
+    "edge_partition": ("tier", "graph", "partitioner", "lambda",
+                       "restream_passes"),
+}
+HEADER = ("schema", "mode", "config")
+MISSING = "<missing>"
+
+
+def key_diffs(name, run, want):
+    """One violation per key whose value differs between two objects."""
+    return [f"{name}: {k} = {run.get(k, MISSING)!r}, baseline "
+            f"{want.get(k, MISSING)!r}"
+            for k in sorted(set(run) | set(want))
+            if run.get(k, MISSING) != want.get(k, MISSING)]
+
+
+def file_tiers(doc):
+    return {r.get("tier") for s in AXES for r in doc.get(s) or []
+            if isinstance(r, dict) and r.get("tier") in FILE_TIERS}
+
+
+def index_rows(section, rows, shared_file_tiers, errors):
+    """Maps each row's axes to the row, skipping file tiers one file lacks."""
+    if not isinstance(rows, list):
+        errors.append(f"{section}: not an array of rows")
+        return {}
+    out = {}
+    for r in rows:
+        if not isinstance(r, dict):
+            errors.append(f"{section}: row {r!r} is not an object")
+            continue
+        if r.get("tier") in FILE_TIERS and r["tier"] not in shared_file_tiers:
+            continue
+        axes = " ".join([section] + [f"{a}={r[a]}" for a in AXES[section]
+                                     if a in r])
+        if axes in out:
+            errors.append(f"{axes}: duplicate row")
+        out[axes] = r
+    return out
+
+
+def compare(d, base):
+    """One violation per key on which the run differs from the baseline."""
+    errors = []
+    for key in HEADER:
+        run, want = d.get(key, MISSING), base.get(key, MISSING)
+        if isinstance(run, dict) and isinstance(want, dict):
+            errors += key_diffs(key, run, want)
+        elif run != want:
+            errors.append(f"{key}: {run!r}, baseline {want!r}")
+    if errors:
+        return errors  # a different configuration: a row diff is noise
+
+    # A --large-file run's file-backed-input rows have no baseline
+    # counterpart, and the baseline's file-backed-ba rows none in that run.
+    shared = file_tiers(d) & file_tiers(base)
+    for section in sorted((set(d) | set(base)) - set(HEADER)):
+        if section not in AXES:
+            errors.append(f"{section}: unknown section")
+            continue
+        run = index_rows(section, d.get(section, []), shared, errors)
+        want = index_rows(section, base.get(section, []), shared, errors)
+        for name in list(want) + [a for a in run if a not in want]:
+            if name not in run:
+                errors.append(f"{name}: baseline row missing from the run")
+            elif name not in want:
+                errors.append(f"{name}: row not in the baseline")
+            else:
+                errors += key_diffs(name, run[name], want[name])
+    return errors
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", help="directory holding BENCH_*.json")
-    parser.add_argument("--baseline", help="checked-in BENCH_micro.json to "
-                        "compare the micro loops against (warn only)")
+    parser.add_argument("out_dir", help="directory holding "
+                        "BENCH_edge_cut.json")
+    parser.add_argument("--baseline", help="checked-in BENCH_edge_cut.json "
+                        "the run must equal on every key")
     args = parser.parse_args()
 
-    errors, micro = run_checks(args.out_dir)
+    try:
+        d = load(os.path.join(args.out_dir, "BENCH_edge_cut.json"))
+        base = load(args.baseline) if args.baseline else None
+    except (OSError, ValueError) as e:
+        errors = [f"unreadable bench output: {e}"]
+    else:
+        errors = run_checks(d)
+        if base is not None:
+            errors += compare(d, base)
     for e in errors:
         print(e)
     if errors:
         print(f"check_bench: {len(errors)} violation(s) in {args.out_dir}")
         return 1
-    if args.baseline:
-        compare_micro(micro, args.baseline)
-    print(f"check_bench: every contract holds in {args.out_dir}")
+    against = f", equal to {args.baseline}" if args.baseline else ""
+    print(f"check_bench: every contract holds in {args.out_dir}{against}")
     return 0
 
 

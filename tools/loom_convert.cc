@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "flag_parse.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -40,6 +41,9 @@ using loom::ArrivalSource;
 using loom::ArrivalView;
 using loom::LabeledGraph;
 using loom::VertexId;
+using loom::tools::ParseFlag;
+
+constexpr char kTool[] = "loom_convert";
 
 struct Args {
   std::string in_path;
@@ -79,24 +83,19 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->order = v;
     } else if (flag == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      args->seed = std::stoull(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->seed)) return false;
     } else if (flag == "--num-labels") {
       const char* v = next();
-      if (!v) return false;
-      args->num_labels = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->num_labels)) return false;
     } else if (flag == "--n") {
       const char* v = next();
-      if (!v) return false;
-      args->n = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->n)) return false;
     } else if (flag == "--degree") {
       const char* v = next();
-      if (!v) return false;
-      args->degree = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->degree)) return false;
     } else if (flag == "--p") {
       const char* v = next();
-      if (!v) return false;
-      args->p = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->p)) return false;
     } else if (flag == "--back-edges-only") {
       args->back_edges_only = true;
     } else if (flag == "--stats") {

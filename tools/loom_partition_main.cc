@@ -32,6 +32,7 @@
 #include "edge_partition/edge_partitioner.h"
 #include "edge_partition/edge_restream.h"
 #include "edge_partition/workload_heat.h"
+#include "flag_parse.h"
 #include "graph/io.h"
 #include "metrics/metrics.h"
 #include "partition/offline_partitioner.h"
@@ -43,14 +44,18 @@
 
 namespace {
 
+using loom::tools::ParseFlag;
+
+constexpr char kTool[] = "loom_partition";
+
 struct Args {
   std::string graph_path;
   std::string workload_path;
   std::string out_path;
   std::string partitioner = "loom";
-  std::string order = "natural";
+  loom::StreamOrder order = loom::StreamOrder::kNatural;
   uint32_t k = 8;
-  size_t window = 1024;
+  uint64_t window = 1024;
   double threshold = 0.2;
   double slack = 1.1;
   uint64_t seed = 42;
@@ -64,6 +69,21 @@ struct Args {
   double migration_fraction = 1.0;
   double heat_weight = 0.0;
 };
+
+// Maps an --order name (as StreamOrderName prints it) onto its order.
+bool ParseStreamOrder(const std::string& name, loom::StreamOrder* out) {
+  using loom::StreamOrder;
+  for (const StreamOrder order :
+       {StreamOrder::kRandom, StreamOrder::kBfs, StreamOrder::kDfs,
+        StreamOrder::kAdversarial, StreamOrder::kStochastic,
+        StreamOrder::kNatural}) {
+    if (loom::StreamOrderName(order) == name) {
+      *out = order;
+      return true;
+    }
+  }
+  return false;
+}
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
@@ -90,27 +110,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--order") {
       const char* v = next();
       if (!v) return false;
-      args->order = v;
+      if (!ParseStreamOrder(v, &args->order)) {
+        std::fprintf(stderr,
+                     "loom_partition: --order must be "
+                     "random|bfs|dfs|adversarial|stochastic|natural\n");
+        return false;
+      }
     } else if (flag == "--k") {
       const char* v = next();
-      if (!v) return false;
-      args->k = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->k)) return false;
     } else if (flag == "--window") {
       const char* v = next();
-      if (!v) return false;
-      args->window = std::stoul(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->window)) return false;
     } else if (flag == "--threshold") {
       const char* v = next();
-      if (!v) return false;
-      args->threshold = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->threshold)) return false;
     } else if (flag == "--slack") {
       const char* v = next();
-      if (!v) return false;
-      args->slack = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->slack)) return false;
     } else if (flag == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      args->seed = std::stoull(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->seed)) return false;
     } else if (flag == "--traversal-weights") {
       args->traversal_weights = true;
     } else if (flag == "--evaluate") {
@@ -121,24 +141,23 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->edge_partitioner = v;
     } else if (flag == "--lambda") {
       const char* v = next();
-      if (!v) return false;
-      args->lambda = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->lambda)) return false;
     } else if (flag == "--max-replicas") {
       const char* v = next();
-      if (!v) return false;
-      args->max_replicas = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->max_replicas)) return false;
     } else if (flag == "--restream-passes") {
       const char* v = next();
-      if (!v) return false;
-      args->restream_passes = static_cast<uint32_t>(std::stoul(v));
+      if (!v || !ParseFlag(kTool, flag, v, &args->restream_passes)) {
+        return false;
+      }
     } else if (flag == "--migration-fraction") {
       const char* v = next();
-      if (!v) return false;
-      args->migration_fraction = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->migration_fraction)) {
+        return false;
+      }
     } else if (flag == "--heat-weight") {
       const char* v = next();
-      if (!v) return false;
-      args->heat_weight = std::stod(v);
+      if (!v || !ParseFlag(kTool, flag, v, &args->heat_weight)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -148,16 +167,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   // --out is only required for the vertex-partitioning path.
   return !args->graph_path.empty() &&
          (!args->out_path.empty() || !args->edge_partitioner.empty());
-}
-
-loom::StreamOrder ParseOrder(const std::string& name) {
-  using loom::StreamOrder;
-  if (name == "random") return StreamOrder::kRandom;
-  if (name == "bfs") return StreamOrder::kBfs;
-  if (name == "dfs") return StreamOrder::kDfs;
-  if (name == "adversarial") return StreamOrder::kAdversarial;
-  if (name == "stochastic") return StreamOrder::kStochastic;
-  return StreamOrder::kNatural;
 }
 
 /// True when `path` starts with the loom-stream magic (a binary .loomstrm
@@ -200,7 +209,7 @@ int RunEdgePartitionMode(const Args& args, const loom::Workload& workload) {
     }
     graph = std::make_unique<LabeledGraph>(std::move(loaded).value());
     Rng rng(args.seed);
-    stream = MakeStream(*graph, ParseOrder(args.order), rng);
+    stream = MakeStream(*graph, args.order, rng);
     cursor = std::make_unique<StreamCursor>(stream);
     source = cursor.get();
   }
@@ -336,8 +345,7 @@ int main(int argc, char** argv) {
               graph->NumEdges());
 
   Rng rng(args.seed);
-  const GraphStream stream =
-      MakeStream(*graph, ParseOrder(args.order), rng);
+  const GraphStream stream = MakeStream(*graph, args.order, rng);
 
   PartitionerOptions popts;
   popts.k = args.k;

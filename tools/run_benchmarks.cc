@@ -1,12 +1,13 @@
-// run_benchmarks: machine-readable perf baseline driver.
+// run_benchmarks: machine-readable quality baseline driver.
 //
 // Runs a fast subset of the bench/ experiments (edge-cut quality across the
-// standard partitioner set, multi-pass restreaming, the drift-reaction and
-// serving scenarios, streaming edge partitioning, self-timed microbenchmarks
-// of the hot paths, and the end-to-end streaming-throughput harness) and
-// writes BENCH_edge_cut.json and BENCH_micro.json so successive PRs can
-// regress against a recorded trajectory. The JSON schema is documented in
-// docs/BENCH_SCHEMA.md.
+// standard partitioner set, multi-pass restreaming, the drift-reaction
+// scenario, streaming edge partitioning and the file-backed out-of-core
+// tier) and writes BENCH_edge_cut.json. Every number in it is a pure
+// function of the code and the seeds — no timings — so
+// `tools/check_bench.py OUT_DIR --baseline BENCH_edge_cut.json` can require
+// a fresh run to equal the checked-in file. Wall-clock lives in benchmark/.
+// The JSON schema is documented in docs/BENCH_SCHEMA.md.
 //
 // Usage:
 //   run_benchmarks [--fast] [--full] [--out DIR]
@@ -19,34 +20,104 @@
 // --large-file points it at a pre-built loom-stream file instead. Exit
 // status is 2 on a malformed argument and 1 on any other failure —
 // including a peak-RSS reading above the large tier's O(V) ceiling — and
-// the JSON files are only left behind when every section succeeded.
+// the JSON file is only left behind when every section succeeded.
 
-#include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "drift_scenario.h"
 #include "edge_partition/edge_partitioner.h"
 #include "edge_partition/edge_restream.h"
+#include "flag_parse.h"
 #include "graph/io.h"
-#include "perf_report.h"
 #include "restream/restreamer.h"
-#include "serving_scenario.h"
 #include "workload/query_builders.h"
 
 namespace loom {
 namespace bench {
 namespace {
+
+// ------------------------------------------------------------------- JSON
+// Minimal emitter: enough for flat objects and arrays of flat objects.
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+struct JsonObject {
+  std::vector<std::string> fields;
+
+  void Add(const std::string& key, const std::string& value) {
+    fields.push_back("\"" + JsonEscape(key) + "\": \"" + JsonEscape(value) +
+                     "\"");
+  }
+  void Add(const std::string& key, double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+    AddRaw(key, buf);
+  }
+  void Add(const std::string& key, uint64_t value) {
+    AddRaw(key, std::to_string(value));
+  }
+  void AddRaw(const std::string& key, const std::string& raw) {
+    fields.push_back("\"" + JsonEscape(key) + "\": " + raw);
+  }
+
+  std::string Render(int indent) const {
+    const std::string pad(indent, ' ');
+    std::string out = "{\n";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += pad + "  " + fields[i];
+      if (i + 1 < fields.size()) out += ",";
+      out += "\n";
+    }
+    out += pad + "}";
+    return out;
+  }
+};
+
+std::string RenderArray(const std::vector<JsonObject>& items, int indent) {
+  const std::string pad(indent, ' ');
+  std::string out = "[\n";
+  for (size_t i = 0; i < items.size(); ++i) {
+    out += pad + "  " + items[i].Render(indent + 2);
+    if (i + 1 < items.size()) out += ",";
+    out += "\n";
+  }
+  out += pad + "]";
+  return out;
+}
+
+bool WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream f(path, std::ios::trunc);
+  if (!f) {
+    std::cerr << "run_benchmarks: cannot open " << path << " for writing\n";
+    return false;
+  }
+  f << content << "\n";
+  return f.good();
+}
 
 // ------------------------------------------------------------------- large
 
@@ -84,11 +155,10 @@ constexpr uint64_t kLargeRssPerVertexBytes = 80;
 
 // The workload-aware row of the large tier: LOOM through the same
 // out-of-core replay, three original-order passes with cluster memoization
-// on vs off (A/B on the identical file), reporting pass-one throughput,
-// the memoized and non-memoized restream-pass seconds, and the recall
-// counters. Runs under the same O(V) peak-RSS ceiling as the ldg row —
-// the memo structures (log, fingerprints, unit index, grouped permutation)
-// are all O(V) by design.
+// on vs off (A/B on the identical file), reporting both final cuts and the
+// recall counters. Runs under the same O(V) peak-RSS ceiling as the ldg row
+// — the memo structures (log, fingerprints, unit index, grouped
+// permutation) are all O(V) by design.
 bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
                      uint64_t rss_ceiling, std::vector<JsonObject>* rows) {
   Workload workload;
@@ -113,12 +183,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   on.order = RestreamOrder::kOriginal;
   RestreamOptions off = on;
   off.memoize_clusters = false;
-
-  const auto restream_seconds = [](const RestreamResult& r) {
-    double s = 0.0;
-    for (size_t p = 1; p < r.passes.size(); ++p) s += r.passes[p].seconds;
-    return s;
-  };
 
   auto loom_on = Loom::Create(workload, lopts);
   auto loom_off = Loom::Create(workload, lopts);
@@ -154,8 +218,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   // Last-pass recall counters from the memoized run (the partitioner holds
   // the final pass's stats).
   const LoomStats& stats = (*loom_on)->Partitioner().loom_stats();
-  const double sec_on = restream_seconds(res_on);
-  const double sec_off = restream_seconds(res_off);
 
   JsonObject row;
   row.Add("tier", std::string(cfg.file.empty() ? "file-backed-ba"
@@ -165,15 +227,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   row.Add("num_vertices", file.NumVertices());
   row.Add("num_edges", file.NumEdges());
   row.Add("k", static_cast<uint64_t>(cfg.k));
-  row.Add("partition_seconds", res_on.passes.front().seconds);
-  row.Add("vertices_per_second",
-          res_on.passes.front().seconds > 0
-              ? static_cast<double>(file.NumVertices()) /
-                    res_on.passes.front().seconds
-              : 0.0);
-  row.Add("restream_seconds", sec_on);
-  row.Add("restream_seconds_nomemo", sec_off);
-  row.Add("memo_restream_speedup", sec_on > 0 ? sec_off / sec_on : 0.0);
   row.Add("memo_units", stats.memo_units);
   row.Add("memo_vertices", stats.memo_vertices);
   row.Add("memo_invalidated", stats.memo_invalidated);
@@ -181,7 +234,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   row.Add("edge_cut_fraction", res_on.edge_cut_fraction);
   row.Add("edge_cut_fraction_nomemo", res_off.edge_cut_fraction);
   row.Add("balance", res_on.passes.back().balance);
-  row.Add("peak_rss_bytes", peak);
   row.Add("rss_ceiling_bytes", rss_ceiling);
   row.AddRaw("rss_ok", "true");
   rows->push_back(std::move(row));
@@ -212,9 +264,7 @@ bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
       return false;
     }
     file.Reset();
-    const WallTimer timer;
     (*partitioner)->Run(file);
-    const double seconds = timer.ElapsedSeconds();
 
     const EdgePartitionerStats& stats = (*partitioner)->stats();
     if (stats.assign_errors != 0 ||
@@ -235,14 +285,9 @@ bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
     row.Add("num_edges", file.NumEdges());
     row.Add("replication_factor", ReplicationFactor((*partitioner)->replicas()));
     row.Add("balance", EdgeBalanceMaxOverAvg((*partitioner)->edge_counts()));
-    row.Add("seconds", seconds);
-    row.Add("edges_per_second",
-            seconds > 0 ? static_cast<double>(stats.edges_assigned) / seconds
-                        : 0.0);
     row.Add("overflow_fallbacks", stats.overflow_fallbacks);
     row.Add("cap_relaxations", stats.cap_relaxations);
     row.Add("assign_errors", stats.assign_errors);
-    row.Add("peak_rss_bytes", PeakRssBytes());
     rows->push_back(std::move(row));
   }
   return true;
@@ -254,9 +299,7 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
   const std::string path =
       generated ? cfg.work_dir + "/.bench_large.loomstrm" : cfg.file;
 
-  double generate_seconds = 0.0;
   if (generated) {
-    WallTimer timer;
     BarabasiAlbertArrivalSource source(static_cast<uint32_t>(cfg.n),
                                        cfg.degree, LabelConfig{4, 0.0},
                                        cfg.seed);
@@ -273,7 +316,6 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
                 << "\n";
       return false;
     }
-    generate_seconds = timer.ElapsedSeconds();
   }
 
   bool ok = false;
@@ -329,19 +371,11 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
           row.Add("num_edges", file.NumEdges());
           row.Add("file_bytes", file.info().file_bytes);
           row.Add("k", static_cast<uint64_t>(cfg.k));
-          row.Add("generate_seconds", generate_seconds);
-          row.Add("partition_seconds", p1.seconds);
-          row.Add("restream_seconds", p2.seconds);
-          row.Add("vertices_per_second",
-                  p1.seconds > 0
-                      ? static_cast<double>(file.NumVertices()) / p1.seconds
-                      : 0.0);
           row.Add("edge_cut_fraction_before", p1.edge_cut_fraction);
           row.Add("edge_cut_fraction_after", r.edge_cut_fraction);
           row.Add("migration_fraction", p2.migration_fraction);
           row.Add("balance", p2.balance);
           row.Add("materializations", restreamer.materializations());
-          row.Add("peak_rss_bytes", peak);
           row.Add("rss_ceiling_bytes", ceiling);
           row.AddRaw("rss_ok", "true");
           rows->push_back(std::move(row));
@@ -410,8 +444,6 @@ bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
         row.Add("overflow_fallbacks", s.overflow_fallbacks);
         row.Add("forced_placements", s.forced_placements);
         row.Add("assign_errors", s.assign_errors);
-        row.Add("seconds", s.seconds);
-        row.Add("peak_rss_bytes", PeakRssBytes());
         rows->push_back(std::move(row));
       }
     }
@@ -444,7 +476,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
 
   const auto common = [&](JsonObject* row) {
     row->Add("scenario", std::string("piecewise-stationary"));
-    row->Add("peak_rss_bytes", PeakRssBytes());
     row->Add("max_migration_fraction", r.max_migration_fraction);
     row->Add("fire_tick", static_cast<uint64_t>(r.fire_tick));
     row->Add("stationary_fires", static_cast<uint64_t>(r.stationary_fires));
@@ -457,7 +488,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   none.Add("strategy", std::string("no-reaction"));
   none.Add("edge_cut_fraction", r.cut_no_reaction);
   none.Add("migration_fraction", 0.0);
-  none.Add("seconds", 0.0);
   rows->push_back(std::move(none));
 
   JsonObject reaction;
@@ -465,7 +495,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   reaction.Add("strategy", std::string("drift-reaction"));
   reaction.Add("edge_cut_fraction", r.cut_reaction);
   reaction.Add("migration_fraction", r.migration_reaction);
-  reaction.Add("seconds", r.seconds_reaction);
   reaction.Add("overflow_fallbacks", r.reaction_overflow_fallbacks);
   reaction.Add("forced_placements", r.reaction_forced_placements);
   reaction.Add("assign_errors", r.reaction_assign_errors);
@@ -479,68 +508,7 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   cold.Add("strategy", std::string("cold-restream"));
   cold.Add("edge_cut_fraction", r.cut_cold);
   cold.Add("migration_fraction", r.migration_cold);
-  cold.Add("seconds", r.seconds_cold);
   rows->push_back(std::move(cold));
-  return true;
-}
-
-// Serving rows: the concurrent serving-under-drift scenario
-// (bench/serving_scenario.h), one row per operation kind — ingest-batch,
-// locate and touches — each carrying its tail latencies plus the shared
-// structural outcomes. tools/check_bench.py asserts: non-zero query counts,
-// p50 <= p99 <= p999 per row, at least one drift reaction, queries served
-// during it, and zero assign errors.
-bool RunServingRows(bool fast, std::vector<JsonObject>* rows) {
-  ServingScenarioConfig config;
-  if (!fast) config.n = 20000;
-  const ServingScenarioResult r = RunServingScenario(config);
-
-  if (!r.ok) {
-    std::cerr << "run_benchmarks: serving scenario contract violated "
-                 "(reactions="
-              << r.drift_reactions << ", assign_errors=" << r.assign_errors
-              << ", ingested=" << r.ingested_vertices << ")\n";
-    return false;
-  }
-
-  const auto common = [&](JsonObject* row) {
-    row->Add("scenario", std::string("serving-under-drift"));
-    row->Add("peak_rss_bytes", PeakRssBytes());
-    row->Add("num_clients", static_cast<uint64_t>(config.num_clients));
-    row->Add("front_end_shards",
-             static_cast<uint64_t>(config.front_end_shards));
-    row->Add("drift_fires", r.drift_fires);
-    row->Add("drift_reactions", r.drift_reactions);
-    row->Add("queries_during_reaction", r.queries_during_reaction);
-    row->Add("assign_errors", r.assign_errors);
-    row->Add("snapshot_epoch", r.snapshot_epoch);
-  };
-  const auto latency = [](JsonObject* row, const LatencySummary& summary) {
-    row->Add("count", summary.count);
-    row->Add("p50_seconds", summary.p50_seconds);
-    row->Add("p99_seconds", summary.p99_seconds);
-    row->Add("p999_seconds", summary.p999_seconds);
-  };
-
-  JsonObject ingest;
-  common(&ingest);
-  ingest.Add("operation", std::string("ingest-batch"));
-  latency(&ingest, r.ingest_batch_latency);
-  ingest.Add("ingested_vertices", r.ingested_vertices);
-  ingest.Add("vertices_per_second", r.vertices_per_second);
-  rows->push_back(std::move(ingest));
-
-  JsonObject locate;
-  common(&locate);
-  locate.Add("operation", std::string("locate"));
-  latency(&locate, r.locate_latency);
-  rows->push_back(std::move(locate));
-
-  JsonObject touches;
-  common(&touches);
-  touches.Add("operation", std::string("touches"));
-  latency(&touches, r.touches_latency);
-  rows->push_back(std::move(touches));
   return true;
 }
 
@@ -548,7 +516,7 @@ bool RunServingRows(bool fast, std::vector<JsonObject>* rows) {
 // lambda in {1.0, 4.0} (DBH ignores lambda; the full matrix keeps rows
 // regular so validators can compare the two at equal settings), plus one
 // budgeted two-pass HDRF restream row per family. Replication factor and
-// balance are the §vertex-cut quality axes; edges/s the throughput axis.
+// balance are the §vertex-cut quality axes.
 bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
                           std::vector<JsonObject>* rows) {
   for (const GraphKind kind : cfg.kinds) {
@@ -585,9 +553,7 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       ropts.num_passes = config.passes;
       ropts.max_migration_fraction = 0.25;
       EdgeRestreamer restreamer(&cursor, ropts);
-      const WallTimer timer;
       auto run = restreamer.Run(partitioner->get());
-      const double seconds = timer.ElapsedSeconds();
       if (!run.ok()) {
         std::cerr << "run_benchmarks: edge partition: "
                   << run.status().ToString() << "\n";
@@ -612,11 +578,6 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       row.Add("num_edges", static_cast<uint64_t>(g.NumEdges()));
       row.Add("replication_factor", run->replication_factor);
       row.Add("balance", run->balance);
-      row.Add("seconds", seconds);
-      row.Add("edges_per_second",
-              seconds > 0 ? static_cast<double>(stats.edges_assigned) *
-                                static_cast<double>(config.passes) / seconds
-                          : 0.0);
       if (config.passes > 1) {
         row.Add("moved_fraction", run->passes.back().moved_fraction);
         row.Add("best_replication_factor",
@@ -625,7 +586,6 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       row.Add("overflow_fallbacks", stats.overflow_fallbacks);
       row.Add("cap_relaxations", stats.cap_relaxations);
       row.Add("assign_errors", stats.assign_errors);
-      row.Add("peak_rss_bytes", PeakRssBytes());
       rows->push_back(std::move(row));
     }
   }
@@ -673,11 +633,6 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
       row.Add("partitioner", r.partitioner);
       row.Add("edge_cut_fraction", r.cut_fraction);
       row.Add("balance", r.balance);
-      row.Add("seconds", r.seconds);
-      row.Add("peak_rss_bytes", PeakRssBytes());
-      const double vps =
-          r.seconds > 0 ? static_cast<double>(r.num_vertices) / r.seconds : 0;
-      row.Add("vertices_per_second", vps);
       row.Add("num_vertices", static_cast<uint64_t>(r.num_vertices));
       row.Add("num_edges", static_cast<uint64_t>(r.num_edges));
       rows.push_back(std::move(row));
@@ -694,9 +649,6 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
   std::vector<JsonObject> drift_rows;
   if (!RunDriftRows(mode == "fast", &drift_rows)) return false;
 
-  std::vector<JsonObject> serving_rows;
-  if (!RunServingRows(mode == "fast", &serving_rows)) return false;
-
   if (!RunEdgePartitionRows(cfg, &edge_partition_rows)) return false;
 
   JsonObject config;
@@ -706,33 +658,18 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
   config.Add("seed", cfg.seed);
 
   JsonObject root;
-  root.Add("schema", std::string("loom-bench-edge-cut-v9"));
+  root.Add("schema", std::string("loom-bench-edge-cut-v10"));
   root.Add("mode", mode);
   root.AddRaw("config", config.Render(2));
   root.AddRaw("large", RenderArray(large_rows, 2));
   root.AddRaw("results", RenderArray(rows, 2));
   root.AddRaw("restream", RenderArray(restream_rows, 2));
   root.AddRaw("drift", RenderArray(drift_rows, 2));
-  root.AddRaw("serving", RenderArray(serving_rows, 2));
   root.AddRaw("edge_partition", RenderArray(edge_partition_rows, 2));
   return WriteFile(path, root.Render(0));
 }
 
 // --------------------------------------------------------------------- main
-
-// Parses a decimal in [1, UINT32_MAX]. Signs, junk, zero and overflow are
-// rejected rather than wrapped or clamped into a different run.
-bool ParsePositiveU32(const char* text, uint32_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || value == 0 || value > UINT32_MAX) {
-    return false;
-  }
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
 
 int Main(int argc, char** argv) {
   bool fast = true;
@@ -751,7 +688,7 @@ int Main(int argc, char** argv) {
     } else if ((arg == "--large-n" || arg == "--large-degree") &&
                i + 1 < argc) {
       uint32_t* target = arg == "--large-n" ? &large_n : &large_degree;
-      if (!ParsePositiveU32(argv[++i], target)) {
+      if (!tools::ParsePositiveU32(argv[++i], target)) {
         std::cerr << "run_benchmarks: " << arg
                   << " needs an integer in [1, 4294967295], got '" << argv[i]
                   << "'\n";
@@ -789,46 +726,20 @@ int Main(int argc, char** argv) {
   large_cfg.file = large_file;
   large_cfg.work_dir = out_dir;
 
-  const std::string edge_cut_path = out_dir + "/BENCH_edge_cut.json";
-  const std::string micro_path = out_dir + "/BENCH_micro.json";
+  const std::string path = out_dir + "/BENCH_edge_cut.json";
 
-  // Sections write to .tmp files which are renamed into place only once
+  // The sections write to a .tmp file which is renamed into place only once
   // everything succeeded, so a half-failed run neither leaves partial
   // output nor clobbers an existing baseline.
-  const std::string edge_cut_tmp = edge_cut_path + ".tmp";
-  const std::string micro_tmp = micro_path + ".tmp";
-  const auto fail = [&] {
-    std::remove(edge_cut_tmp.c_str());
-    std::remove(micro_tmp.c_str());
-    return 1;
-  };
-
+  const std::string tmp = path + ".tmp";
   std::cout << "run_benchmarks: edge-cut section (" << mode << ") ...\n";
-  if (!RunEdgeCutSection(cfg, large_cfg, mode, edge_cut_tmp)) {
-    return fail();
+  if (!RunEdgeCutSection(cfg, large_cfg, mode, tmp) ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::cerr << "run_benchmarks: no output written\n";
+    std::remove(tmp.c_str());
+    return 1;
   }
-
-  std::cout << "run_benchmarks: micro section (" << mode << ") ...\n";
-  const std::vector<MicroResult> micro = RunMicroLoops(fast);
-
-  std::cout << "run_benchmarks: throughput section (" << mode << ") ...\n";
-  const std::vector<ThroughputRow> throughput = RunThroughput(fast);
-
-  if (!WriteMicroReport(micro_tmp, mode, micro, throughput)) return fail();
-
-  if (std::rename(edge_cut_tmp.c_str(), edge_cut_path.c_str()) != 0) {
-    std::cerr << "run_benchmarks: failed to move outputs into place\n";
-    return fail();
-  }
-  if (std::rename(micro_tmp.c_str(), micro_path.c_str()) != 0) {
-    // The pair must never be mixed: the first file is already installed, so
-    // remove it — a missing baseline is detectable, mixed vintages are not.
-    std::cerr << "run_benchmarks: failed to move outputs into place\n";
-    std::remove(edge_cut_path.c_str());
-    return fail();
-  }
-  std::cout << "  wrote " << edge_cut_path << "\n";
-  std::cout << "  wrote " << micro_path << "\n";
+  std::cout << "  wrote " << path << "\n";
   return 0;
 }
 
