@@ -1,6 +1,7 @@
 #include "serving/service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "core/loom.h"
@@ -47,9 +48,13 @@ ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
 
 namespace {
 
-Status ValidateArrival(const VertexArrival& arrival) {
+Status ValidateArrival(const VertexArrival& arrival, uint32_t num_labels) {
   if (arrival.vertex == kInvalidVertex) {
     return Status::InvalidArgument("Ingest: arrival with invalid vertex id");
+  }
+  if (arrival.label >= num_labels) {
+    return Status::InvalidArgument(
+        "Ingest: arrival label outside the service's label alphabet");
   }
   for (VertexId back : arrival.back_edges) {
     if (back == kInvalidVertex) {
@@ -62,6 +67,22 @@ Status ValidateArrival(const VertexArrival& arrival) {
   }
   return Status::OK();
 }
+
+#ifndef NDEBUG
+// True when `live` places and counts exactly what `oracle` does.
+bool SamePlacement(const PlacementSnapshot& live,
+                   const PlacementSnapshot& oracle) {
+  if (live.sizes != oracle.sizes || live.label_counts != oracle.label_counts ||
+      live.num_assigned != oracle.num_assigned) {
+    return false;
+  }
+  const size_t bound = std::max(live.part_of.size(), oracle.part_of.size());
+  for (VertexId v = 0; v < bound; ++v) {
+    if (live.Locate(v) != oracle.Locate(v)) return false;
+  }
+  return true;
+}
+#endif
 
 }  // namespace
 
@@ -94,14 +115,16 @@ Service::Service(ServiceOptions options, uint32_t num_labels,
       num_labels_(num_labels),
       trie_(std::move(trie)),
       partitioner_(std::move(partitioner)),
+      table_(partitioner_->assignment().k(), num_labels,
+             options_.loom.partitioner.num_vertices_hint),
       tracker_(num_labels, options_.tracker),
       controller_(options_.drift),
       pipeline_(1) {
   loom_ = dynamic_cast<LoomPartitioner*>(partitioner_.get());
   controller_.SetReference(std::move(reference));
-  // Publish the empty epoch-0 snapshot before any caller thread exists, so
-  // reads are valid from the first instant.
-  PublishSnapshot();
+  // Publish epoch 0 before any caller thread exists, so reads are valid
+  // from the first instant.
+  Publish(/*full_diff=*/true);
 }
 
 Service::~Service() = default;
@@ -120,25 +143,22 @@ void Service::EnqueuePipelineTask(F&& task) {
   });
 }
 
-Status Service::ValidateBatch(const VertexArrival* arrivals,
-                              size_t count) const {
-  for (size_t i = 0; i < count; ++i) {
-    LOOM_RETURN_IF_ERROR(ValidateArrival(arrivals[i]));
-  }
-  return Status::OK();
-}
-
 Status Service::Ingest(const VertexArrival* arrivals, size_t count) {
   if (count == 0) return Status::OK();
   if (arrivals == nullptr) {
     return Status::InvalidArgument("Ingest: null arrivals with count > 0");
   }
-  Status valid = ValidateBatch(arrivals, count);
-  if (!valid.ok()) {
-    rejected_batches_.fetch_add(1, std::memory_order_relaxed);
-    return valid;
+  return Submit(std::vector<VertexArrival>(arrivals, arrivals + count));
+}
+
+Status Service::Submit(std::vector<VertexArrival> batch) {
+  for (const VertexArrival& arrival : batch) {
+    const Status valid = ValidateArrival(arrival, num_labels_);
+    if (!valid.ok()) {
+      rejected_batches_.fetch_add(1, std::memory_order_relaxed);
+      return valid;
+    }
   }
-  std::vector<VertexArrival> batch(arrivals, arrivals + count);
   std::lock_guard<std::mutex> lock(producer_mu_);
   if (sealed_) {
     return Status::FailedPrecondition("Ingest after Seal");
@@ -163,12 +183,13 @@ Status Service::IngestSource(ArrivalSource& source, size_t batch_size) {
     arrival.back_edges.assign(view.back_edges.begin(), view.back_edges.end());
     batch.push_back(std::move(arrival));
     if (batch.size() >= batch_size) {
-      const Status status = Ingest(batch);
+      const Status status = Submit(std::move(batch));
       if (!status.ok()) return status;
       batch.clear();
+      batch.reserve(batch_size);
     }
   }
-  if (!batch.empty()) return Ingest(batch);
+  if (!batch.empty()) return Submit(std::move(batch));
   return Status::OK();
 }
 
@@ -178,27 +199,37 @@ void Service::ProcessBatch(uint64_t seq, std::vector<VertexArrival>* batch) {
       label_of_.resize(arrival.vertex + 1, 0);
     }
     label_of_[arrival.vertex] = arrival.label;
+    unpublished_.push_back(arrival.vertex);
     partitioner_->OnVertex(arrival.vertex, arrival.label, arrival.back_edges);
     recorded_.Append(std::move(arrival));
   }
   ingested_vertices_.fetch_add(batch->size(), std::memory_order_relaxed);
   ingested_batches_.fetch_add(1, std::memory_order_relaxed);
   SyncPressureCounters();
-  if ((seq + 1) % options_.publish_every_batches == 0) PublishSnapshot();
+  if ((seq + 1) % options_.publish_every_batches == 0) {
+    Publish(/*full_diff=*/false);
+  }
   if (options_.on_batch_processed) options_.on_batch_processed(seq);
 }
 
 int32_t Service::Locate(VertexId v) const {
   locate_queries_.fetch_add(1, std::memory_order_relaxed);
-  const PlacementSnapshot* snapshot = board_.Read();
-  return snapshot != nullptr ? snapshot->Locate(v) : -1;
+  return table_.Locate(v);
 }
 
 std::vector<uint32_t> Service::Touches(const LabeledGraph& query) const {
   touches_queries_.fetch_add(1, std::memory_order_relaxed);
-  const PlacementSnapshot* snapshot = board_.Read();
-  if (snapshot == nullptr) return {};
-  return TouchedPartitions(*snapshot, query);
+  return table_.Touches(query);
+}
+
+const PlacementSnapshot* Service::Snapshot() const {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  const uint64_t epoch = snapshot_epoch_.load(std::memory_order_relaxed);
+  if (frozen_.empty() || frozen_.back()->epoch != epoch) {
+    frozen_.push_back(
+        std::make_unique<const PlacementSnapshot>(table_.Freeze(epoch)));
+  }
+  return frozen_.back().get();
 }
 
 Status Service::ObserveQuery(const LabeledGraph& query) {
@@ -254,19 +285,43 @@ void Service::RunReaction(std::unique_ptr<TpstryPP> drifted_trie,
   last_reaction_migration_.store(reaction.migration_fraction,
                                  std::memory_order_relaxed);
   SyncPressureCounters();
-  PublishSnapshot();
+  Publish(/*full_diff=*/true);
   drift_reactions_.fetch_add(1, std::memory_order_relaxed);
   reaction_running_.store(false, std::memory_order_release);
   reaction_pending_.store(false, std::memory_order_release);
 }
 
-void Service::PublishSnapshot() {
-  auto snapshot = std::make_unique<PlacementSnapshot>(MakePlacementSnapshot(
-      partitioner_->assignment(), label_of_, num_labels_, next_epoch_));
-  snapshot_epoch_.store(next_epoch_, std::memory_order_relaxed);
-  ++next_epoch_;
-  board_.Publish(std::move(snapshot));
+void Service::Publish(bool full_diff) {
+  const PartitionAssignment& assignment = partitioner_->assignment();
+  auto label_of = [this](VertexId v) {
+    return v < label_of_.size() ? label_of_[v] : Label{0};
+  };
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  if (full_diff) {
+    const size_t bound = std::max(assignment.IdBound(), table_.IdBound());
+    for (VertexId v = 0; v < bound; ++v) {
+      table_.Set(v, assignment.PartOf(v), label_of(v));
+    }
+  }
+  // Streaming partitioners place each vertex once, after its arrival, so
+  // the unpublished ids are the only ones whose placement can be new.
+  size_t kept = 0;
+  for (const VertexId v : unpublished_) {
+    const int32_t part = assignment.PartOf(v);
+    if (part < 0) {
+      unpublished_[kept++] = v;
+    } else {
+      table_.Set(v, part, label_of(v));
+    }
+  }
+  unpublished_.resize(kept);
+  table_.Commit();
+  const uint64_t epoch = next_epoch_++;
+  snapshot_epoch_.store(epoch, std::memory_order_relaxed);
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
+  assert(SamePlacement(
+      table_.Freeze(epoch),
+      MakePlacementSnapshot(assignment, label_of_, num_labels_, epoch)));
 }
 
 void Service::SyncPressureCounters() {
@@ -333,7 +388,7 @@ Status Service::Seal() {
     EnqueuePipelineTask([this] {
       partitioner_->Finish();
       SyncPressureCounters();
-      PublishSnapshot();
+      Publish(/*full_diff=*/false);
     });
   }
   Flush();

@@ -13,15 +13,28 @@
 ///    calling thread, then handed to a single pipeline worker
 ///    (SPSC: producers serialise on a mutex, one `ThreadPool(1)` consumes
 ///    FIFO) that drives the streaming partitioner, records the live stream
-///    for later replay, and publishes placement snapshots. Batches are
+///    for later replay, and publishes the new placements. Batches are
 ///    processed strictly in submission order, so batched ingest through one
 ///    worker is result-identical to the serial pipeline on the same stream.
-///  * **Reads** (`Locate`, `Touches`, `Snapshot`, `Stats`, any thread,
-///    any concurrency): served from the latest *immutable*
-///    `PlacementSnapshot` published through a `SnapshotBoard`
-///    (common/snapshot.h). The read path is one atomic acquire load — it
-///    never takes a lock, never blocks on an ingest batch or a drift
-///    reaction, and can never observe a torn assignment.
+///  * **Reads** (`Locate`, `Touches`, `Stats`, any thread, any
+///    concurrency): served from one live `PlacementTable`
+///    (serving/placement_snapshot.h) that each publish updates in place.
+///    `Locate` is one acquire load of the slot array plus one relaxed load;
+///    `Touches` reads the live per-(partition, label) counts. Neither takes
+///    a lock or blocks on an ingest batch or a drift reaction. Each call
+///    sees the table as it is at that instant, not as of one publish: a
+///    placed vertex never reads -1 again, and while a publish is in flight
+///    `Touches` still covers the last completed one.
+///  * **Publish** (pipeline thread): every `publish_every_batches` batches
+///    the worker writes the vertices placed since the last publish into the
+///    table — it keeps the ids ingested but not yet published as placed,
+///    at most window + batch ids per publish for a streaming partitioner —
+///    so a publish costs O(changed), not O(vertices). Construction and each
+///    reaction diff the whole assignment instead, O(vertices) once.
+///  * **Snapshots** (`Snapshot`, any thread): an immutable copy of the
+///    latest publish, made under a mutex every publish also holds, so it is
+///    never torn. Repeated calls in one epoch return the same pointer;
+///    copies are kept until destruction, one per epoch someone asked for.
 ///  * **Workload + drift** (`ObserveQuery`, any thread): observed queries
 ///    feed the sliding-window `WorkloadTracker` under a mutex; every
 ///    `drift_check_every_queries` observations the `DriftController` checks
@@ -29,12 +42,12 @@
 ///    On a confirmed fire the service enqueues a *reaction task* onto the
 ///    pipeline worker: re-point LOOM at the drifted summary, run the
 ///    bounded-migration restream reaction (`DriftController::React`) against
-///    the recorded stream, adopt the keep-best result, and publish a fresh
-///    snapshot atomically. Reads continue un-blocked throughout; ingest
-///    batches queue behind the reaction (FIFO) and resume after it.
+///    the recorded stream, adopt the keep-best result, and publish it. Reads
+///    continue un-blocked throughout; ingest batches queue behind the
+///    reaction (FIFO) and resume after it.
 ///
 /// Lifecycle: `Create` → any interleaving of `Ingest` / reads /
-/// `ObserveQuery` → `Seal` (drain, final `Finish`, final snapshot) → reads
+/// `ObserveQuery` → `Seal` (drain, final `Finish`, final publish) → reads
 /// remain valid until destruction. `Seal` requires that no thread is still
 /// calling `Ingest`/`ObserveQuery`.
 
@@ -47,7 +60,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/snapshot.h"
 #include "common/thread_pool.h"
 #include "core/loom_partitioner.h"
 #include "drift/drift_controller.h"
@@ -110,7 +122,7 @@ class Service {
   /// workload tracker and the drift controller primed with the workload's
   /// motif distribution as reference. Errors with InvalidArgument when
   /// `ValidateServiceOptions` rejects, and propagates trie/partitioner
-  /// construction failures. An empty (epoch 0) snapshot is published
+  /// construction failures. The empty placement is published as epoch 0
   /// immediately, so reads are valid before the first arrival.
   static Result<std::unique_ptr<Service>> Create(const Workload& workload,
                                                  const ServiceOptions& options);
@@ -121,12 +133,14 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Ingests one batch of arrivals (the span is copied before return).
-  /// The batch is validated on the front end — an invalid vertex id or a
-  /// self-loop back edge rejects the WHOLE batch with InvalidArgument and
-  /// applies nothing — then enqueued for the pipeline worker. Returns
-  /// FailedPrecondition after `Seal`. Arrivals must satisfy the stream
-  /// invariants (each vertex once, back edges to earlier arrivals); batches
-  /// from multiple threads are applied in `Ingest`-call order.
+  /// The batch is validated on the front end — an invalid vertex id, a
+  /// self-loop back edge or a label outside the service's alphabet (see
+  /// `ServiceOptions::num_labels`) rejects the WHOLE batch with
+  /// InvalidArgument and applies nothing — then enqueued for the pipeline
+  /// worker. Returns FailedPrecondition after `Seal`. Arrivals must satisfy
+  /// the stream invariants (each vertex once, back edges to earlier
+  /// arrivals); batches from multiple threads are applied in `Ingest`-call
+  /// order.
   Status Ingest(const VertexArrival* arrivals, size_t count);
 
   /// Vector convenience overload of the span form.
@@ -134,28 +148,32 @@ class Service {
     return Ingest(arrivals.data(), arrivals.size());
   }
 
-  /// Drains `source` (rewound via `Reset` first) into `Ingest` batches of
-  /// `batch_size` arrivals — the bridge from any ArrivalSource (an mmap-ed
-  /// stream file, a streaming generator) to the serving pipeline, with peak
-  /// memory bounded by one batch regardless of stream size. Stops at the
-  /// first rejected batch and returns its status; OK once the source is
-  /// exhausted. Same concurrency contract as `Ingest`.
+  /// Drains `source` (rewound via `Reset` first) into batches of
+  /// `batch_size` arrivals, each validated as by `Ingest` and handed to the
+  /// pipeline without a further copy — the bridge from any ArrivalSource
+  /// (an mmap-ed stream file, a streaming generator) to the serving
+  /// pipeline, with peak memory bounded by one batch regardless of stream
+  /// size. Stops at the first rejected batch and returns its status; OK
+  /// once the source is exhausted. Same concurrency contract as `Ingest`.
   Status IngestSource(ArrivalSource& source, size_t batch_size = 1024);
 
-  /// Partition of `v` in the latest published snapshot, or -1 while
-  /// unassigned (still windowed, not yet published, or never ingested).
-  /// Lock-free; never blocks.
+  /// Partition of `v` in the live placement table, or -1 while unassigned
+  /// (still windowed, not yet published, or never ingested). Lock-free;
+  /// never blocks.
   int32_t Locate(VertexId v) const;
 
-  /// Partitions the pattern `query` can touch under the latest snapshot
-  /// (sorted; a sound superset of any execution's actual partitions — the
-  /// broadcast set a distributed router would use). Lock-free; never
+  /// Partitions the pattern `query` can touch under the live placement
+  /// table (sorted; a sound superset of any execution's actual partitions —
+  /// the broadcast set a distributed router would use). Lock-free; never
   /// blocks. Does NOT feed the drift loop — pair with `ObserveQuery`.
   std::vector<uint32_t> Touches(const LabeledGraph& query) const;
 
-  /// The latest published snapshot (never null; epoch 0 before the first
-  /// ingest publish). Valid until the service is destroyed.
-  const PlacementSnapshot* Snapshot() const { return board_.Read(); }
+  /// An immutable copy of the latest publish (never null; epoch 0 before
+  /// the first ingest publish). Valid until the service is destroyed. The
+  /// first call in an epoch copies the table, O(vertices), and waits for an
+  /// in-flight publish; later calls in the same epoch return the same
+  /// pointer. For per-vertex reads use `Locate`, which never copies.
+  const PlacementSnapshot* Snapshot() const;
 
   /// Feeds one executed query into the workload tracker and, at the
   /// configured cadence, runs a drift check that may enqueue a background
@@ -167,12 +185,12 @@ class Service {
   ServiceStats Stats() const;
 
   /// Blocks until every batch (and reaction) enqueued before the call has
-  /// been processed. Reads observe the resulting snapshot only after the
+  /// been processed. Reads observe the resulting placements only after the
   /// publish cadence allows — `Seal` for an unconditional final publish.
   void Flush();
 
   /// Drains the pipeline, finishes the partitioner (assigning every
-  /// windowed vertex) and publishes the final snapshot. Further `Ingest`
+  /// windowed vertex) and publishes the final placement. Further `Ingest`
   /// calls fail; reads stay valid. Idempotent-hostile: second call returns
   /// FailedPrecondition. Callers must have stopped `Ingest`/`ObserveQuery`
   /// concurrency before sealing.
@@ -190,19 +208,23 @@ class Service {
           std::unique_ptr<StreamingPartitioner> partitioner,
           MotifDistribution reference);
 
-  /// Front-end batch validation on the calling thread.
-  Status ValidateBatch(const VertexArrival* arrivals, size_t count) const;
+  /// Validates `batch` on the calling thread and, if it passes, moves it
+  /// onto the pipeline. The one path of `Ingest` and `IngestSource`.
+  Status Submit(std::vector<VertexArrival> batch);
 
   /// Pipeline-thread batch body: partitioner feed + stream recording +
-  /// snapshot cadence.
+  /// publish cadence.
   void ProcessBatch(uint64_t seq, std::vector<VertexArrival>* batch);
 
   /// Pipeline-thread reaction body (see the header contract).
   void RunReaction(std::unique_ptr<TpstryPP> drifted_trie,
                    MotifDistribution current);
 
-  /// Pipeline-thread: freeze + publish the live assignment.
-  void PublishSnapshot();
+  /// Pipeline-thread (or construction): writes the placements made since
+  /// the last publish into `table_` and starts a new epoch. `full_diff`
+  /// compares every id against the assignment instead of only the
+  /// unpublished ones — needed once the assignment was replaced wholesale.
+  void Publish(bool full_diff);
 
   /// Pipeline-thread: mirror PartitionerStats pressure counters into
   /// atomics for `Stats`.
@@ -227,9 +249,16 @@ class Service {
   /// Live stream recording + label table (pipeline thread only).
   GraphStream recorded_;
   std::vector<Label> label_of_;
-  uint64_t next_epoch_ = 0;
+  /// Ids ingested but not yet published as placed (pipeline thread only).
+  std::vector<VertexId> unpublished_;
 
-  SnapshotBoard<PlacementSnapshot> board_;
+  /// The live placement `Locate`/`Touches` read without a lock.
+  PlacementTable table_;
+  /// Held by every publish and by `Snapshot`; never on the read path.
+  mutable std::mutex publish_mu_;
+  uint64_t next_epoch_ = 0;  // guarded by publish_mu_
+  /// `Snapshot` copies, one per epoch asked for; guarded by publish_mu_.
+  mutable std::vector<std::unique_ptr<const PlacementSnapshot>> frozen_;
 
   /// Workload/drift state, guarded by `tracker_mu_`. The controller is
   /// additionally touched by the reaction task WITHOUT this mutex — that is

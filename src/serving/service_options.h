@@ -40,7 +40,10 @@ struct ServiceOptions {
 
   /// Label alphabet size of the data graph. 0 = derive from the workload
   /// (its max label + 1); set explicitly when arrivals carry labels the
-  /// workload's queries never mention.
+  /// workload's queries never mention. The service's alphabet is the larger
+  /// of the two, and `Ingest` rejects a batch holding an arrival labelled
+  /// outside it — whole, counted in `rejected_batches`, like a self-loop —
+  /// because `Touches` could not route to such a vertex.
   uint32_t num_labels = 0;
 
   /// False disables the drift loop entirely: `ObserveQuery` still feeds the
@@ -51,11 +54,12 @@ struct ServiceOptions {
   /// Detector cadence: one drift check per this many observed queries.
   uint64_t drift_check_every_queries = 64;
 
-  /// Snapshot cadence: publish a fresh placement snapshot every N processed
-  /// ingest batches (a publish copies the assignment, O(vertices); every
-  /// snapshot is retained for the service's lifetime — see
-  /// common/snapshot.h — so very small values on very long streams trade
-  /// memory for freshness). Reactions and `Seal` always publish.
+  /// Publish cadence: write the placements made since the last publish
+  /// into the live placement table every N processed ingest batches. A
+  /// publish scans the ids not yet published as placed — about N batches
+  /// plus the window — so larger values trade freshness for fewer, longer
+  /// scans; memory does not depend on it. Reactions and `Seal` always
+  /// publish.
   uint32_t publish_every_batches = 1;
 
   /// Test/bench hook, called on the pipeline thread after each ingest batch

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/primes.h"
@@ -195,6 +198,52 @@ TEST(PrimeTableTest, GrowsOnDemand) {
   const uint64_t p = PrimeTable::Get(999);
   EXPECT_EQ(p, 7919u);  // 1000th prime
   EXPECT_GE(PrimeTable::CachedCount(), 1000u);
+}
+
+// The first `count` primes by a sieve of Eratosthenes, independent of
+// PrimeTable.
+std::vector<uint64_t> SievedPrimes(size_t count) {
+  for (size_t limit = 1 << 12;; limit *= 2) {
+    std::vector<bool> composite(limit, false);
+    std::vector<uint64_t> primes;
+    for (size_t i = 2; i < limit && primes.size() < count; ++i) {
+      if (composite[i]) continue;
+      primes.push_back(i);
+      for (size_t j = i * i; j < limit; j += i) composite[j] = true;
+    }
+    if (primes.size() == count) return primes;
+  }
+}
+
+// Readers race the table's growth: every index past the cached count makes
+// some thread grow and republish it while the others read the published
+// prefix lock-free. Under TSan this checks the publication order too.
+TEST(PrimeTableTest, ConcurrentGrowthKeepsEveryReadValid) {
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kSteps = 48;
+  constexpr uint32_t kStride = 37;
+  const uint32_t base = static_cast<uint32_t>(PrimeTable::CachedCount());
+  const std::vector<uint64_t> want =
+      SievedPrimes(base + kThreads * kSteps * kStride + 1);
+
+  std::atomic<uint32_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t step = 0; step < kSteps; ++step) {
+        // Interleaved targets, so the threads take turns growing the table.
+        const uint32_t i = base + (step * kThreads + t) * kStride;
+        if (PrimeTable::Get(i) != want[i]) wrong.fetch_add(1);
+        // And a read of the prefix some other thread may be republishing.
+        const uint32_t j = i / (t + 2);
+        if (PrimeTable::Get(j) != want[j]) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(PrimeTable::CachedCount(),
+            base + (kSteps - 1) * kThreads * kStride);
 }
 
 TEST(FactorMultisetTest, EmptyDividesEverything) {

@@ -192,6 +192,49 @@ TEST(ServingIngestTest, InvalidBatchesAreRejectedWholeAndCounted) {
   EXPECT_TRUE((*created)->Seal().ok());
 }
 
+// A vertex labelled outside the alphabet would sit in a partition that no
+// `Touches` could route to, so the batch carrying it is rejected whole.
+TEST(ServingIngestTest, OutOfAlphabetLabelRejectsTheBatch) {
+  Workload workload;
+  (void)workload.Add("path", PathQuery({0, 1, 0}), 1.0);
+  workload.Normalize();
+  ServiceOptions opts;
+  opts.loom.partitioner.k = 2;
+  auto created = Service::Create(workload, opts);  // alphabet {0, 1}
+  ASSERT_TRUE(created.ok());
+  Service& service = **created;
+
+  std::vector<VertexArrival> batch(2);
+  batch[0].vertex = 0;
+  batch[0].label = 1;
+  batch[1].vertex = 1;
+  batch[1].label = 3;
+  batch[1].back_edges = {0};
+  EXPECT_EQ(service.Ingest(batch).code(), StatusCode::kInvalidArgument);
+  const GraphStream stream(batch);
+  StreamCursor cursor(stream);
+  EXPECT_EQ(service.IngestSource(cursor).code(),
+            StatusCode::kInvalidArgument);
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.rejected_batches, 2u);
+  EXPECT_EQ(stats.ingested_batches, 0u);
+
+  // The in-alphabet arrival alone is accepted and placed.
+  batch.resize(1);
+  ASSERT_TRUE(service.Ingest(batch).ok());
+  ASSERT_TRUE(service.Seal().ok());
+  EXPECT_GE(service.Locate(0), 0);
+  EXPECT_EQ(service.Locate(1), -1);
+  stats = service.Stats();
+  EXPECT_EQ(stats.ingested_vertices, 1u);
+  EXPECT_EQ(stats.rejected_batches, 2u);
+
+  // Routing and the drift loop agree that label 3 is not in the alphabet.
+  EXPECT_TRUE(service.Touches(PathQuery({3, 3})).empty());
+  EXPECT_EQ(service.ObserveQuery(PathQuery({3, 3})).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ServingIngestTest, SealStopsIngestAndIsNotRepeatable) {
   const Scenario s = MakeScenario(300, 11);
   auto created = Service::Create(SmallWorkload(), BaseOptions(s, 4));
@@ -289,6 +332,48 @@ TEST(ServingIngestTest, IngestSourceMatchesBatchedIngest) {
           << "batch=" << batch_size << " vertex=" << v;
     }
     EXPECT_EQ(service.Stats().ingested_vertices, s.g.NumVertices());
+  }
+}
+
+// Each publish writes only the vertices placed since the last one; after
+// every batch the live table must still equal the whole assignment of a
+// serial partitioner fed the same prefix.
+TEST(ServingIngestTest, PublishedPlacementMatchesSerialPrefixAfterEveryBatch) {
+  const Scenario s = MakeScenario(500, 29);
+  const Workload workload = SmallWorkload();
+  const std::vector<VertexArrival>& arrivals = s.stream.arrivals();
+
+  for (const char* name : {"ldg", "loom"}) {
+    for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+      ServiceOptions opts = BaseOptions(s, 6);
+      opts.partitioner = name;
+      opts.enable_drift_reactions = false;
+      opts.publish_every_batches = 1;
+      auto trie = BuildTrie(workload, opts.loom.paths_only);
+      ASSERT_TRUE(trie.ok());
+      auto serial = MakePartitioner(name, opts.loom, trie->get());
+      ASSERT_TRUE(serial.ok());
+      auto created = Service::Create(workload, opts);
+      ASSERT_TRUE(created.ok());
+      Service& service = **created;
+
+      for (size_t off = 0; off < arrivals.size(); off += batch_size) {
+        const size_t end = std::min(off + batch_size, arrivals.size());
+        for (size_t i = off; i < end; ++i) {
+          (*serial)->OnVertex(arrivals[i].vertex, arrivals[i].label,
+                              arrivals[i].back_edges);
+        }
+        ASSERT_TRUE(service.Ingest(arrivals.data() + off, end - off).ok());
+        service.Flush();
+        const PartitionAssignment& want = (*serial)->assignment();
+        for (VertexId v = 0; v < s.g.NumVertices(); ++v) {
+          ASSERT_EQ(service.Locate(v), want.PartOf(v))
+              << name << " batch=" << batch_size << " prefix=" << end
+              << " vertex=" << v;
+        }
+      }
+      ASSERT_TRUE(service.Seal().ok());
+    }
   }
 }
 
@@ -390,6 +475,114 @@ TEST(ServingSnapshotTest, EpochsAreMonotoneAndSizesStayConsistent) {
   EXPECT_GE(stats.snapshots_published,
             arrivals.size() / 32 / opts.publish_every_batches);
   EXPECT_EQ(stats.snapshot_epoch + 1, stats.snapshots_published);
+}
+
+// Readers sweep every id while the pipeline ingests and publishes: in the
+// first round the placement table grows, in the second a drift reaction
+// moves vertices. Per reader, a placed vertex never reads -1 again; without
+// reactions a placement never changes; snapshot epochs never decrease and
+// every snapshot is internally consistent.
+TEST(ServingSnapshotTest, LocateIsMonotoneUnderIngestAndReaction) {
+  // Label-{2,3} traffic, far from SmallWorkload's label-{0,1} reference,
+  // planted too so that the reaction has vertices to move.
+  Workload drifted;
+  (void)drifted.Add("tri", TriangleQuery(2, 3, 2), 2.0);
+  (void)drifted.Add("star", StarQuery(3, {2, 2}), 1.0);
+  drifted.Normalize();
+  const uint32_t n = 2500;
+  Scenario s;
+  Rng rng(31);
+  s.g = MakeGraph(GraphKind::kBarabasiAlbert, n, 6, LabelConfig{4, 0.2}, rng);
+  PlantWorkloadMotifs(&s.g, SmallWorkload(), n / 24, rng,
+                      /*locality_span=*/48);
+  PlantWorkloadMotifs(&s.g, drifted, n / 24, rng, /*locality_span=*/48);
+  s.stream = MakeStream(s.g, StreamOrder::kDfs, rng);
+  const std::vector<VertexArrival>& arrivals = s.stream.arrivals();
+
+  for (const bool reactions : {false, true}) {
+    ServiceOptions opts = BaseOptions(s, 4);
+    // Without a size hint the table starts small and grows under the
+    // readers; with it, capacities are tight enough that the reaction
+    // moves vertices.
+    if (!reactions) opts.loom.partitioner.num_vertices_hint = 0;
+    opts.enable_drift_reactions = reactions;
+    opts.publish_every_batches = 1;
+    opts.drift_check_every_queries = 8;
+    opts.tracker.window_queries = 32;
+    auto created = Service::Create(SmallWorkload(), opts);
+    ASSERT_TRUE(created.ok());
+    Service& service = **created;
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint32_t> unplaced{0};
+    std::atomic<uint32_t> moved{0};
+    std::atomic<uint32_t> inconsistent{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        std::vector<int32_t> seen(n, -1);
+        uint64_t last_epoch = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          for (VertexId v = 0; v < n; ++v) {
+            const int32_t part = service.Locate(v);
+            if (seen[v] >= 0 && part < 0) unplaced.fetch_add(1);
+            if (!reactions && seen[v] >= 0 && part != seen[v]) {
+              moved.fetch_add(1);
+            }
+            seen[v] = part;
+          }
+          const PlacementSnapshot* snap = service.Snapshot();
+          size_t total = 0;
+          for (const uint32_t size : snap->sizes) total += size;
+          if (snap->epoch < last_epoch || total != snap->num_assigned) {
+            inconsistent.fetch_add(1);
+          }
+          last_epoch = snap->epoch;
+        }
+      });
+    }
+
+    // First half, then drifted traffic until the detector fires (with
+    // reactions on), then the rest of the stream behind the reaction.
+    const size_t half = arrivals.size() / 2;
+    std::vector<int32_t> before_reaction;
+    for (size_t off = 0; off < arrivals.size(); off += 16) {
+      if (off == half / 16 * 16 && reactions) {
+        service.Flush();
+        for (VertexId v = 0; v < n; ++v) {
+          before_reaction.push_back(service.Locate(v));
+        }
+        for (int q = 0; q < 2000 && service.Stats().drift_fires == 0; ++q) {
+          const LabeledGraph& pattern = drifted.queries()[q % 2].pattern;
+          ASSERT_TRUE(service.ObserveQuery(pattern).ok());
+        }
+      }
+      const size_t count = std::min<size_t>(16, arrivals.size() - off);
+      ASSERT_TRUE(service.Ingest(arrivals.data() + off, count).ok());
+    }
+    ASSERT_TRUE(service.Seal().ok());
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+
+    EXPECT_EQ(unplaced.load(), 0u) << "reactions=" << reactions;
+    EXPECT_EQ(moved.load(), 0u);
+    EXPECT_EQ(inconsistent.load(), 0u) << "reactions=" << reactions;
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.drift_reactions, reactions ? 1u : 0u);
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_GE(service.Locate(v), 0) << "reactions=" << reactions;
+    }
+    if (reactions) {
+      // The reaction migrated vertices, and the table shows the moves.
+      EXPECT_GT(stats.last_reaction_migration_fraction, 0.0);
+      size_t moved_by_reaction = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        const int32_t before = before_reaction[v];
+        if (before >= 0 && service.Locate(v) != before) ++moved_by_reaction;
+      }
+      EXPECT_GT(moved_by_reaction, 0u);
+    }
+  }
 }
 
 // --------------------------------------------------------- drift reactions
