@@ -25,6 +25,9 @@ Result<std::unique_ptr<Loom>> Loom::Create(const Workload& workload,
   if (options.partitioner.k == 0) {
     return Status::InvalidArgument("k must be >= 1");
   }
+  if (!IsValidSlack(options.partitioner.capacity_slack)) {
+    return Status::InvalidArgument("capacity slack must be finite and >= 1.0");
+  }
   if (options.partitioner.window_size == 0) {
     return Status::InvalidArgument("window size must be >= 1");
   }

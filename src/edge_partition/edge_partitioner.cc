@@ -5,6 +5,7 @@
 
 #include "edge_partition/dbh_partitioner.h"
 #include "edge_partition/hdrf_partitioner.h"
+#include "partition/partitioner.h"
 
 namespace loom {
 
@@ -16,9 +17,9 @@ Status ValidateEdgePartitionerOptions(const EdgePartitionerOptions& options) {
     return Status::InvalidArgument(
         "EdgePartitionerOptions.lambda must be >= 0");
   }
-  if (std::isnan(options.balance_slack) || options.balance_slack < 1.0) {
+  if (!IsValidSlack(options.balance_slack)) {
     return Status::InvalidArgument(
-        "EdgePartitionerOptions.balance_slack must be >= 1.0");
+        "EdgePartitionerOptions.balance_slack must be finite and >= 1.0");
   }
   if (std::isnan(options.heat_weight) || options.heat_weight < 0.0) {
     return Status::InvalidArgument(
@@ -38,9 +39,7 @@ EdgePartitionerOptions SanitizeEdgePartitionerOptions(
   if (std::isnan(options.lambda) || options.lambda < 0.0) {
     options.lambda = 0.0;
   }
-  if (std::isnan(options.balance_slack) || options.balance_slack < 1.0) {
-    options.balance_slack = 1.0;
-  }
+  if (!IsValidSlack(options.balance_slack)) options.balance_slack = 1.0;
   if (std::isnan(options.heat_weight) || options.heat_weight < 0.0) {
     options.heat_weight = 0.0;
   }
@@ -54,12 +53,8 @@ EdgePartitionerOptions SanitizeEdgePartitionerOptions(
 }
 
 uint64_t ComputeEdgeCapacity(uint32_t k, uint64_t num_edges, double slack) {
-  if (num_edges == 0) return 0;
-  if (k == 0) k = 1;
-  const double per_part =
-      slack * static_cast<double>(num_edges) / static_cast<double>(k);
-  const uint64_t capacity = static_cast<uint64_t>(std::ceil(per_part));
-  return capacity == 0 ? 1 : capacity;
+  // The vertex capacity formula, counted in edges.
+  return ComputeCapacity(k == 0 ? 1 : k, num_edges, slack);
 }
 
 EdgePartitioner::EdgePartitioner(const EdgePartitionerOptions& options)
@@ -74,7 +69,6 @@ EdgePartitioner::EdgePartitioner(const EdgePartitionerOptions& options)
                 options_.heat_weight != 0.0) {
   if (options_.num_vertices_hint > 0) {
     degree_.reserve(options_.num_vertices_hint);
-    label_of_.reserve(options_.num_vertices_hint);
     if (has_heat_) heat_scale_.reserve(options_.num_vertices_hint);
   }
   RebuildLoadBounds();
@@ -88,8 +82,7 @@ void EdgePartitioner::Run(ArrivalSource& source) {
 void EdgePartitioner::OnArrival(const ArrivalView& view) {
   if (view.vertex == kInvalidVertex) return;
   GrowTables(view.vertex);
-  label_of_[view.vertex] = view.label;
-  RefreshHeatScale(view.vertex);
+  RefreshHeatScale(view.vertex, view.label);
   for (const VertexId neighbor : view.back_edges) {
     OnEdge(view.vertex, neighbor);
   }
@@ -168,7 +161,6 @@ void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
 void EdgePartitioner::Reset() {
   BeginPass(nullptr);
   degree_.clear();
-  label_of_.clear();
   heat_scale_.clear();
 }
 
@@ -238,15 +230,16 @@ uint32_t EdgePartitioner::FallbackPartition(VertexId u, VertexId v) {
   // regime the property tests pin.
   ++stats_.cap_relaxations;
   best = options_.k;
-  for (const VertexId x : {u, v}) {
-    const ReplicaSet::PartitionList* parts = replicas_.PartitionsOf(x);
-    if (parts == nullptr) continue;
-    for (const uint32_t p : *parts) {
-      // Canonical least-loaded-then-lowest-index order, independent of the
-      // replica lists' insertion order (the differential oracle re-derives
-      // this from sorted sets).
-      if (best == options_.k || edge_counts_[p] < edge_counts_[best] ||
-          (edge_counts_[p] == edge_counts_[best] && p < best)) {
+  for (uint32_t w = 0; w < replicas_.words_per_vertex(); ++w) {
+    // mask(u) | mask(v) in ascending index order with a strict < keeps the
+    // canonical least-loaded-then-lowest-index pick (the differential
+    // oracle re-derives it from sorted sets).
+    uint64_t held = replicas_.MaskWordOf(u, w) | replicas_.MaskWordOf(v, w);
+    while (held != 0) {
+      const uint32_t p =
+          (w << 6) + static_cast<uint32_t>(__builtin_ctzll(held));
+      held &= held - 1;
+      if (best == options_.k || edge_counts_[p] < edge_counts_[best]) {
         best = p;
       }
     }
@@ -264,22 +257,21 @@ void EdgePartitioner::GrowTables(VertexId v) {
   if (v >= degree_.size()) {
     const size_t old_size = degree_.size();
     degree_.resize(v + 1, 0);
-    label_of_.resize(v + 1, 0);
     if (has_heat_) {
       heat_scale_.resize(v + 1, 1.0);
-      // Seed the cache with the default label; OnArrival refreshes when
+      // Seed the cache with the default label 0; OnArrival refreshes when
       // the real label lands (each vertex arrives once, so the refresh is
-      // final). The hook is called once per vertex either way.
+      // final).
       for (size_t x = old_size; x <= v; ++x) {
-        RefreshHeatScale(static_cast<VertexId>(x));
+        RefreshHeatScale(static_cast<VertexId>(x), 0);
       }
     }
   }
 }
 
-void EdgePartitioner::RefreshHeatScale(VertexId v) {
+void EdgePartitioner::RefreshHeatScale(VertexId v, Label label) {
   if (!has_heat_ || v >= heat_scale_.size()) return;
-  heat_scale_[v] = 1.0 + options_.heat_weight * options_.heat(v, label_of_[v]);
+  heat_scale_[v] = 1.0 + options_.heat_weight * options_.heat(v, label);
 }
 
 const std::vector<std::string>& KnownEdgePartitioners() {

@@ -77,7 +77,7 @@ struct EdgePartitionerOptions {
 };
 
 /// Rejects (InvalidArgument, mutating nothing): `k == 0`, a NaN or negative
-/// `lambda`, a NaN or sub-1.0 `balance_slack`, a NaN or negative
+/// `lambda`, a non-finite or sub-1.0 `balance_slack`, a NaN or negative
 /// `heat_weight`, and `max_partitions_per_vertex == 1` with `k > 1` (a
 /// one-partition replica budget makes every edge with previously-seen
 /// endpoints a cap relaxation — always a configuration mistake).
@@ -85,14 +85,15 @@ Status ValidateEdgePartitionerOptions(const EdgePartitionerOptions& options);
 
 /// Sanitized copy of `options`: `k` clamped to >= 1, NaN/negative `lambda`
 /// and `heat_weight` clamped to 0 (the conservative end: the term drops
-/// out), NaN or sub-1.0 `balance_slack` clamped to 1.0, and
+/// out), non-finite or sub-1.0 `balance_slack` clamped to 1.0, and
 /// `max_partitions_per_vertex` clamped into {0} ∪ [2, k] when k > 1.
 /// Constructors apply this to everything they are given.
 EdgePartitionerOptions SanitizeEdgePartitionerOptions(
     EdgePartitionerOptions options);
 
 /// The per-partition edge budget ceil(slack * m / k), at least 1; 0 when
-/// `num_edges` is 0 (unconstrained).
+/// `num_edges` is 0 (unconstrained). `ComputeCapacity` over edges, with
+/// its clamping: NaN or below 1 gives 1, at or past 2^64 the largest value.
 uint64_t ComputeEdgeCapacity(uint32_t k, uint64_t num_edges, double slack);
 
 /// Counters shared by every streaming edge partitioner; the same
@@ -146,9 +147,9 @@ class EdgePartitioner {
   /// would place every edge twice.
   void Run(ArrivalSource& source);
 
-  /// Consumes one arrival: records the vertex's label for the heat hook and
-  /// places each carried back edge via OnEdge. An arrival whose vertex is
-  /// kInvalidVertex is ignored.
+  /// Consumes one arrival: refreshes the vertex's heat scale from its label
+  /// (heat hook only) and places each carried back edge via OnEdge. An
+  /// arrival whose vertex is kInvalidVertex is ignored.
   void OnArrival(const ArrivalView& view);
 
   /// Places one edge, in stream order; `u` is the later endpoint (the
@@ -167,15 +168,15 @@ class EdgePartitioner {
   /// Restreaming hook: discards the placement state (replicas, edge
   /// counts, placement log, stats) and installs `prior` — the previous
   /// pass's placement log, indexed by stream edge order — as the scoring
-  /// prior. Partial degrees and labels are retained. Until the budget is
+  /// prior. Partial degrees and heat scales are retained. Until the budget is
   /// spent, an edge may land anywhere; after it, placements clamp to the
   /// prior. Pass nullptr to reset to single-pass behaviour. `prior` must
   /// outlive the pass and must not alias this partitioner's own log (copy
   /// it first).
   void BeginPass(const std::vector<uint32_t>* prior);
 
-  /// Rewinds to the fresh state: BeginPass(nullptr) plus degree and label
-  /// tables cleared.
+  /// Rewinds to the fresh state: BeginPass(nullptr) plus degree and heat
+  /// scale tables cleared.
   void Reset();
 
   /// `max_moves` value meaning "no migration budget" (the default).
@@ -224,8 +225,9 @@ class EdgePartitioner {
   /// The shared never-drop re-route, in order of preference: least-loaded
   /// partition the replica budgets allow (counts an overflow fallback when
   /// the scored pick was budget-blocked), else — both endpoints capped
-  /// with disjoint sets — least-loaded partition overall (counts a cap
-  /// relaxation, plus an overflow fallback if it is also past the edge
+  /// with disjoint sets — least-loaded partition holding either endpoint,
+  /// found by walking mask(u) | mask(v) in ascending index order (counts a
+  /// cap relaxation, plus an overflow fallback if it is also past the edge
   /// budget). Ties prefer the lower index.
   uint32_t FallbackPartition(VertexId u, VertexId v);
 
@@ -243,7 +245,7 @@ class EdgePartitioner {
   /// Replica-budget test for one endpoint: true iff `p` already holds `x`
   /// or `x` has budget for a new partition. Mask-only — no hashing.
   bool WithinReplicaBudget(VertexId x, uint32_t p) const {
-    return replicas_.Has(x, p) || replicas_.MaskCountOf(x) < replica_cap_;
+    return replicas_.Has(x, p) || replicas_.NumReplicasOf(x) < replica_cap_;
   }
 
   /// True iff `p` is past its edge budget. Equivalent to testing the
@@ -274,7 +276,6 @@ class EdgePartitioner {
   std::vector<uint64_t> edge_counts_;
   std::vector<uint32_t> placements_;
   std::vector<uint32_t> degree_;
-  std::vector<Label> label_of_;
   /// Per-partition edge budget (0 = unconstrained).
   uint64_t edge_capacity_ = 0;
   /// Replica budget resolved against k (options value 0 → k).
@@ -297,9 +298,9 @@ class EdgePartitioner {
  private:
   void GrowTables(VertexId v);
 
-  /// Recomputes heat_scale_[v] from the current label (no-op without the
-  /// hook).
-  void RefreshHeatScale(VertexId v);
+  /// Recomputes heat_scale_[v] for `v` carrying `label` (no-op without
+  /// the hook).
+  void RefreshHeatScale(VertexId v, Label label);
 
   const std::vector<uint32_t>* prior_ = nullptr;
   uint64_t migration_budget_ = kUnlimitedMigrationBudget;

@@ -35,8 +35,8 @@ uint32_t HdrfPartitioner::PickPartition(VertexId u, VertexId v) {
   const uint32_t num_words = (k + 63) / 64;
   // A capped endpoint (replica budget spent) only allows partitions that
   // already hold it — exactly its bitmask; a free endpoint allows all.
-  const bool u_free = replicas_.MaskCountOf(u) < replica_cap_;
-  const bool v_free = replicas_.MaskCountOf(v) < replica_cap_;
+  const bool u_free = replicas_.NumReplicasOf(u) < replica_cap_;
+  const bool v_free = replicas_.NumReplicasOf(v) < replica_cap_;
 
   uint32_t best_rep = k;
   double best_rep_score = 0.0;

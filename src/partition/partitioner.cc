@@ -2,15 +2,24 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace loom {
 
 size_t ComputeCapacity(uint32_t k, size_t num_vertices, double slack) {
   if (num_vertices == 0) return 0;  // unconstrained when n is unknown
-  const double per_part =
-      slack * static_cast<double>(num_vertices) / static_cast<double>(k);
-  const size_t cap = static_cast<size_t>(std::ceil(per_part));
-  return cap == 0 ? 1 : cap;
+  const double per_part = std::ceil(
+      slack * static_cast<double>(num_vertices) / static_cast<double>(k));
+  // Casting NaN, a negative or a value past the range is undefined; only
+  // those are clamped, so every representable capacity is unchanged.
+  if (!(per_part >= 1.0)) return 1;
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  if (per_part >= static_cast<double>(kMax)) return kMax;
+  return static_cast<size_t>(per_part);
+}
+
+bool IsValidSlack(double slack) {
+  return std::isfinite(slack) && slack >= 1.0;
 }
 
 void StreamingPartitioner::Run(ArrivalSource& source) {

@@ -37,8 +37,15 @@ struct PartitionerOptions {
   uint64_t seed = 42;
 };
 
-/// The capacity constraint C = ceil(slack * n / k), at least 1.
+/// The capacity constraint C = ceil(slack * n / k), at least 1; 0 when
+/// `num_vertices` is 0 (unconstrained). A product the result type cannot
+/// hold is clamped rather than cast: NaN or below 1 gives 1, at or past
+/// 2^64 gives the largest size_t.
 size_t ComputeCapacity(uint32_t k, size_t num_vertices, double slack);
+
+/// True iff `slack` is a usable capacity or edge-budget slack: finite and
+/// at least 1.0 (below 1.0 the k partitions cannot hold the whole stream).
+bool IsValidSlack(double slack);
 
 /// Counters for the capacity-overflow fallback shared by every streaming
 /// partitioner: when the placement heuristic finds no eligible partition the

@@ -162,6 +162,39 @@ class FileReplayCursor : public ArrivalSource {
   uint64_t pos_ = 0;
 };
 
+// Reorders `perm` by (key, id) ascending — the order of a comparison sort
+// with the id tie-break, in O(n + id bound + key span). The gain keys are
+// integers in [-deg, deg], so each key value gets one bucket, and a sweep
+// of the ids in ascending order fills every bucket in id order.
+void SortByKeyThenId(const std::vector<int64_t>& key,
+                     std::vector<VertexId>* perm) {
+  if (perm->empty()) return;
+  int64_t lo = key[perm->front()];
+  int64_t hi = lo;
+  for (const VertexId v : *perm) {
+    lo = std::min(lo, key[v]);
+    hi = std::max(hi, key[v]);
+  }
+  // next[b]: output slot of the next id in bucket b. A vertex listed twice
+  // in `perm` is emitted twice, as the comparison sort would; an id not in
+  // `perm` (its key may lie outside [lo, hi]) is skipped. The sweep reads
+  // only the counts, so it can overwrite `perm` in place.
+  std::vector<size_t> next(static_cast<size_t>(hi - lo) + 2, 0);
+  std::vector<uint32_t> multiplicity(key.size(), 0);
+  for (const VertexId v : *perm) {
+    ++multiplicity[v];
+    ++next[static_cast<size_t>(key[v] - lo) + 1];
+  }
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  for (size_t v = 0; v < key.size(); ++v) {
+    if (multiplicity[v] == 0) continue;
+    size_t& slot = next[static_cast<size_t>(key[v] - lo)];
+    for (uint32_t c = 0; c < multiplicity[v]; ++c) {
+      (*perm)[slot++] = static_cast<VertexId>(v);
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
@@ -195,21 +228,21 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
   // Prioritized restreaming: gain(v) = edges to v's prior partition minus
   // edges to its best alternative, over the full (known) neighbourhood.
   const uint32_t k = prior.k();
-  const auto gain_key = [order](double gain) {
+  const auto gain_key = [order](int64_t gain) -> int64_t {
     // Sort key ascending: descending gain, ascending ambivalence, or
     // descending decisiveness (= |gain|).
     switch (order) {
       case RestreamOrder::kGain:
         return -gain;
       case RestreamOrder::kAmbivalence:
-        return std::fabs(gain);
+        return gain < 0 ? -gain : gain;
       case RestreamOrder::kDecisive:
-        return -std::fabs(gain);
+        return gain < 0 ? gain : -gain;
       case RestreamOrder::kOriginal:
       case RestreamOrder::kRandom:
         break;  // unreachable: both returned above
     }
-    return 0.0;
+    return 0;
   };
   const auto scored_gain = [&prior, k](VertexId v,
                                        Span<const VertexId> neighbors,
@@ -229,14 +262,14 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
         best_other = std::max(best_other, counts[p]);
       }
     }
-    return static_cast<double>(stay) - static_cast<double>(best_other);
+    return static_cast<int64_t>(stay) - static_cast<int64_t>(best_other);
   };
 
-  std::vector<double> key;
+  std::vector<int64_t> key;
   if (OutOfCore()) {
     // One sequential sweep of the full-neighbourhood records; O(V) keys and
     // O(k) scratch, never the adjacency.
-    key.assign(file_->IdBound(), 0.0);
+    key.assign(file_->IdBound(), 0);
     std::vector<uint32_t> counts(k, 0);
     for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
       const FileArrivalSource::Record record = file_->At(i);
@@ -244,7 +277,7 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
           gain_key(scored_gain(record.vertex, record.full_edges, counts));
     }
   } else {
-    key.assign(graph_.NumVertices(), 0.0);
+    key.assign(graph_.NumVertices(), 0);
     std::vector<uint32_t> counts(k, 0);
     for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
       const std::vector<VertexId>& neighbors = graph_.Neighbors(v);
@@ -253,10 +286,7 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
           counts));
     }
   }
-  std::stable_sort(perm.begin(), perm.end(), [&key](VertexId a, VertexId b) {
-    if (key[a] != key[b]) return key[a] < key[b];
-    return a < b;
-  });
+  SortByKeyThenId(key, &perm);
   return perm;
 }
 

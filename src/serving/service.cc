@@ -14,6 +14,11 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
     return Status::InvalidArgument(
         "ServiceOptions.loom.partitioner.k must be >= 1");
   }
+  if (!IsValidSlack(options.loom.partitioner.capacity_slack)) {
+    return Status::InvalidArgument(
+        "ServiceOptions.loom.partitioner.capacity_slack must be finite and "
+        ">= 1.0");
+  }
   if (!IsKnownPartitioner(options.partitioner)) {
     return Status::InvalidArgument("ServiceOptions.partitioner '" +
                                    options.partitioner +
@@ -36,6 +41,9 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
 
 ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
   if (options.loom.partitioner.k == 0) options.loom.partitioner.k = 1;
+  if (!IsValidSlack(options.loom.partitioner.capacity_slack)) {
+    options.loom.partitioner.capacity_slack = 1.0;
+  }
   if (!IsKnownPartitioner(options.partitioner)) options.partitioner = "loom";
   if (options.drift_check_every_queries == 0) {
     options.drift_check_every_queries = 1;

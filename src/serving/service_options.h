@@ -68,15 +68,16 @@ struct ServiceOptions {
   std::function<void(uint64_t)> on_batch_processed;
 };
 
-/// Rejects the first invalid field: k == 0, an unknown `partitioner` name,
+/// Rejects the first invalid field: k == 0, a capacity slack that is not
+/// finite or is below 1.0, an unknown `partitioner` name,
 /// `drift_check_every_queries == 0`, `publish_every_batches == 0`, a zero
 /// tracker window, or anything `ValidateDriftControllerOptions` rejects.
 Status ValidateServiceOptions(const ServiceOptions& options);
 
 /// Clamps every field `ValidateServiceOptions` rejects: zero counts become
-/// 1 (k, cadences, tracker window), an unknown partitioner name
-/// falls back to "loom", and the drift options are routed through
-/// `SanitizeDriftControllerOptions`.
+/// 1 (k, cadences, tracker window), a bad capacity slack becomes 1.0, an
+/// unknown partitioner name falls back to "loom", and the drift options
+/// are routed through `SanitizeDriftControllerOptions`.
 ServiceOptions SanitizeServiceOptions(ServiceOptions options);
 
 }  // namespace loom

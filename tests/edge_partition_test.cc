@@ -16,11 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -421,8 +423,8 @@ TEST(EdgePartitionDifferentialTest, HdrfMatchesOracle) {
     }
   }
   // k = 100: the multi-word mask loop and the mid-pass restride. A cap of
-  // 2 makes FallbackPartition relax it, walking PartitionsOf; HDRF then
-  // places below partition 16, so only the default cap restrides here.
+  // 2 makes FallbackPartition relax it, walking mask(u) | mask(v); HDRF
+  // then places below partition 16, so only the default cap restrides here.
   for (const uint64_t seed : {3u, 23u}) {
     for (const uint32_t cap : {0u, 2u}) {
       const GraphStream stream = SmallStream(300, 2400, seed);
@@ -507,9 +509,11 @@ TEST(EdgePartitionOptionsTest, ValidateRejectsBadFields) {
   opt = EdgePartitionerOptions();
   opt.lambda = -1.0;
   EXPECT_FALSE(ValidateEdgePartitionerOptions(opt).ok());
-  opt = EdgePartitionerOptions();
-  opt.balance_slack = 0.5;
-  EXPECT_FALSE(ValidateEdgePartitionerOptions(opt).ok());
+  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
+    opt = EdgePartitionerOptions();
+    opt.balance_slack = slack;
+    EXPECT_FALSE(ValidateEdgePartitionerOptions(opt).ok()) << slack;
+  }
   opt = EdgePartitionerOptions();
   opt.heat_weight = -0.1;
   EXPECT_FALSE(ValidateEdgePartitionerOptions(opt).ok());
@@ -518,6 +522,17 @@ TEST(EdgePartitionOptionsTest, ValidateRejectsBadFields) {
   opt.k = 4;
   EXPECT_FALSE(ValidateEdgePartitionerOptions(opt).ok());
   EXPECT_TRUE(ValidateEdgePartitionerOptions(EdgePartitionerOptions()).ok());
+}
+
+TEST(EdgePartitionOptionsTest, EdgeCapacityClampsOnlyUnrepresentableBudgets) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, 1.1), 28u);
+  EXPECT_EQ(ComputeEdgeCapacity(4, 0, 1.1), 0u);  // unconstrained
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, std::nan("")), 1u);
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, -1.0), 1u);
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, 0.5), 13u);
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, 1e300), kMax);
+  EXPECT_EQ(ComputeEdgeCapacity(4, 100, HUGE_VAL), kMax);
 }
 
 TEST(EdgePartitionOptionsTest, SanitizeClampsToSafeValues) {
@@ -531,6 +546,11 @@ TEST(EdgePartitionOptionsTest, SanitizeClampsToSafeValues) {
   EXPECT_EQ(safe.lambda, 0.0);
   EXPECT_EQ(safe.balance_slack, 1.0);
   EXPECT_EQ(safe.heat_weight, 0.0);
+  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
+    opt.balance_slack = slack;
+    EXPECT_EQ(SanitizeEdgePartitionerOptions(opt).balance_slack, 1.0)
+        << slack;
+  }
 
   EdgePartitionerOptions capped;
   capped.k = 4;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/loom.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
@@ -42,6 +44,14 @@ TEST(LoomTest, CreateValidatesOptions) {
   LoomOptions over_one = Opts(2, 10);
   over_one.matcher.frequency_threshold = 1.5;  // valid: nothing frequent
   EXPECT_TRUE(Loom::Create(w, over_one).ok());
+  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
+    LoomOptions bad_slack = Opts(2, 10);
+    bad_slack.partitioner.capacity_slack = slack;
+    EXPECT_FALSE(Loom::Create(w, bad_slack).ok()) << slack;
+  }
+  LoomOptions tight = Opts(2, 10);
+  tight.partitioner.capacity_slack = 1.0;  // valid: n fills k * C exactly
+  EXPECT_TRUE(Loom::Create(w, tight).ok());
   EXPECT_FALSE(Loom::Create(Workload(), Opts(2, 10)).ok());
   EXPECT_TRUE(Loom::Create(w, Opts(2, 10)).ok());
 }

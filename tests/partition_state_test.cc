@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "partition/partition_state.h"
 #include "partition/partitioner.h"
 
@@ -67,6 +70,30 @@ TEST(ComputeCapacityTest, Formula) {
   EXPECT_EQ(ComputeCapacity(3, 10, 1.0), 4u);
   EXPECT_EQ(ComputeCapacity(8, 0, 1.0), 0u);  // unknown n -> unconstrained
   EXPECT_GE(ComputeCapacity(1000, 10, 1.0), 1u);
+}
+
+TEST(ComputeCapacityTest, ClampsOnlyProductsTheCastCannotHold) {
+  // NaN and products below 1 give the minimum capacity 1; products at or
+  // past 2^64 give the largest one. In-range products keep the formula.
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(ComputeCapacity(4, 100, std::nan("")), 1u);
+  EXPECT_EQ(ComputeCapacity(4, 100, -1.0), 1u);
+  EXPECT_EQ(ComputeCapacity(4, 100, -1e300), 1u);
+  EXPECT_EQ(ComputeCapacity(4, 100, 0.0), 1u);
+  EXPECT_EQ(ComputeCapacity(4, 100, 0.5), 13u);
+  EXPECT_EQ(ComputeCapacity(4, 100, 1e300), kMax);
+  EXPECT_EQ(ComputeCapacity(4, 100, HUGE_VAL), kMax);
+  EXPECT_EQ(ComputeCapacity(1, 1, 1e19), 10000000000000000000u);
+}
+
+TEST(ComputeCapacityTest, ValidSlackIsFiniteAndAtLeastOne) {
+  EXPECT_TRUE(IsValidSlack(1.0));
+  EXPECT_TRUE(IsValidSlack(1.1));
+  EXPECT_TRUE(IsValidSlack(1e300));
+  EXPECT_FALSE(IsValidSlack(std::nan("")));
+  EXPECT_FALSE(IsValidSlack(-1.0));
+  EXPECT_FALSE(IsValidSlack(0.5));
+  EXPECT_FALSE(IsValidSlack(HUGE_VAL));
 }
 
 TEST(PickLdgPartitionTest, PrefersMostEdges) {

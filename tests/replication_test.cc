@@ -29,9 +29,8 @@ TEST(ReplicaSetTest, AddHasIdempotent) {
   r.Add(5, 2);
   EXPECT_EQ(r.NumReplicas(), 2u);
   EXPECT_EQ(r.NumReplicatedVertices(), 1u);
-  ASSERT_NE(r.PartitionsOf(5), nullptr);
-  EXPECT_EQ(r.PartitionsOf(5)->size(), 2u);
-  EXPECT_EQ(r.PartitionsOf(6), nullptr);
+  EXPECT_EQ(r.NumReplicasOf(5), 2u);
+  EXPECT_EQ(r.NumReplicasOf(6), 0u);
 }
 
 TEST(ReplicaSetTest, PrimaryIsFirstAddedPartition) {
@@ -42,165 +41,30 @@ TEST(ReplicaSetTest, PrimaryIsFirstAddedPartition) {
   r.Add(7, 5);
   EXPECT_EQ(r.PrimaryOf(7), 3u);
   EXPECT_EQ(r.NumReplicasOf(7), 3u);
-  // A secondary erase never changes the primary.
-  EXPECT_TRUE(r.Remove(7, 1));
-  EXPECT_EQ(r.PrimaryOf(7), 3u);
   EXPECT_TRUE(r.CheckInvariants());
-}
-
-TEST(ReplicaSetTest, RemovingPrimaryPromotesOldestSecondary) {
-  ReplicaSet r;
-  r.Add(9, 2);
-  r.Add(9, 0);
-  r.Add(9, 4);
-  EXPECT_TRUE(r.Remove(9, 2));
-  // Insertion order is preserved, so the oldest secondary is promoted —
-  // not the lowest partition index.
-  EXPECT_EQ(r.PrimaryOf(9), 0u);
-  EXPECT_TRUE(r.Remove(9, 0));
-  EXPECT_EQ(r.PrimaryOf(9), 4u);
-  EXPECT_TRUE(r.CheckInvariants());
-}
-
-TEST(ReplicaSetTest, EraseReAddAccounting) {
-  ReplicaSet r;
-  r.Add(1, 0);
-  r.Add(1, 2);
-  r.Add(2, 1);
-  EXPECT_EQ(r.NumReplicas(), 3u);
-  EXPECT_EQ(r.NumReplicatedVertices(), 2u);
-
-  // Removing a missing pair changes nothing and reports false.
-  EXPECT_FALSE(r.Remove(1, 3));
-  EXPECT_FALSE(r.Remove(99, 0));
-  EXPECT_EQ(r.NumReplicas(), 3u);
-
-  // Erase + re-add: the count round-trips and the re-added partition comes
-  // back as a *secondary* (the erase forgot its seniority).
-  EXPECT_TRUE(r.Remove(1, 0));
-  EXPECT_EQ(r.NumReplicas(), 2u);
-  EXPECT_EQ(r.PrimaryOf(1), 2u);
-  r.Add(1, 0);
-  EXPECT_EQ(r.NumReplicas(), 3u);
-  EXPECT_EQ(r.PrimaryOf(1), 2u);
-  ASSERT_NE(r.PartitionsOf(1), nullptr);
-  EXPECT_EQ((*r.PartitionsOf(1))[1], 0u);
-
-  // Double-remove of the same pair is not double-counted.
-  EXPECT_TRUE(r.Remove(1, 0));
-  EXPECT_FALSE(r.Remove(1, 0));
-  EXPECT_EQ(r.NumReplicas(), 2u);
-  EXPECT_TRUE(r.CheckInvariants());
-}
-
-TEST(ReplicaSetTest, RemovingLastReplicaForgetsVertex) {
-  ReplicaSet r;
-  r.Add(4, 1);
-  EXPECT_EQ(r.NumReplicatedVertices(), 1u);
-  EXPECT_TRUE(r.Remove(4, 1));
-  EXPECT_EQ(r.NumReplicatedVertices(), 0u);
-  EXPECT_EQ(r.NumReplicas(), 0u);
-  EXPECT_EQ(r.PrimaryOf(4), kNoReplica);
-  EXPECT_EQ(r.PartitionsOf(4), nullptr);
-  EXPECT_EQ(r.NumReplicasOf(4), 0u);
-  EXPECT_TRUE(r.CheckInvariants());
-
-  // The vertex can come back fresh.
-  r.Add(4, 2);
-  EXPECT_EQ(r.PrimaryOf(4), 2u);
-  EXPECT_EQ(r.NumReplicas(), 1u);
-  EXPECT_TRUE(r.CheckInvariants());
-}
-
-TEST(ReplicaSetTest, InvariantsHoldUnderInterleavedChurn) {
-  // Deterministic add/remove churn; CheckInvariants recounts from scratch,
-  // so any drift in num_replicas_ accounting surfaces here.
-  ReplicaSet r;
-  for (uint32_t round = 0; round < 200; ++round) {
-    const VertexId v = (round * 7) % 23;
-    const uint32_t p = (round * 13) % 6;
-    if (round % 3 == 2) {
-      r.Remove(v, p);
-    } else {
-      r.Add(v, p);
-    }
-  }
-  EXPECT_TRUE(r.CheckInvariants());
-  for (VertexId v = 0; v < 23; ++v) {
-    if (r.NumReplicasOf(v) > 0) {
-      EXPECT_EQ(r.PrimaryOf(v), (*r.PartitionsOf(v))[0]);
-    }
-  }
 }
 
 TEST(ReplicaSetTest, BitmaskMatchesSetOracleUnderRandomChurn) {
-  // Randomized differential against an ordered-container oracle: drive the
-  // same Add/Remove sequence through both, probing Has after every step and
-  // sweeping the full (vertex, partition) grid at the end. Partition ids
-  // run past 128, so the mask table restrides from one word per vertex to
-  // three mid-sequence — the probe answers must survive both restrides.
+  // Randomized Add-only differential against an insertion-ordered oracle.
+  // After every Add the touched vertex and one random probe must agree with
+  // the oracle on Has, NumReplicasOf and PrimaryOf (the first Add), and so
+  // must NumReplicas and NumReplicatedVertices. The partition range ramps
+  // up to 150, so the mask table restrides 1 -> 2 -> 3 words mid-sequence;
+  // each restride is followed by a sweep of the whole grid. The same checks
+  // run again after Clear() and a refill.
   Rng rng(177);
   ReplicaSet set;
   std::map<VertexId, std::vector<uint32_t>> oracle;  // insertion-ordered
   size_t total = 0;
   constexpr uint32_t kVertices = 40;
   constexpr uint32_t kPartitions = 150;
-  for (int step = 0; step < 4000; ++step) {
-    const VertexId v = static_cast<VertexId>(rng.UniformInt(0, kVertices - 1));
-    const uint32_t p =
-        static_cast<uint32_t>(rng.UniformInt(0, kPartitions - 1));
-    if (rng.Bernoulli(0.65)) {
-      set.Add(v, p);
-      auto& parts = oracle[v];
-      if (std::find(parts.begin(), parts.end(), p) == parts.end()) {
-        parts.push_back(p);
-        ++total;
-      }
-    } else {
-      bool oracle_removed = false;
-      const auto it = oracle.find(v);
-      if (it != oracle.end()) {
-        const auto pos = std::find(it->second.begin(), it->second.end(), p);
-        if (pos != it->second.end()) {
-          it->second.erase(pos);
-          oracle_removed = true;
-          --total;
-          if (it->second.empty()) oracle.erase(it);
-        }
-      }
-      ASSERT_EQ(set.Remove(v, p), oracle_removed) << "step " << step;
-    }
-    const VertexId q = static_cast<VertexId>(rng.UniformInt(0, kVertices - 1));
-    const uint32_t qp =
-        static_cast<uint32_t>(rng.UniformInt(0, kPartitions - 1));
-    const auto qit = oracle.find(q);
-    const bool expect_has =
-        qit != oracle.end() && std::find(qit->second.begin(),
-                                         qit->second.end(),
-                                         qp) != qit->second.end();
-    ASSERT_EQ(set.Has(q, qp), expect_has) << "step " << step;
-  }
-  EXPECT_TRUE(set.CheckInvariants());
-  EXPECT_EQ(set.NumReplicas(), total);
-  EXPECT_GE(set.words_per_vertex(), 3u);  // the restride path actually ran
-  EXPECT_EQ(set.NumReplicatedVertices(), oracle.size());
-  for (VertexId v = 0; v < kVertices; ++v) {
+
+  const auto expect_vertex = [&](VertexId v) {
     const auto it = oracle.find(v);
     const size_t n = it == oracle.end() ? 0 : it->second.size();
-    EXPECT_EQ(set.NumReplicasOf(v), n);
-    EXPECT_EQ(set.MaskCountOf(v), static_cast<uint32_t>(n));
-    EXPECT_EQ(set.PrimaryOf(v), n == 0 ? kNoReplica : it->second.front());
-    // Secondaries keep their insertion order through every Remove.
-    const auto* parts = set.PartitionsOf(v);
-    if (n == 0) {
-      EXPECT_EQ(parts, nullptr) << "v=" << v;
-    } else {
-      ASSERT_NE(parts, nullptr) << "v=" << v;
-      ASSERT_EQ(parts->size(), n) << "v=" << v;
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ((*parts)[i], it->second[i]) << "v=" << v << " i=" << i;
-      }
-    }
+    ASSERT_EQ(set.NumReplicasOf(v), n) << "v=" << v;
+    ASSERT_EQ(set.PrimaryOf(v), n == 0 ? kNoReplica : it->second.front())
+        << "v=" << v;
     for (uint32_t p = 0; p < kPartitions; ++p) {
       const bool has =
           it != oracle.end() && std::find(it->second.begin(),
@@ -208,7 +72,57 @@ TEST(ReplicaSetTest, BitmaskMatchesSetOracleUnderRandomChurn) {
                                           p) != it->second.end();
       ASSERT_EQ(set.Has(v, p), has) << "v=" << v << " p=" << p;
     }
-  }
+  };
+  const auto expect_all = [&]() {
+    ASSERT_TRUE(set.CheckInvariants());
+    ASSERT_EQ(set.NumReplicas(), total);
+    ASSERT_EQ(set.NumReplicatedVertices(), oracle.size());
+    for (VertexId v = 0; v < kVertices; ++v) {
+      ASSERT_NO_FATAL_FAILURE(expect_vertex(v));
+    }
+  };
+  // Adds `steps` random replicas, appending each new mask stride.
+  const auto fill = [&](int steps, std::vector<uint32_t>* strides) {
+    for (int step = 0; step < steps; ++step) {
+      const uint32_t range =
+          std::min<uint32_t>(kPartitions, 8 + static_cast<uint32_t>(step) / 8);
+      const VertexId v =
+          static_cast<VertexId>(rng.UniformInt(0, kVertices - 1));
+      const uint32_t p = static_cast<uint32_t>(rng.UniformInt(0, range - 1));
+      set.Add(v, p);
+      auto& parts = oracle[v];
+      if (std::find(parts.begin(), parts.end(), p) == parts.end()) {
+        parts.push_back(p);
+        ++total;
+      }
+      ASSERT_EQ(set.NumReplicas(), total) << "step " << step;
+      ASSERT_EQ(set.NumReplicatedVertices(), oracle.size()) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(expect_vertex(v)) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(expect_vertex(
+          static_cast<VertexId>(rng.UniformInt(0, kVertices - 1))))
+          << "step " << step;
+      if (set.words_per_vertex() != strides->back()) {
+        strides->push_back(set.words_per_vertex());
+        ASSERT_NO_FATAL_FAILURE(expect_all()) << "step " << step;
+      }
+    }
+  };
+
+  std::vector<uint32_t> strides = {set.words_per_vertex()};
+  ASSERT_NO_FATAL_FAILURE(fill(2000, &strides));
+  // The restride path ran twice, one word at a time.
+  EXPECT_EQ(strides, (std::vector<uint32_t>{1, 2, 3}));
+  ASSERT_NO_FATAL_FAILURE(expect_all());
+
+  set.Clear();
+  oracle.clear();
+  total = 0;
+  EXPECT_EQ(set.words_per_vertex(), 3u);  // Clear keeps the stride
+  ASSERT_NO_FATAL_FAILURE(expect_all());
+
+  ASSERT_NO_FATAL_FAILURE(fill(1500, &strides));
+  EXPECT_EQ(strides.back(), 3u);
+  ASSERT_NO_FATAL_FAILURE(expect_all());
 }
 
 TEST(ReplicationTest, ReplicatedTraversalBecomesLocal) {
@@ -300,10 +214,7 @@ TEST(ReplicationTest, PerVertexPartitionCapRespected) {
   const ReplicaSet replicas =
       ComputeHotspotReplicas(g, hash.assignment(), w, ropts);
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const auto* parts = replicas.PartitionsOf(v);
-    if (parts != nullptr) {
-      EXPECT_LE(parts->size(), 2u);
-    }
+    EXPECT_LE(replicas.NumReplicasOf(v), 2u);
   }
 }
 

@@ -99,6 +99,81 @@ TEST(RestreamerTest, GainOrderingIsDeterministic) {
   }
 }
 
+TEST(RestreamerTest, PrioritizedOrderIsKeyThenId) {
+  // Each prioritized order streams vertices by its documented key, ids
+  // ascending among equal keys. gain(v) = neighbours in v's prior partition
+  // minus neighbours in its best other partition, recomputed here from the
+  // graph; keys: -gain (kGain), |gain| (kAmbivalence), -|gain| (kDecisive).
+  // The second stream leaves every fifth id out, so the rebuilt graph has
+  // ids that never arrive; the replay must not emit them.
+  Rng rng(14);
+  const LabeledGraph g = BarabasiAlbert(400, 3, LabelConfig{2, 0.0}, rng);
+  const GraphStream dense = MakeStream(g, StreamOrder::kRandom, rng);
+  std::vector<VertexArrival> kept;
+  for (const VertexArrival& a : dense.arrivals()) {
+    if (a.vertex % 5 == 0) continue;
+    VertexArrival b = a;
+    b.back_edges.clear();
+    for (const VertexId w : a.back_edges) {
+      if (w % 5 != 0) b.back_edges.push_back(w);
+    }
+    kept.push_back(std::move(b));
+  }
+  const GraphStream sparse(std::move(kept));
+
+  for (const GraphStream* stream : {&dense, &sparse}) {
+    const Restreamer restreamer(*stream, RestreamOptions{});
+    const LabeledGraph& graph = restreamer.graph();
+    LdgPartitioner ldg(Opts(4, stream->NumVertices()));
+    ldg.Run(*stream);
+    const PartitionAssignment& prior = ldg.assignment();
+
+    std::vector<int64_t> gain(graph.NumVertices(), 0);
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      if (prior.PartOf(v) < 0) continue;  // never arrived
+      std::vector<int64_t> counts(prior.k(), 0);
+      for (const VertexId w : graph.Neighbors(v)) ++counts[prior.PartOf(w)];
+      int64_t best_other = 0;
+      for (uint32_t p = 0; p < prior.k(); ++p) {
+        if (static_cast<int32_t>(p) != prior.PartOf(v)) {
+          best_other = std::max(best_other, counts[p]);
+        }
+      }
+      gain[v] = counts[prior.PartOf(v)] - best_other;
+    }
+
+    for (const RestreamOrder order :
+         {RestreamOrder::kGain, RestreamOrder::kAmbivalence,
+          RestreamOrder::kDecisive}) {
+      const auto key = [&](VertexId v) {
+        const int64_t abs_gain = gain[v] < 0 ? -gain[v] : gain[v];
+        if (order == RestreamOrder::kGain) return -gain[v];
+        if (order == RestreamOrder::kAmbivalence) return abs_gain;
+        return -abs_gain;
+      };
+      const std::string name = RestreamOrderName(order);
+      Rng order_rng(5);
+      const GraphStream replay =
+          restreamer.ReplayStream(order, prior, order_rng);
+      ASSERT_EQ(replay.NumVertices(), stream->NumVertices()) << name;
+      std::set<int64_t> distinct_keys;
+      for (size_t i = 0; i < replay.arrivals().size(); ++i) {
+        const VertexId v = replay.arrivals()[i].vertex;
+        ASSERT_GE(prior.PartOf(v), 0) << name << " emitted absent id " << v;
+        distinct_keys.insert(key(v));
+        if (i == 0) continue;
+        const VertexId before = replay.arrivals()[i - 1].vertex;
+        ASSERT_LE(key(before), key(v)) << name << " position " << i;
+        if (key(before) == key(v)) {
+          ASSERT_LT(before, v) << name << " position " << i;
+        }
+      }
+      // The order is not vacuous: several key values, each a run of ids.
+      EXPECT_GE(distinct_keys.size(), 3u) << name;
+    }
+  }
+}
+
 // The heart of ReLDG: a neighbour not yet re-assigned this pass scores with
 // its prior-pass partition, so placement follows last pass's neighbourhood.
 TEST(RestreamerTest, PriorPartitionAttractsUnassignedNeighbors) {

@@ -84,6 +84,14 @@ TEST(ServingOptionsTest, ValidateRejectsTheFirstBadFieldWithoutMutating) {
   EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument);
   EXPECT_EQ(opts.loom.partitioner.k, 0u);  // untouched
 
+  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
+    opts = ServiceOptions();
+    opts.loom.partitioner.capacity_slack = slack;
+    EXPECT_EQ(ValidateServiceOptions(opts).code(),
+              StatusCode::kInvalidArgument)
+        << slack;
+  }
+
   opts = ServiceOptions();
   opts.partitioner = "metis";
   EXPECT_EQ(ValidateServiceOptions(opts).code(),
@@ -134,6 +142,12 @@ TEST(ServingOptionsTest, SanitizeClampsEveryFieldValidateRejects) {
   EXPECT_EQ(sane.tracker.window_queries, 1u);
   EXPECT_EQ(sane.drift.reaction_passes, 1u);
   EXPECT_EQ(sane.drift.max_migration_fraction, 0.0);  // migration frozen
+  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
+    opts.loom.partitioner.capacity_slack = slack;
+    EXPECT_EQ(SanitizeServiceOptions(opts).loom.partitioner.capacity_slack,
+              1.0)
+        << slack;
+  }
 }
 
 TEST(ServingOptionsTest, UniformContractAcrossTheOptionsFamily) {

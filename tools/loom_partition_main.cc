@@ -37,6 +37,7 @@
 #include "metrics/metrics.h"
 #include "partition/offline_partitioner.h"
 #include "partition/partition_io.h"
+#include "partition/partitioner.h"
 #include "stream/stream.h"
 #include "tpstry/tpstry_pp.h"
 #include "workload/query_engine.h"
@@ -128,6 +129,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--slack") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->slack)) return false;
+      if (!loom::IsValidSlack(args->slack)) {
+        std::fprintf(stderr, "loom_partition: --slack must be >= 1.0\n");
+        return false;
+      }
     } else if (flag == "--seed") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->seed)) return false;
