@@ -106,8 +106,8 @@ bool RunLoom(const Workload& workload, const LoomOptions& options,
 }
 
 // ------------------------------------------------------------------ E2 ipt
-// Expected shape: loom < ldg-buffered < ldg/fennel < hash on motif-heavy
-// workloads; the gap collapses on the motif-free lookup workload.
+// Expected shape: loom < ldg/fennel < hash on motif-heavy workloads; the
+// gap collapses on the motif-free lookup workload.
 
 void RunIptCase(const std::string& name, const Workload& workload) {
   const uint32_t k = 8;
@@ -181,7 +181,7 @@ bool RunOrderings() {
     const GraphStream stream = MakeStream(g, order, order_rng);
     PartitionerSet set = MakeStandardSet(Options(g, k), workload, 0.2);
     for (StreamingPartitioner* p : set.All()) {
-      if (p->Name() == "fennel" || p->Name() == "ldg-buffered") continue;
+      if (p->Name() == "fennel") continue;
       const RunResult r = RunStreaming(p, g, stream, workload);
       table.AddRow(IptRow({StreamOrderName(order), r.partitioner,
                            FormatPercent(r.cut_fraction)},
@@ -237,7 +237,7 @@ bool RunK() {
   for (const uint32_t k : {2u, 4u, 8u, 16u, 32u}) {
     PartitionerSet set = MakeStandardSet(Options(g, k), workload, 0.2);
     for (StreamingPartitioner* p : set.All()) {
-      if (p->Name() == "ldg-buffered" || p->Name() == "fennel") continue;
+      if (p->Name() == "fennel") continue;
       const RunResult r = RunStreaming(p, g, stream, workload);
       table.AddRow(IptRow(
           {std::to_string(k), r.partitioner, FormatPercent(r.cut_fraction)},
@@ -253,8 +253,8 @@ bool RunK() {
 // ------------------------------------------------------------- E8 ablation
 // Each variant switches off one design decision the paper calls out:
 //   (a) motif grouping off  -> buffered LDG (grouping is the active
-//       ingredient; FIFO buffering alone changes nothing, see
-//       BufferedLdgTest.EquivalentToLdgUnderFifoEviction);
+//       ingredient; FIFO buffering alone changes nothing: each evicted
+//       vertex sees the placed neighbours LDG saw at its arrival);
 //   (b) re-grow off         -> Fig. 3 overlap matches lost;
 //   (c) paths-only TPSTry   -> branch/cycle motifs invisible (§4.2's reason
 //       for generalising the trie to a DAG);

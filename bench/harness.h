@@ -59,7 +59,7 @@ RunResult RunStreaming(StreamingPartitioner* partitioner,
 RunResult RunOffline(const LabeledGraph& g, const Workload& workload,
                      uint32_t k, double slack, uint64_t seed);
 
-/// The standard comparison set: hash, ldg, fennel, ldg-buffered, loom
+/// The standard comparison set: hash, ldg, fennel, loom
 /// (+offline added by callers that want it). The returned Loom instances own
 /// the tries the loom partitioners reference.
 struct PartitionerSet {

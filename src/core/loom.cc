@@ -22,12 +22,7 @@ Result<std::unique_ptr<TpstryPP>> BuildTrie(const Workload& workload,
 
 Result<std::unique_ptr<Loom>> Loom::Create(const Workload& workload,
                                            const LoomOptions& options) {
-  if (options.partitioner.k == 0) {
-    return Status::InvalidArgument("k must be >= 1");
-  }
-  if (!IsValidSlack(options.partitioner.capacity_slack)) {
-    return Status::InvalidArgument("capacity slack must be finite and >= 1.0");
-  }
+  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.partitioner));
   if (options.partitioner.window_size == 0) {
     return Status::InvalidArgument("window size must be >= 1");
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/loom_partitioner.h"
-#include "partition/buffered_ldg_partitioner.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -12,7 +11,7 @@ namespace loom {
 
 const std::vector<std::string>& KnownPartitioners() {
   static const std::vector<std::string> kNames = {
-      "hash", "ldg", "fennel", "ldg-buffered", "loom"};
+      "hash", "ldg", "fennel", "loom"};
   return kNames;
 }
 
@@ -23,6 +22,7 @@ bool IsKnownPartitioner(const std::string& name) {
 
 Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const PartitionerOptions& options) {
+  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options));
   if (name == "hash") {
     return std::unique_ptr<StreamingPartitioner>(
         std::make_unique<HashPartitioner>(options));
@@ -35,10 +35,6 @@ Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     return std::unique_ptr<StreamingPartitioner>(
         std::make_unique<FennelPartitioner>(options));
   }
-  if (name == "ldg-buffered") {
-    return std::unique_ptr<StreamingPartitioner>(
-        std::make_unique<BufferedLdgPartitioner>(options));
-  }
   if (name == "loom") {
     return Status::InvalidArgument(
         "partitioner 'loom' needs a workload trie; use the LoomOptions "
@@ -50,15 +46,14 @@ Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
 Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const LoomOptions& options,
     const TpstryPP* trie) {
-  if (name == "loom") {
-    if (trie == nullptr) {
-      return Status::InvalidArgument(
-          "partitioner 'loom' needs a non-null workload trie");
-    }
-    return std::unique_ptr<StreamingPartitioner>(
-        std::make_unique<LoomPartitioner>(options, trie));
+  if (name != "loom") return MakePartitioner(name, options.partitioner);
+  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.partitioner));
+  if (trie == nullptr) {
+    return Status::InvalidArgument(
+        "partitioner 'loom' needs a non-null workload trie");
   }
-  return MakePartitioner(name, options.partitioner);
+  return std::unique_ptr<StreamingPartitioner>(
+      std::make_unique<LoomPartitioner>(options, trie));
 }
 
 }  // namespace loom

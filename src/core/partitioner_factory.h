@@ -5,10 +5,10 @@
 /// The partitioner factory: one supported way to construct any streaming
 /// partitioner by name, replacing the per-binary `else if` construction
 /// chains (benches, tools and tests all routed through here). Names are the
-/// partitioners' own `Name()` strings: "hash", "ldg", "fennel",
-/// "ldg-buffered" and "loom". LOOM needs a workload trie, so it is only
-/// constructible through the `LoomOptions` overload; asking the plain
-/// overload for it is an InvalidArgument, not a crash.
+/// partitioners' own `Name()` strings: "hash", "ldg", "fennel" and "loom".
+/// LOOM needs a workload trie, so it is only constructible through the
+/// `LoomOptions` overload; asking the plain overload for it is an
+/// InvalidArgument, not a crash.
 
 #include <memory>
 #include <string>
@@ -22,22 +22,24 @@
 namespace loom {
 
 /// Every name `MakePartitioner` accepts, in the canonical comparison order
-/// used by the bench tables (hash, ldg, fennel, ldg-buffered, loom).
+/// used by the bench tables (hash, ldg, fennel, loom).
 const std::vector<std::string>& KnownPartitioners();
 
 /// True iff `name` is one of `KnownPartitioners()`.
 bool IsKnownPartitioner(const std::string& name);
 
 /// Constructs the named workload-oblivious partitioner. Errors with
-/// InvalidArgument on an unknown name and on "loom" (which needs a trie —
-/// use the LoomOptions overload).
+/// InvalidArgument on options that fail ValidatePartitionerOptions, on an
+/// unknown name and on "loom" (which needs a trie — use the LoomOptions
+/// overload).
 Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const PartitionerOptions& options);
 
 /// Constructs any known partitioner. Workload-oblivious names use
 /// `options.partitioner` only; "loom" uses the full options plus `trie`
 /// (which must be non-null and outlive the partitioner). Errors with
-/// InvalidArgument on an unknown name or a missing trie.
+/// InvalidArgument on `options.partitioner` that fails
+/// ValidatePartitionerOptions, an unknown name or a missing trie.
 Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const LoomOptions& options, const TpstryPP* trie);
 

@@ -82,9 +82,8 @@ DriftReaction DriftController::React(const GraphStream& stream,
   reaction.reacted = true;
   WallTimer timer;
 
-  // Note: the budget is passed to each pass explicitly (RunIncrementalPass's
-  // max_moves), not via RestreamOptions::max_migration_fraction — the
-  // remaining allowance shrinks as passes spend it.
+  // The budget is passed to each pass explicitly (RunIncrementalPass's
+  // max_moves): the remaining allowance shrinks as passes spend it.
   RestreamOptions ropts;
   ropts.order = options_.order;
   ropts.seed = options_.seed;
@@ -93,8 +92,7 @@ DriftReaction DriftController::React(const GraphStream& stream,
   // The live assignment: migration is capped against it, and keep-best
   // adoption never publishes anything worse than it.
   const PartitionAssignment original = partitioner->assignment();
-  reaction.edge_cut_before =
-      EdgeCutFraction(restreamer.graph(), original);
+  reaction.edge_cut_before = restreamer.CutFraction(original);
   const uint64_t total_moves =
       MigrationBudgetMoves(original, options_.max_migration_fraction);
 

@@ -467,12 +467,6 @@ Result<std::unique_ptr<FileArrivalSource>> FileArrivalSource::Open(
   if (file_bytes != expected_bytes) {
     return reject_mapped("file size inconsistent with header");
   }
-  if (options.view == View::kFullNeighborhoods && !full) {
-    ::munmap(map, file_bytes);
-    return Status::FailedPrecondition(
-        "file lacks full neighbourhoods; rewrite with full_neighborhoods");
-  }
-
   // Directory validation: exact prefix-sum offsets and in-bound degrees.
   // After this sweep every At()/Next() access is provably in bounds.
   const unsigned char* directory = bytes + kStreamFileHeaderBytes;
@@ -557,7 +551,7 @@ void FileArrivalSource::NoteTouched(size_t bytes) const {
   touched_bytes_ = 0;
 }
 
-FileArrivalSource::Record FileArrivalSource::At(uint64_t index) const {
+ReplaySource::Record FileArrivalSource::At(uint64_t index) const {
   StreamFileRecord record;
   std::memcpy(&record, directory_ + index * kStreamFileRecordBytes,
               sizeof(record));
@@ -576,9 +570,7 @@ bool FileArrivalSource::Next(ArrivalView* out) {
   const Record record = At(pos_++);
   out->vertex = record.vertex;
   out->label = record.label;
-  out->back_edges = options_.view == View::kFullNeighborhoods
-                        ? record.full_edges
-                        : record.back_edges;
+  out->back_edges = record.back_edges;
   return true;
 }
 

@@ -148,30 +148,23 @@ class StreamFileWriter {
 Status WriteStreamFile(const GraphStream& stream, const std::string& path,
                        const StreamFileOptions& options = {});
 
-/// Which neighbourhood view a FileArrivalSource yields per arrival.
-enum class StreamView {
-  /// Edges to earlier arrivals only — the §3.1 arrival model every pass-one
-  /// partitioner consumes. Works on every file.
-  kBackEdges,
-  /// Back then forward edges — restream replay. Requires a file written
-  /// with `full_neighborhoods`.
-  kFullNeighborhoods,
-};
-
 /// FileArrivalSource::Open knobs.
 struct StreamOpenOptions {
-  StreamView view = StreamView::kBackEdges;
   /// Mapped-resident bound (see FileArrivalSource); 0 disables the drops.
   size_t residency_budget_bytes = 64ull << 20;
 };
 
-/// Zero-copy cursor over an mmap-ed loom-stream file. `Next()` yields views
-/// whose spans point straight into the mapping — no per-arrival allocation
-/// or copy — and `Reset()` rewinds for replay. Open() validates the whole
-/// file (magic, version, sizes, offset/degree consistency, plus every edge
-/// slot: endpoints must be inside the id bound and never self-loops) so
-/// that iteration and At() can trust every offset and edge value without
-/// further checks.
+/// Zero-copy access to an mmap-ed loom-stream file, both as a cursor and as
+/// a random-access ReplaySource. `Next()` yields each arrival with its back
+/// edges — the §3.1 arrival model every pass-one partitioner consumes — as
+/// views that point straight into the mapping (no per-arrival allocation or
+/// copy), and `Reset()` rewinds. `At()` returns any arrival with both
+/// neighbourhood views, independent of the cursor; restream replay reads
+/// full neighbourhoods through it. Open() validates the whole file (magic,
+/// version, sizes, offset/degree consistency, plus every edge slot:
+/// endpoints must be inside the id bound and never self-loops) so that
+/// iteration and At() can trust every offset and edge value without further
+/// checks.
 ///
 /// Residency: consuming a mapped file faults its pages in, which would make
 /// peak RSS O(file) and defeat the out-of-core design. The source therefore
@@ -179,14 +172,13 @@ struct StreamOpenOptions {
 /// the mapping whenever that exceeds `residency_budget_bytes`, bounding the
 /// mapping's resident contribution by the budget (pages re-fault on the
 /// next pass).
-class FileArrivalSource : public ArrivalSource {
+class FileArrivalSource final : public ArrivalSource, public ReplaySource {
  public:
-  using View = StreamView;
   using OpenOptions = StreamOpenOptions;
 
   /// Maps and validates `path`. InvalidArgument on malformed or truncated
   /// files, IOError on filesystem failures, FailedPrecondition on
-  /// big-endian hosts or when options request a view the file cannot serve.
+  /// big-endian hosts.
   static Result<std::unique_ptr<FileArrivalSource>> Open(
       const std::string& path, const OpenOptions& options = OpenOptions());
   ~FileArrivalSource() override;
@@ -200,21 +192,11 @@ class FileArrivalSource : public ArrivalSource {
   uint64_t NumEdges() const override { return info_.num_edges; }
 
   const StreamFileInfo& info() const { return info_; }
-  /// Max vertex id + 1 (sizes id-indexed consumer arrays).
-  uint64_t IdBound() const { return info_.id_bound; }
+  uint64_t IdBound() const override { return info_.id_bound; }
 
-  /// Both neighbourhood views of one arrival, for random-access replay.
-  /// Spans alias the mapping; on files without full neighbourhoods,
-  /// `full_edges` == `back_edges`.
-  struct Record {
-    VertexId vertex = kInvalidVertex;
-    Label label = 0;
-    Span<const VertexId> back_edges;
-    Span<const VertexId> full_edges;
-  };
-
-  /// Arrival record at `index` (< NumVertices()), independent of the cursor.
-  Record At(uint64_t index) const;
+  /// Arrival record at `index` (< NumVertices()). Spans alias the mapping;
+  /// on files without full neighbourhoods, `full_edges` == `back_edges`.
+  Record At(uint64_t index) const override;
 
  private:
   FileArrivalSource() = default;

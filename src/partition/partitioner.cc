@@ -22,6 +22,17 @@ bool IsValidSlack(double slack) {
   return std::isfinite(slack) && slack >= 1.0;
 }
 
+Status ValidatePartitionerOptions(const PartitionerOptions& options) {
+  if (options.k == 0) {
+    return Status::InvalidArgument("PartitionerOptions.k must be >= 1");
+  }
+  if (!IsValidSlack(options.capacity_slack)) {
+    return Status::InvalidArgument(
+        "PartitionerOptions.capacity_slack must be finite and >= 1.0");
+  }
+  return Status::OK();
+}
+
 void StreamingPartitioner::Run(ArrivalSource& source) {
   ArrivalView arrival;
   while (source.Next(&arrival)) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/span.h"
+#include "common/status.h"
 #include "partition/partition_state.h"
 #include "stream/arrival_source.h"
 #include "stream/stream.h"
@@ -46,6 +47,11 @@ size_t ComputeCapacity(uint32_t k, size_t num_vertices, double slack);
 /// True iff `slack` is a usable capacity or edge-budget slack: finite and
 /// at least 1.0 (below 1.0 the k partitions cannot hold the whole stream).
 bool IsValidSlack(double slack);
+
+/// Rejects (InvalidArgument naming the field, mutating nothing) `k == 0`
+/// and a `capacity_slack` that fails IsValidSlack. The partitioner factory,
+/// `Loom::Create` and `ValidateServiceOptions` all check through this.
+Status ValidatePartitionerOptions(const PartitionerOptions& options);
 
 /// Counters for the capacity-overflow fallback shared by every streaming
 /// partitioner: when the placement heuristic finds no eligible partition the

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "common/timer.h"
@@ -32,21 +32,11 @@ Status ValidateRestreamOptions(const RestreamOptions& options) {
   if (options.num_passes == 0) {
     return Status::InvalidArgument("RestreamOptions.num_passes must be >= 1");
   }
-  if (std::isnan(options.max_migration_fraction) ||
-      options.max_migration_fraction < 0.0) {
-    return Status::InvalidArgument(
-        "RestreamOptions.max_migration_fraction must be a non-negative "
-        "number");
-  }
   return Status::OK();
 }
 
 RestreamOptions SanitizeRestreamOptions(RestreamOptions options) {
   if (options.num_passes < 1) options.num_passes = 1;
-  if (std::isnan(options.max_migration_fraction) ||
-      options.max_migration_fraction < 0.0) {
-    options.max_migration_fraction = 0.0;
-  }
   return options;
 }
 
@@ -64,13 +54,13 @@ uint64_t MigrationBudgetMoves(const PartitionAssignment& prior,
 
 Restreamer::Restreamer(const GraphStream& stream,
                        const RestreamOptions& options)
-    : stream_(&stream),
-      graph_(GraphFromStream(stream)),
+    : memory_(std::make_unique<StreamReplay>(stream)),
+      source_(memory_.get()),
       options_(SanitizeRestreamOptions(options)),
       materializations_(1) {}  // the construction-time GraphFromStream
 
 Restreamer::Restreamer(FileArrivalSource* file, const RestreamOptions& options)
-    : file_(file), options_(SanitizeRestreamOptions(options)) {
+    : source_(file), options_(SanitizeRestreamOptions(options)) {
   assert(file != nullptr);
   assert(file->info().has_full_neighborhoods &&
          "out-of-core restreaming needs a full-neighbourhood stream file");
@@ -78,87 +68,43 @@ Restreamer::Restreamer(FileArrivalSource* file, const RestreamOptions& options)
 
 namespace {
 
-// Pass-one view of a stream file: sequential back-edge arrivals, owning its
-// own cursor position so concurrent Restreamer drivers never fight over the
-// file's. Also the exactly-once edge sweep behind the out-of-core cut.
-class FileBackCursor : public ArrivalSource {
+// The one borrowing cursor over a ReplaySource, owning its own position so
+// drivers never fight over a file's cursor. With no permutation it yields
+// the arrivals in order with their back edges: pass one, and the sweep
+// behind the cut. With a permutation it yields `perm`'s vertices in that
+// order with their full neighbourhoods, located through the vertex ->
+// arrival index: passes >= 2.
+class ReplayCursor final : public ArrivalSource {
  public:
-  explicit FileBackCursor(const FileArrivalSource& file) : file_(&file) {}
+  explicit ReplayCursor(const ReplaySource& source)
+      : source_(&source), size_(source.NumVertices()) {}
+  ReplayCursor(const ReplaySource& source, const std::vector<VertexId>& perm,
+               const std::vector<uint32_t>& index_of_vertex)
+      : source_(&source),
+        perm_(&perm),
+        index_of_vertex_(&index_of_vertex),
+        size_(perm.size()) {}
 
   bool Next(ArrivalView* out) override {
-    if (pos_ >= file_->NumVertices()) return false;
-    const FileArrivalSource::Record record = file_->At(pos_++);
+    if (pos_ >= size_) return false;
+    const uint64_t index =
+        perm_ == nullptr ? pos_ : (*index_of_vertex_)[(*perm_)[pos_]];
+    ++pos_;
+    const ReplaySource::Record record = source_->At(index);
     out->vertex = record.vertex;
     out->label = record.label;
-    out->back_edges = record.back_edges;
+    out->back_edges = perm_ == nullptr ? record.back_edges : record.full_edges;
     return true;
   }
   void Reset() override { pos_ = 0; }
-  uint64_t NumVertices() const override { return file_->NumVertices(); }
-  uint64_t NumEdges() const override { return file_->NumEdges(); }
+  uint64_t NumVertices() const override { return size_; }
+  uint64_t NumEdges() const override { return source_->NumEdges(); }
 
  private:
-  const FileArrivalSource* file_;
-  uint64_t pos_ = 0;
-};
-
-// Pass >= 2 replay over the materialised adjacency: yields `perm`'s vertices
-// with their full neighbourhoods straight out of the graph — the borrowing
-// cursor that replaced the per-pass GraphStream copy.
-class GraphReplayCursor : public ArrivalSource {
- public:
-  GraphReplayCursor(const LabeledGraph& graph,
-                    const std::vector<VertexId>& perm, uint64_t num_edges)
-      : graph_(&graph), perm_(&perm), num_edges_(num_edges) {}
-
-  bool Next(ArrivalView* out) override {
-    if (pos_ >= perm_->size()) return false;
-    const VertexId v = (*perm_)[pos_++];
-    out->vertex = v;
-    out->label = graph_->LabelOf(v);
-    out->back_edges = Span<const VertexId>(graph_->Neighbors(v).data(),
-                                           graph_->Neighbors(v).size());
-    return true;
-  }
-  void Reset() override { pos_ = 0; }
-  uint64_t NumVertices() const override { return perm_->size(); }
-  uint64_t NumEdges() const override { return num_edges_; }
-
- private:
-  const LabeledGraph* graph_;
-  const std::vector<VertexId>* perm_;
-  uint64_t num_edges_;
-  uint64_t pos_ = 0;
-};
-
-// Pass >= 2 replay straight out of the mapping: `perm`'s vertices with their
-// full on-disk neighbourhoods, located through the vertex -> arrival-index
-// map. O(1) state; the file's madvise budget bounds residency.
-class FileReplayCursor : public ArrivalSource {
- public:
-  FileReplayCursor(const FileArrivalSource& file,
-                   const std::vector<VertexId>& perm,
-                   const std::vector<uint32_t>& index_of_vertex)
-      : file_(&file), perm_(&perm), index_of_vertex_(&index_of_vertex) {}
-
-  bool Next(ArrivalView* out) override {
-    if (pos_ >= perm_->size()) return false;
-    const VertexId v = (*perm_)[pos_++];
-    const FileArrivalSource::Record record =
-        file_->At((*index_of_vertex_)[v]);
-    out->vertex = record.vertex;
-    out->label = record.label;
-    out->back_edges = record.full_edges;
-    return true;
-  }
-  void Reset() override { pos_ = 0; }
-  uint64_t NumVertices() const override { return perm_->size(); }
-  uint64_t NumEdges() const override { return file_->NumEdges(); }
-
- private:
-  const FileArrivalSource* file_;
-  const std::vector<VertexId>* perm_;
-  const std::vector<uint32_t>* index_of_vertex_;
+  const ReplaySource* source_;
+  const std::vector<VertexId>* perm_ = nullptr;
+  const std::vector<uint32_t>* index_of_vertex_ = nullptr;
+  uint64_t size_;
   uint64_t pos_ = 0;
 };
 
@@ -200,18 +146,10 @@ void SortByKeyThenId(const std::vector<int64_t>& key,
 std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
                                             const PartitionAssignment& prior,
                                             Rng& rng) const {
+  const uint64_t n = source_->NumVertices();
   std::vector<VertexId> perm;
-  if (OutOfCore()) {
-    perm.reserve(file_->NumVertices());
-    for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
-      perm.push_back(file_->At(i).vertex);
-    }
-  } else {
-    perm.reserve(stream_->NumVertices());
-    for (const VertexArrival& a : stream_->arrivals()) {
-      perm.push_back(a.vertex);
-    }
-  }
+  perm.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) perm.push_back(source_->At(i).vertex);
 
   switch (order) {
     case RestreamOrder::kOriginal:
@@ -265,74 +203,52 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
     return static_cast<int64_t>(stay) - static_cast<int64_t>(best_other);
   };
 
-  std::vector<int64_t> key;
-  if (OutOfCore()) {
-    // One sequential sweep of the full-neighbourhood records; O(V) keys and
-    // O(k) scratch, never the adjacency.
-    key.assign(file_->IdBound(), 0);
-    std::vector<uint32_t> counts(k, 0);
-    for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
-      const FileArrivalSource::Record record = file_->At(i);
-      key[record.vertex] =
-          gain_key(scored_gain(record.vertex, record.full_edges, counts));
-    }
-  } else {
-    key.assign(graph_.NumVertices(), 0);
-    std::vector<uint32_t> counts(k, 0);
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      const std::vector<VertexId>& neighbors = graph_.Neighbors(v);
-      key[v] = gain_key(scored_gain(
-          v, Span<const VertexId>(neighbors.data(), neighbors.size()),
-          counts));
-    }
+  // One sequential sweep of the full neighbourhoods; O(V) keys and O(k)
+  // scratch, never the adjacency.
+  std::vector<int64_t> key(source_->IdBound(), 0);
+  std::vector<uint32_t> counts(k, 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    const ReplaySource::Record record = source_->At(i);
+    key[record.vertex] =
+        gain_key(scored_gain(record.vertex, record.full_edges, counts));
   }
   SortByKeyThenId(key, &perm);
   return perm;
 }
 
-const std::vector<uint32_t>& Restreamer::FileIndexOfVertex() const {
-  if (file_index_of_vertex_.empty() && file_->NumVertices() > 0) {
-    file_index_of_vertex_.assign(file_->IdBound(), ~uint32_t{0});
-    for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
-      file_index_of_vertex_[file_->At(i).vertex] = static_cast<uint32_t>(i);
+const std::vector<uint32_t>& Restreamer::IndexOfVertex() const {
+  if (index_of_vertex_.empty() && source_->NumVertices() > 0) {
+    index_of_vertex_.assign(source_->IdBound(), ~uint32_t{0});
+    for (uint64_t i = 0; i < source_->NumVertices(); ++i) {
+      index_of_vertex_[source_->At(i).vertex] = static_cast<uint32_t>(i);
     }
   }
-  return file_index_of_vertex_;
+  return index_of_vertex_;
+}
+
+void Restreamer::Replay(StreamingPartitioner* partitioner,
+                        const std::vector<VertexId>* perm) const {
+  ReplayCursor cursor = perm == nullptr
+                            ? ReplayCursor(*source_)
+                            : ReplayCursor(*source_, *perm, IndexOfVertex());
+  partitioner->Run(cursor);
 }
 
 double Restreamer::CutFraction(const PartitionAssignment& a) const {
-  if (!OutOfCore()) return EdgeCutFraction(graph_, a);
-  FileBackCursor cursor(*file_);
+  ReplayCursor cursor(*source_);
   return EdgeCutFraction(cursor, a);
 }
 
 GraphStream Restreamer::ReplayStream(RestreamOrder order,
                                      const PartitionAssignment& prior,
                                      Rng& rng) const {
-  const std::vector<VertexId> perm = PassOrder(order, prior, rng);
-  std::vector<VertexArrival> arrivals(perm.size());
-  ++materializations_;
   // Restream passes know the whole graph: each arrival carries the full
   // neighbourhood, and scores fall through to the prior for neighbours not
   // yet re-assigned this pass.
-  if (OutOfCore()) {
-    const std::vector<uint32_t>& index_of = FileIndexOfVertex();
-    for (size_t i = 0; i < perm.size(); ++i) {
-      const FileArrivalSource::Record record = file_->At(index_of[perm[i]]);
-      arrivals[i].vertex = record.vertex;
-      arrivals[i].label = record.label;
-      arrivals[i].back_edges.assign(record.full_edges.begin(),
-                                    record.full_edges.end());
-    }
-  } else {
-    for (size_t i = 0; i < perm.size(); ++i) {
-      const VertexId v = perm[i];
-      arrivals[i].vertex = v;
-      arrivals[i].label = graph_.LabelOf(v);
-      arrivals[i].back_edges = graph_.Neighbors(v);
-    }
-  }
-  return GraphStream(std::move(arrivals));
+  const std::vector<VertexId> perm = PassOrder(order, prior, rng);
+  ReplayCursor cursor(*source_, perm, IndexOfVertex());
+  ++materializations_;
+  return MaterializeStream(cursor);
 }
 
 RestreamPassStats Restreamer::RunIncrementalPass(
@@ -342,17 +258,11 @@ RestreamPassStats Restreamer::RunIncrementalPass(
   WallTimer timer;
   // The replay ordering is part of the reaction latency: an incremental pass
   // is judged end-to-end, ordering included. The replay itself goes through
-  // a borrowing cursor — no stream copy in either mode.
+  // the borrowing cursor — no stream copy.
   const std::vector<VertexId> perm = PassOrder(options_.order, prior, rng);
   partitioner->BeginPass(&prior);
   partitioner->SetMigrationBudget(max_moves);
-  if (OutOfCore()) {
-    FileReplayCursor cursor(*file_, perm, FileIndexOfVertex());
-    partitioner->Run(cursor);
-  } else {
-    GraphReplayCursor cursor(graph_, perm, graph_.NumEdges());
-    partitioner->Run(cursor);
-  }
+  Replay(partitioner, &perm);
   partitioner->ClearPrior();
 
   RestreamPassStats s;
@@ -411,28 +321,12 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
         perm = GroupPermByUnits(perm, memo);
         partitioner->SetClusterMemo(&memo);
       }
-      partitioner->SetMigrationBudget(
-          MigrationBudgetMoves(prior, options_.max_migration_fraction));
     }
 
     WallTimer timer;
     // Pass one streams the recorded arrivals (back edges only); later
-    // passes replay full neighbourhoods through borrowing cursors — no
-    // per-pass stream copy in either mode.
-    if (pass == 1) {
-      if (OutOfCore()) {
-        FileBackCursor cursor(*file_);
-        partitioner->Run(cursor);
-      } else {
-        partitioner->Run(*stream_);
-      }
-    } else if (OutOfCore()) {
-      FileReplayCursor cursor(*file_, perm, FileIndexOfVertex());
-      partitioner->Run(cursor);
-    } else {
-      GraphReplayCursor cursor(graph_, perm, graph_.NumEdges());
-      partitioner->Run(cursor);
-    }
+    // passes replay full neighbourhoods — no per-pass stream copy.
+    Replay(partitioner, pass == 1 ? nullptr : &perm);
 
     RestreamPassStats s;
     s.pass = pass;
@@ -453,7 +347,7 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
     s.best_edge_cut_fraction = best_cut;
     result.passes.push_back(s);
 
-    prior = options_.keep_best ? best : partitioner->assignment();
+    prior = best;
   }
   // `prior`, `prev_log` and `memo` die with this call; the partitioner must
   // not keep pointing at any of them, and logging is switched back off so
@@ -462,13 +356,8 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
   if (want_memo) partitioner->SetClusterLogging(false);
   partitioner->ClearPrior();
 
-  if (options_.keep_best) {
-    result.assignment = best;
-    result.edge_cut_fraction = best_cut;
-  } else {
-    result.assignment = partitioner->assignment();
-    result.edge_cut_fraction = result.passes.back().edge_cut_fraction;
-  }
+  result.assignment = best;
+  result.edge_cut_fraction = best_cut;
   return result;
 }
 

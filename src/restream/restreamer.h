@@ -18,6 +18,7 @@
 /// against the prior — the workload-aware mode the paper leaves open.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,25 +57,14 @@ enum class RestreamOrder {
 std::string RestreamOrderName(RestreamOrder order);
 
 struct RestreamOptions {
-  /// Total passes including the initial stream (>= 1).
+  /// Total passes including the initial stream (>= 1). Every run is
+  /// anytime: the best-cut assignment so far is the prior of the next pass
+  /// and the final result, so the reported partitioning never regresses
+  /// below the best pass.
   uint32_t num_passes = 3;
   RestreamOrder order = RestreamOrder::kGain;
   /// Seed for the kRandom inter-pass permutations.
   uint64_t seed = 42;
-  /// Anytime guarantee: use the best-cut assignment seen so far as the prior
-  /// for later passes and as the final result, so the reported partitioning
-  /// never regresses below the best pass. Off = plain last-pass semantics.
-  bool keep_best = true;
-  /// Bounded-migration budget for every pass that has a prior: at most
-  /// floor(max_migration_fraction * prior.NumAssigned()) placements may land
-  /// on a different partition than the prior assigned; once spent, further
-  /// moves are clamped back to the vertex's prior partition and the pass
-  /// early-stops its scoring (see StreamingPartitioner::SetMigrationBudget).
-  /// >= 1.0 (the default) disables the budget — full-restream semantics.
-  /// This is what makes a restream pass a cheap *incremental* re-partition:
-  /// the drift controller runs one budgeted pass with the live assignment as
-  /// prior instead of a cold multi-pass restream.
-  double max_migration_fraction = 1.0;
   /// Cluster-memoized replay (stream/cluster_log.h): when the partitioner
   /// supports cluster logging (LOOM does), record the unit decomposition of
   /// every pass and feed it to the next as pre-grouped arrivals, so
@@ -95,16 +85,11 @@ struct RestreamOptions {
 /// callers hear about mistakes; internal constructors sanitize so garbage
 /// can never reach the arithmetic.
 ///
-/// Rejects: `num_passes == 0`, and a NaN or negative
-/// `max_migration_fraction` (values > 1 are valid — they mean unbudgeted).
+/// Rejects `num_passes == 0`.
 Status ValidateRestreamOptions(const RestreamOptions& options);
 
-/// Sanitized copy of `options`: `num_passes` clamped to >= 1, and a NaN or
-/// negative `max_migration_fraction` rejected by clamping it to 0.0 — the
-/// conservative end (a garbage budget freezes migration; it must never
-/// silently become an *unbudgeted* pass, nor feed NaN into the move
-/// arithmetic). The Restreamer constructor applies this to everything it is
-/// given.
+/// Sanitized copy of `options`: `num_passes` clamped to >= 1. The
+/// Restreamer constructor applies this to everything it is given.
 RestreamOptions SanitizeRestreamOptions(RestreamOptions options);
 
 /// Move allowance implied by a migration-fraction budget over `prior`:
@@ -147,7 +132,7 @@ struct RestreamPassStats {
 /// Outcome of a full restream run.
 struct RestreamResult {
   std::vector<RestreamPassStats> passes;
-  /// Final assignment: the best-cut pass under keep_best, else the last.
+  /// Final assignment: the best-cut pass (the later one on a tie).
   PartitionAssignment assignment{1, 0};
   /// Edge-cut fraction of `assignment`.
   double edge_cut_fraction = 0.0;
@@ -155,28 +140,28 @@ struct RestreamResult {
 
 /// Replays a recorded stream for N passes over one partitioner.
 ///
-/// Two backing modes share every driver:
+/// Every pass reads one ReplaySource (stream/arrival_source.h) through one
+/// borrowing cursor, whichever backing holds the stream:
 ///
-///  * **Materialised** — constructed from an in-memory GraphStream (which
-///    must outlive the Restreamer). The adjacency needed for full
-///    neighbourhoods and prioritized orderings is rebuilt from it exactly
-///    once at construction (GraphFromStream); serial passes replay through
-///    a borrowing cursor over that adjacency, so no per-pass stream copy is
-///    ever made (`materializations()` counts the O(E) builds — a 3-pass
-///    run performs exactly one).
-///  * **Out-of-core** — constructed from an mmap-ed FileArrivalSource
-///    written with full neighbourhoods. Pass one streams the file's back
-///    edges; later passes replay full-neighbourhood records in prioritized
-///    order through the mapping. Passes keep O(V) memory (ordering keys,
-///    permutation, vertex index — never the edges); only ReplayStream
-///    materialises. `graph()` is empty in this mode.
+///  * an in-memory GraphStream (which must outlive the Restreamer), wrapped
+///    in a StreamReplay whose full neighbourhoods come from one
+///    GraphFromStream rebuild at construction;
+///  * an mmap-ed FileArrivalSource written with full neighbourhoods, read
+///    straight out of the mapping. Passes keep O(V) memory (ordering keys,
+///    permutation, vertex index — never the edges).
+///
+/// Pass one streams the arrivals in order with their back edges; later
+/// passes replay full neighbourhoods in the prioritized order, located
+/// through a vertex -> arrival index built on the first replay. Only
+/// ReplayStream materialises a stream (`materializations()`).
 class Restreamer {
  public:
+  /// Replays `stream`, which is borrowed (must outlive the Restreamer); its
+  /// adjacency is rebuilt once, here.
   Restreamer(const GraphStream& stream, const RestreamOptions& options);
 
-  /// Out-of-core mode over `file`, which is borrowed (must outlive the
-  /// Restreamer, which owns its cursor positions: the file's own cursor is
-  /// not used). The file must carry full neighbourhoods
+  /// Replays `file`, which is borrowed (must outlive the Restreamer; its
+  /// own cursor is not used). The file must carry full neighbourhoods
   /// (`info().has_full_neighborhoods`) — replay passes need them.
   Restreamer(FileArrivalSource* file, const RestreamOptions& options);
 
@@ -206,20 +191,19 @@ class Restreamer {
   /// prioritized order, each carrying its full neighbourhood, materialised
   /// into an owned GraphStream (counted by `materializations()`). Exposed
   /// for tests and for drivers that schedule passes themselves — the passes
-  /// run here replay through borrowing cursors instead.
+  /// run here replay through a borrowing cursor instead.
   GraphStream ReplayStream(RestreamOrder order,
                            const PartitionAssignment& prior, Rng& rng) const;
 
-  /// The adjacency rebuilt from the recorded stream; empty in out-of-core
-  /// mode (the whole point is never to build it).
-  const LabeledGraph& graph() const { return graph_; }
+  /// Edge-cut fraction of `a` over the recorded stream: one sweep of every
+  /// arrival's back edges, so each edge counts once.
+  double CutFraction(const PartitionAssignment& a) const;
 
   /// How many times this Restreamer has built O(E) neighbourhood state: the
-  /// construction-time GraphFromStream (materialised mode) plus one per
-  /// ReplayStream call. Multi-pass runs replay through borrowing cursors,
-  /// so a 3-pass Run() reports exactly 1 in materialised mode and
-  /// 0 out-of-core — the regression guard for the per-pass re-copying this
-  /// class used to do.
+  /// construction-time GraphFromStream (in-memory backing) plus one per
+  /// ReplayStream call. Passes replay through a borrowing cursor, so a
+  /// 3-pass Run() reports exactly 1 for a GraphStream and 0 for a file —
+  /// the guard against a per-pass copy of the stream.
   uint64_t materializations() const { return materializations_; }
 
  private:
@@ -228,25 +212,24 @@ class Restreamer {
                                   const PartitionAssignment& prior,
                                   Rng& rng) const;
 
-  /// True when backed by a FileArrivalSource instead of a GraphStream.
-  bool OutOfCore() const { return file_ != nullptr; }
+  /// Arrival index of each vertex id, the last arrival of an id winning;
+  /// built lazily on the first replay pass (O(id bound) once, then reused
+  /// by every pass).
+  const std::vector<uint32_t>& IndexOfVertex() const;
 
-  /// Arrival index of each vertex id, built lazily on the first replay pass
-  /// (out-of-core mode only; O(id_bound) once, then reused by every pass).
-  const std::vector<uint32_t>& FileIndexOfVertex() const;
+  /// Runs `partitioner` over the source: arrival order with back edges when
+  /// `perm` is null, else `perm`'s vertices with full neighbourhoods.
+  void Replay(StreamingPartitioner* partitioner,
+              const std::vector<VertexId>* perm) const;
 
-  /// Edge-cut fraction of `a` in whichever mode is active.
-  double CutFraction(const PartitionAssignment& a) const;
-
-  /// Exactly one of stream_/file_ is set (materialised vs out-of-core).
-  const GraphStream* stream_ = nullptr;
-  FileArrivalSource* file_ = nullptr;
-  LabeledGraph graph_;
+  /// Owns the in-memory backing; null when replaying a file.
+  std::unique_ptr<StreamReplay> memory_;
+  const ReplaySource* source_;
   RestreamOptions options_;
   /// O(E) neighbourhood-state builds so far (see materializations()).
   mutable uint64_t materializations_ = 0;
-  /// Lazy cache behind FileIndexOfVertex().
-  mutable std::vector<uint32_t> file_index_of_vertex_;
+  /// Lazy cache behind IndexOfVertex().
+  mutable std::vector<uint32_t> index_of_vertex_;
 };
 
 }  // namespace loom

@@ -10,15 +10,7 @@
 namespace loom {
 
 Status ValidateServiceOptions(const ServiceOptions& options) {
-  if (options.loom.partitioner.k == 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions.loom.partitioner.k must be >= 1");
-  }
-  if (!IsValidSlack(options.loom.partitioner.capacity_slack)) {
-    return Status::InvalidArgument(
-        "ServiceOptions.loom.partitioner.capacity_slack must be finite and "
-        ">= 1.0");
-  }
+  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.loom.partitioner));
   if (!IsKnownPartitioner(options.partitioner)) {
     return Status::InvalidArgument("ServiceOptions.partitioner '" +
                                    options.partitioner +

@@ -68,8 +68,9 @@ struct ServiceOptions {
   std::function<void(uint64_t)> on_batch_processed;
 };
 
-/// Rejects the first invalid field: k == 0, a capacity slack that is not
-/// finite or is below 1.0, an unknown `partitioner` name,
+/// Rejects the first invalid field: `loom.partitioner` options that fail
+/// `ValidatePartitionerOptions` (k == 0, a capacity slack that is not
+/// finite or is below 1.0), an unknown `partitioner` name,
 /// `drift_check_every_queries == 0`, `publish_every_batches == 0`, a zero
 /// tracker window, or anything `ValidateDriftControllerOptions` rejects.
 Status ValidateServiceOptions(const ServiceOptions& options);

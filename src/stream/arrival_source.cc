@@ -13,6 +13,19 @@ bool StreamCursor::Next(ArrivalView* out) {
   return true;
 }
 
+StreamReplay::StreamReplay(const GraphStream& stream)
+    : stream_(&stream), graph_(GraphFromStream(stream)) {}
+
+ReplaySource::Record StreamReplay::At(uint64_t index) const {
+  const VertexArrival& a = stream_->arrivals()[index];
+  Record out;
+  out.vertex = a.vertex;
+  out.label = a.label;
+  out.back_edges = a.back_edges;
+  out.full_edges = graph_.Neighbors(a.vertex);
+  return out;
+}
+
 GraphStream MaterializeStream(ArrivalSource& source) {
   GraphStream stream;
   ArrivalView view;

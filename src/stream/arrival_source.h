@@ -73,6 +73,53 @@ class StreamCursor : public ArrivalSource {
   size_t pos_ = 0;
 };
 
+/// Random-access view of a recorded stream: the one surface restream replay
+/// reads, whether the arrivals live in memory (StreamReplay) or in an mmap-ed
+/// stream file (FileArrivalSource, graph/io.h). Arrival `i` carries both
+/// neighbourhood views: its back edges (the pass-one arrival, and the edges a
+/// cut sweep counts exactly once) and its full neighbourhood (back edges,
+/// then forward neighbours in their arrival order), which later passes
+/// replay and prioritized orderings score. At() moves no cursor.
+class ReplaySource {
+ public:
+  /// One arrival with both views. Spans alias the source's storage and stay
+  /// valid while the source lives.
+  struct Record {
+    VertexId vertex = kInvalidVertex;
+    Label label = 0;
+    Span<const VertexId> back_edges;
+    Span<const VertexId> full_edges;
+  };
+
+  virtual ~ReplaySource() = default;
+
+  /// Arrival count.
+  virtual uint64_t NumVertices() const = 0;
+  /// Distinct undirected edges (== back-edge entries of a valid stream).
+  virtual uint64_t NumEdges() const = 0;
+  /// Max vertex id + 1; sizes id-indexed arrays (ids may be sparse).
+  virtual uint64_t IdBound() const = 0;
+  /// Arrival record at `index` (< NumVertices()).
+  virtual Record At(uint64_t index) const = 0;
+};
+
+/// ReplaySource over a borrowed in-memory GraphStream (must outlive it).
+/// Back edges are the stream's own; full neighbourhoods come from the one
+/// O(V + E) GraphFromStream rebuild made at construction.
+class StreamReplay final : public ReplaySource {
+ public:
+  explicit StreamReplay(const GraphStream& stream);
+
+  uint64_t NumVertices() const override { return stream_->NumVertices(); }
+  uint64_t NumEdges() const override { return graph_.NumEdges(); }
+  uint64_t IdBound() const override { return graph_.NumVertices(); }
+  Record At(uint64_t index) const override;
+
+ private:
+  const GraphStream* stream_;
+  LabeledGraph graph_;
+};
+
 /// Drains `source` (from its current position) into an owning GraphStream —
 /// the bridge back to consumers that genuinely need random access. This is
 /// the O(E)-memory operation the cursor refactor exists to avoid; call sites

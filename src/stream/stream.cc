@@ -169,11 +169,17 @@ GraphStream MakeStreamFromOrder(const LabeledGraph& g,
   arrivals.reserve(order.size());
   for (uint32_t i = 0; i < order.size(); ++i) {
     const VertexId v = order[i];
+    const std::vector<VertexId>& neighbors = g.Neighbors(v);
+    const auto earlier = [&position, i](VertexId w) { return position[w] < i; };
     VertexArrival a;
     a.vertex = v;
     a.label = g.LabelOf(v);
-    for (const VertexId w : g.Neighbors(v)) {
-      if (position[w] < i) a.back_edges.push_back(w);
+    // Sized exactly: growing by push_back reallocates about log2(d) times
+    // and can leave up to d - 1 unused slots per arrival.
+    a.back_edges.reserve(static_cast<size_t>(
+        std::count_if(neighbors.begin(), neighbors.end(), earlier)));
+    for (const VertexId w : neighbors) {
+      if (earlier(w)) a.back_edges.push_back(w);
     }
     arrivals.push_back(std::move(a));
   }

@@ -1,21 +1,24 @@
 // Cursor-layer tests for the out-of-core refactor: StreamCursor replay,
-// generator-source determinism across Reset, and the headline equivalence
-// guarantee — every partitioner produces bit-identical assignments whether
-// it consumes an in-memory GraphStream or an mmap-backed stream file. Also
-// pins the Restreamer's materialization budget: a 3-pass materialized run
-// builds the graph exactly once, an out-of-core run never does.
+// generator-source determinism across Reset, the records of both
+// ReplaySource backings, and the headline equivalence guarantee — every
+// partitioner produces bit-identical assignments whether it consumes an
+// in-memory GraphStream or an mmap-backed stream file. Also pins the
+// Restreamer's materialization budget: a 3-pass materialized run builds the
+// graph exactly once, an out-of-core run never does.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/loom.h"
 #include "core/partitioner_factory.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "metrics/metrics.h"
 #include "restream/restreamer.h"
 #include "stream/arrival_source.h"
 #include "stream/stream.h"
@@ -94,6 +97,102 @@ TEST(ArrivalSourceTest, GeneratorSourcesAreDeterministic) {
   check(ba, ba_twin);
 }
 
+std::vector<VertexId> ToVector(Span<const VertexId> s) {
+  return std::vector<VertexId>(s.begin(), s.end());
+}
+
+// Five arrivals over the sparse ids {0, 2, 5, 7, 9}, carrying five edges.
+GraphStream SparseStream() {
+  GraphStream stream;
+  stream.Append({5, 0, {}});
+  stream.Append({2, 1, {5}});
+  stream.Append({9, 0, {2, 5}});
+  stream.Append({0, 1, {9}});
+  stream.Append({7, 2, {2}});
+  return stream;
+}
+
+TEST(ArrivalSourceTest, ReplayRecordsAreBackEdgesThenForwardNeighbours) {
+  // Both ReplaySource backings give each arrival its own label, its back
+  // edges as recorded, and its full neighbourhood as those back edges
+  // followed by the later arrivals that name it, in arrival order.
+  const GraphStream stream = SparseStream();
+  const std::vector<std::vector<VertexId>> full = {
+      {2, 9}, {5, 9, 7}, {2, 5, 0}, {9}, {2}};
+
+  const std::string path = TempPath("loom_replay_records.loomstrm");
+  ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+  auto file = FileArrivalSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const StreamReplay memory(stream);
+
+  for (const ReplaySource* source :
+       {static_cast<const ReplaySource*>(&memory),
+        static_cast<const ReplaySource*>(file->get())}) {
+    EXPECT_EQ(source->NumVertices(), 5u);
+    EXPECT_EQ(source->NumEdges(), 5u);
+    EXPECT_EQ(source->IdBound(), 10u);
+    for (uint64_t i = 0; i < stream.NumVertices(); ++i) {
+      SCOPED_TRACE(i);
+      const VertexArrival& a = stream.arrivals()[i];
+      const ReplaySource::Record r = source->At(i);
+      EXPECT_EQ(r.vertex, a.vertex);
+      EXPECT_EQ(r.label, a.label);
+      EXPECT_EQ(ToVector(r.back_edges), a.back_edges);
+      EXPECT_EQ(ToVector(r.full_edges), full[i]);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ArrivalSourceTest, RestreamCutCountsEachEdgeOnceOnBothBackings) {
+  // The Restreamer's cut sweeps every arrival's back edges, so each edge
+  // counts once whichever backing holds the stream: here two of the five
+  // edges (9-0 and 2-7) cross the partition.
+  const GraphStream stream = SparseStream();
+  const std::string path = TempPath("loom_replay_cut.loomstrm");
+  ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+  auto file = FileArrivalSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+
+  PartitionAssignment a(2, 5);
+  for (const VertexId v : {5, 2, 9}) ASSERT_TRUE(a.Assign(v, 0).ok());
+  for (const VertexId v : {0, 7}) ASSERT_TRUE(a.Assign(v, 1).ok());
+  EXPECT_EQ(Restreamer(stream, RestreamOptions{}).CutFraction(a), 0.4);
+  EXPECT_EQ(Restreamer(file->get(), RestreamOptions{}).CutFraction(a), 0.4);
+  EXPECT_EQ(EdgeCutFraction(GraphFromStream(stream), a), 0.4);
+  std::remove(path.c_str());
+}
+
+TEST(ArrivalSourceTest, StreamReplayMatchesTheFileRecordForRecord) {
+  // The in-memory and the file-backed ReplaySource of one generated stream
+  // agree on every count and on every arrival record, so a replay cannot
+  // tell which backing it reads.
+  const GraphStream stream = MakeTestStream(800, 10);
+  const std::string path = TempPath("loom_replay_source.loomstrm");
+  ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+  auto file = FileArrivalSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const StreamReplay memory(stream);
+  const ReplaySource& from_file = **file;
+
+  ASSERT_EQ(memory.NumVertices(), from_file.NumVertices());
+  EXPECT_EQ(memory.NumEdges(), from_file.NumEdges());
+  EXPECT_EQ(memory.NumEdges(), stream.NumEdges());
+  EXPECT_EQ(memory.IdBound(), from_file.IdBound());
+  for (uint64_t i = 0; i < memory.NumVertices(); ++i) {
+    const ReplaySource::Record a = memory.At(i);
+    const ReplaySource::Record b = from_file.At(i);
+    ASSERT_EQ(a.vertex, b.vertex) << "arrival " << i;
+    ASSERT_EQ(a.label, b.label) << "arrival " << i;
+    ASSERT_EQ(ToVector(a.back_edges), ToVector(b.back_edges))
+        << "arrival " << i;
+    ASSERT_EQ(ToVector(a.full_edges), ToVector(b.full_edges))
+        << "arrival " << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ArrivalSourceTest, FileBackedEqualsInMemoryForEveryPartitioner) {
   // The acceptance bar for the stream-file format: swapping the materialized
   // GraphStream for the mmap-backed cursor must not move a single vertex,
@@ -136,53 +235,103 @@ TEST(ArrivalSourceTest, FileBackedEqualsInMemoryForEveryPartitioner) {
   std::remove(path.c_str());
 }
 
+// First vertex below `n` that `a` and `b` place differently, or
+// kInvalidVertex when they agree on all of them.
+VertexId FirstDifference(const PartitionAssignment& a,
+                         const PartitionAssignment& b, uint64_t n) {
+  for (VertexId v = 0; v < n; ++v) {
+    if (a.PartOf(v) != b.PartOf(v)) return v;
+  }
+  return kInvalidVertex;
+}
+
 TEST(ArrivalSourceTest, OutOfCoreRestreamMatchesMaterialized) {
-  // Same passes, same orderings, same placements — the file-backed
-  // Restreamer is a memory optimisation, not a different algorithm. Also
-  // pins the materialization budget on both sides: the materialized driver
-  // builds its graph exactly once for a full serial 3-pass run, the
-  // out-of-core driver never builds it at all.
+  // Same passes, same orderings, same placements on every replay path —
+  // Run, a budgeted incremental pass, ReplayStream and the cut — for every
+  // partitioner (LOOM with its cluster memo) and every order: the
+  // file-backed Restreamer is a memory optimisation, not a different
+  // algorithm. Also pins the materialization budget on both sides: the
+  // in-memory driver builds its graph exactly once for a full 3-pass run,
+  // the file-backed driver never builds it at all.
   const GraphStream stream = MakeTestStream(1200, 9);
+  const LabeledGraph graph = GraphFromStream(stream);
+  const uint64_t n = stream.NumVertices();
   const std::string path = TempPath("loom_equiv_restream.loomstrm");
   ASSERT_TRUE(WriteStreamFile(stream, path).ok());
   auto file = FileArrivalSource::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
 
-  PartitionerOptions popts;
-  popts.k = 8;
-  popts.num_vertices_hint = stream.NumVertices();
-  popts.num_edges_hint = stream.NumEdges();
+  WorkloadGenOptions wopts;
+  wopts.num_queries = 4;
+  auto trie = BuildTrie(MixedMotifWorkload(wopts));
+  ASSERT_TRUE(trie.ok());
+  LoomOptions lopts;
+  lopts.partitioner.k = 8;
+  lopts.partitioner.num_vertices_hint = n;
+  lopts.partitioner.num_edges_hint = stream.NumEdges();
+  lopts.partitioner.window_size = 128;
+  lopts.matcher.frequency_threshold = 0.2;
+  const auto make = [&](const std::string& name) {
+    auto made = MakePartitioner(name, lopts, trie->get());
+    EXPECT_TRUE(made.ok()) << name;
+    return std::move(made).value();
+  };
 
-  for (const RestreamOrder order :
-       {RestreamOrder::kOriginal, RestreamOrder::kGain,
-        RestreamOrder::kAmbivalence}) {
-    RestreamOptions ropts;
-    ropts.num_passes = 3;
-    ropts.order = order;
+  for (const std::string& name : KnownPartitioners()) {
+    auto first = make(name);
+    first->Run(stream);
+    const PartitionAssignment prior = first->assignment();
+    const uint64_t budget = MigrationBudgetMoves(prior, 0.10);
 
-    const Restreamer materialized(stream, ropts);
-    auto p1 = MakePartitioner("ldg", popts);
-    ASSERT_TRUE(p1.ok());
-    const RestreamResult want = materialized.Run(p1->get());
-    EXPECT_EQ(materialized.materializations(), 1u);
+    for (const RestreamOrder order :
+         {RestreamOrder::kOriginal, RestreamOrder::kRandom,
+          RestreamOrder::kGain, RestreamOrder::kAmbivalence,
+          RestreamOrder::kDecisive}) {
+      SCOPED_TRACE(name + " " + RestreamOrderName(order));
+      RestreamOptions ropts;
+      ropts.num_passes = 3;
+      ropts.order = order;
+      const Restreamer in_memory(stream, ropts);
+      const Restreamer from_file(file->get(), ropts);
+      EXPECT_EQ(in_memory.CutFraction(prior), EdgeCutFraction(graph, prior));
+      EXPECT_EQ(from_file.CutFraction(prior), EdgeCutFraction(graph, prior));
 
-    const Restreamer out_of_core(file->get(), ropts);
-    auto p2 = MakePartitioner("ldg", popts);
-    ASSERT_TRUE(p2.ok());
-    const RestreamResult got = out_of_core.Run(p2->get());
-    EXPECT_EQ(out_of_core.materializations(), 0u);
+      auto p1 = make(name);
+      auto p2 = make(name);
+      const RestreamResult want = in_memory.Run(p1.get());
+      const RestreamResult got = from_file.Run(p2.get());
+      EXPECT_EQ(in_memory.materializations(), 1u);
+      EXPECT_EQ(from_file.materializations(), 0u);
+      ASSERT_EQ(want.passes.size(), got.passes.size());
+      for (size_t i = 0; i < want.passes.size(); ++i) {
+        EXPECT_EQ(want.passes[i].edge_cut_fraction,
+                  got.passes[i].edge_cut_fraction);
+        EXPECT_EQ(want.passes[i].migration_fraction,
+                  got.passes[i].migration_fraction);
+      }
+      EXPECT_EQ(want.edge_cut_fraction, got.edge_cut_fraction);
+      EXPECT_EQ(want.edge_cut_fraction,
+                EdgeCutFraction(graph, want.assignment));
+      EXPECT_EQ(FirstDifference(want.assignment, got.assignment, n),
+                kInvalidVertex);
 
-    ASSERT_EQ(want.passes.size(), got.passes.size());
-    for (size_t i = 0; i < want.passes.size(); ++i) {
-      EXPECT_DOUBLE_EQ(want.passes[i].edge_cut_fraction,
-                       got.passes[i].edge_cut_fraction);
-      EXPECT_DOUBLE_EQ(want.passes[i].migration_fraction,
-                       got.passes[i].migration_fraction);
-    }
-    EXPECT_DOUBLE_EQ(want.edge_cut_fraction, got.edge_cut_fraction);
-    for (VertexId v = 0; v < stream.NumVertices(); ++v) {
-      ASSERT_EQ(want.assignment.PartOf(v), got.assignment.PartOf(v))
-          << "order " << static_cast<int>(order) << " vertex " << v;
+      auto q1 = make(name);
+      auto q2 = make(name);
+      const RestreamPassStats a =
+          in_memory.RunIncrementalPass(q1.get(), prior, budget);
+      const RestreamPassStats b =
+          from_file.RunIncrementalPass(q2.get(), prior, budget);
+      EXPECT_EQ(a.edge_cut_fraction, b.edge_cut_fraction);
+      EXPECT_EQ(a.migration_fraction, b.migration_fraction);
+      EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves);
+      EXPECT_EQ(a.edge_cut_fraction, EdgeCutFraction(graph, q1->assignment()));
+      EXPECT_EQ(FirstDifference(q1->assignment(), q2->assignment(), n),
+                kInvalidVertex);
+
+      Rng rng1(5);
+      Rng rng2(5);
+      ExpectSameStream(in_memory.ReplayStream(order, prior, rng1),
+                       from_file.ReplayStream(order, prior, rng2));
     }
   }
   std::remove(path.c_str());

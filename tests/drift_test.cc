@@ -214,7 +214,6 @@ TEST(MigrationBudgetTest, BudgetedPassNeverExceedsTheBudget) {
 
     RestreamOptions ropts;
     ropts.order = RestreamOrder::kDecisive;
-    ropts.max_migration_fraction = fraction;
     const Restreamer restreamer(stream, ropts);
     const RestreamPassStats stats = restreamer.RunIncrementalPass(
         ldg.get(), prior, MigrationBudgetMoves(prior, fraction));
@@ -261,7 +260,6 @@ TEST(MigrationBudgetTest, LoomBudgetedPassRespectsBudgetAndAssignsAll) {
   const double fraction = 0.10;
   RestreamOptions ropts;
   ropts.order = RestreamOrder::kDecisive;
-  ropts.max_migration_fraction = fraction;
   const Restreamer restreamer(stream, ropts);
   const RestreamPassStats stats = restreamer.RunIncrementalPass(
       &loom->Partitioner(), prior, MigrationBudgetMoves(prior, fraction));
@@ -282,24 +280,39 @@ TEST(MigrationBudgetTest, UnlimitedBudgetPreservesPlainRestreamSemantics) {
   popts.num_vertices_hint = g.NumVertices();
   popts.num_edges_hint = g.NumEdges();
 
-  // A 3-pass run with max_migration_fraction = 1.0 must match the default
-  // options bit for bit (the budget machinery must be inert when disabled).
-  RestreamOptions plain;
-  plain.num_passes = 3;
-  RestreamOptions unlimited = plain;
-  unlimited.max_migration_fraction = 1.0;
+  auto first = MakeLdg(popts);
+  first->Run(stream);
+  const PartitionAssignment prior = first->assignment();
+  // A budget fraction of 1.0 is the unlimited cap.
+  EXPECT_EQ(MigrationBudgetMoves(prior, 1.0), Restreamer::kUnlimitedMoves);
 
-  auto a = MakeLdg(popts);
-  auto b = MakeLdg(popts);
-  const RestreamResult ra = Restreamer(stream, plain).Run(a.get());
-  const RestreamResult rb = Restreamer(stream, unlimited).Run(b.get());
-  ASSERT_EQ(ra.passes.size(), rb.passes.size());
-  EXPECT_EQ(ra.edge_cut_fraction, rb.edge_cut_fraction);
-  for (size_t i = 0; i < ra.passes.size(); ++i) {
-    EXPECT_EQ(ra.passes[i].edge_cut_fraction, rb.passes[i].edge_cut_fraction);
-    EXPECT_EQ(ra.passes[i].migration_fraction,
-              rb.passes[i].migration_fraction);
-    EXPECT_EQ(rb.passes[i].budget_denied_moves, 0u);
+  // An incremental pass with the cap off must match the second pass of a
+  // plain 2-pass run bit for bit (the budget machinery must be inert when
+  // disabled): pass one of that run places exactly as `first` did.
+  for (const RestreamOrder order :
+       {RestreamOrder::kGain, RestreamOrder::kRandom,
+        RestreamOrder::kDecisive}) {
+    SCOPED_TRACE(RestreamOrderName(order));
+    RestreamOptions ropts;
+    ropts.num_passes = 2;
+    ropts.order = order;
+    const Restreamer restreamer(stream, ropts);
+    auto plain = MakeLdg(popts);
+    auto unlimited = MakeLdg(popts);
+    const RestreamResult r = restreamer.Run(plain.get());
+    const RestreamPassStats s = restreamer.RunIncrementalPass(
+        unlimited.get(), prior, Restreamer::kUnlimitedMoves);
+    ASSERT_EQ(r.passes.size(), 2u);
+    EXPECT_GT(r.passes[1].migration_fraction, 0.0);  // the pass moves some
+    EXPECT_EQ(s.edge_cut_fraction, r.passes[1].edge_cut_fraction);
+    EXPECT_EQ(s.migration_fraction, r.passes[1].migration_fraction);
+    EXPECT_EQ(s.budget_denied_moves, 0u);
+    EXPECT_EQ(r.passes[1].budget_denied_moves, 0u);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(plain->assignment().PartOf(v),
+                unlimited->assignment().PartOf(v))
+          << "vertex " << v;
+    }
   }
 }
 

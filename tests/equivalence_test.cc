@@ -28,7 +28,6 @@
 #include "common/hash.h"
 #include "core/loom.h"
 #include "graph/generators.h"
-#include "partition/buffered_ldg_partitioner.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -100,22 +99,17 @@ struct GoldenRow {
 
 // Captured from the pre-overhaul (node-container) implementation; see file
 // comment. Regenerate with LOOM_EQUIV_DUMP=1.
-// Note: ldg == fennel == ldg-buffered on the Erdős–Rényi instance is
-// genuine, not a degenerate hash (verified by element-wise comparison):
-// Fennel's size penalty never overrides an edge-count difference at this
-// scale, and a FIFO-evicted buffered window sees exactly the back-edge
-// scoring information the one-shot heuristic saw (forward neighbours are
-// still buffered, hence unassigned, at eviction time).
+// Note: ldg == fennel on the Erdős–Rényi instance is genuine, not a
+// degenerate hash (verified by element-wise comparison): Fennel's size
+// penalty never overrides an edge-count difference at this scale.
 constexpr GoldenRow kGolden[] = {
     {"erdos_renyi", "hash", 0x884dafd34fe08cfcull},
     {"erdos_renyi", "ldg", 0xe556ce168089010cull},
     {"erdos_renyi", "fennel", 0xe556ce168089010cull},
-    {"erdos_renyi", "ldg-buffered", 0xe556ce168089010cull},
     {"erdos_renyi", "loom", 0xcf8a04c502f605b1ull},
     {"barabasi_albert", "hash", 0x884dafd34fe08cfcull},
     {"barabasi_albert", "ldg", 0x2e8017d766d03600ull},
     {"barabasi_albert", "fennel", 0x36203e5aea151c46ull},
-    {"barabasi_albert", "ldg-buffered", 0x2e8017d766d03600ull},
     {"barabasi_albert", "loom", 0xc32d8ec6d6055e45ull},
 };
 
@@ -142,11 +136,6 @@ uint64_t RunOne(const Family& f, const Workload& workload,
     p.Run(f.stream);
     return AssignmentHash(p.assignment(), f.graph.NumVertices());
   }
-  if (partitioner == "ldg-buffered") {
-    BufferedLdgPartitioner p(popts);
-    p.Run(f.stream);
-    return AssignmentHash(p.assignment(), f.graph.NumVertices());
-  }
   LoomOptions lopts;
   lopts.partitioner = popts;
   lopts.matcher.frequency_threshold = 0.15;
@@ -163,8 +152,7 @@ TEST(PipelineEquivalence, AssignmentsMatchPreOverhaulGoldens) {
   const std::vector<Family> families = MakeFamilies(workload);
 
   for (const Family& f : families) {
-    for (const char* name :
-         {"hash", "ldg", "fennel", "ldg-buffered", "loom"}) {
+    for (const char* name : {"hash", "ldg", "fennel", "loom"}) {
       const uint64_t h = RunOne(f, workload, name);
       if (dump) {
         std::cout << "    {\"" << f.name << "\", \"" << name << "\", 0x"

@@ -385,13 +385,7 @@ TEST(StreamFileTest, BackEdgeOnlyFiles) {
   options.full_neighborhoods = false;
   ASSERT_TRUE(WriteStreamFile(stream, path, options).ok());
 
-  // Full-neighbourhood view is refused; the back-edge view works and At()
-  // aliases both spans to the same slice.
-  StreamOpenOptions full_view;
-  full_view.view = StreamView::kFullNeighborhoods;
-  EXPECT_EQ(FileArrivalSource::Open(path, full_view).status().code(),
-            StatusCode::kFailedPrecondition);
-
+  // The file opens and At() aliases both spans to the same slice.
   auto opened = FileArrivalSource::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_FALSE((*opened)->info().has_full_neighborhoods);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "core/loom.h"
@@ -23,8 +24,7 @@ Workload TinyWorkload() {
 
 TEST(PartitionerFactoryTest, RegistryListsTheCanonicalNames) {
   const std::vector<std::string>& names = KnownPartitioners();
-  const std::vector<std::string> want = {"hash", "ldg", "fennel",
-                                         "ldg-buffered", "loom"};
+  const std::vector<std::string> want = {"hash", "ldg", "fennel", "loom"};
   EXPECT_EQ(names, want);
   for (const std::string& name : names) {
     EXPECT_TRUE(IsKnownPartitioner(name)) << name;
@@ -76,6 +76,40 @@ TEST(PartitionerFactoryTest, LoomRequiresTheTrieOverload) {
   EXPECT_FALSE(no_trie.ok());
   EXPECT_EQ(no_trie.status().code(), StatusCode::kInvalidArgument);
 }
+
+// The partitioners divide by k and size capacity from the slack, so the
+// factory refuses k = 0 and a slack below 1 or NaN, whichever name is
+// asked for, through both overloads.
+class InvalidPartitionerOptions
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(InvalidPartitionerOptions, AreInvalidArgument) {
+  const std::string& name = GetParam();
+  const Workload workload = TinyWorkload();
+  auto trie = BuildTrie(workload);
+  ASSERT_TRUE(trie.ok());
+  LoomOptions zero_k;
+  zero_k.partitioner.k = 0;
+  LoomOptions low_slack;
+  low_slack.partitioner.capacity_slack = 0.5;
+  LoomOptions nan_slack;
+  nan_slack.partitioner.capacity_slack = std::nan("");
+  for (const LoomOptions& bad : {zero_k, low_slack, nan_slack}) {
+    EXPECT_EQ(ValidatePartitionerOptions(bad.partitioner).code(),
+              StatusCode::kInvalidArgument);
+    auto full = MakePartitioner(name, bad, trie->get());
+    EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+    if (name == "loom") continue;
+    auto plain = MakePartitioner(name, bad.partitioner);
+    EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryName, InvalidPartitionerOptions,
+                         ::testing::ValuesIn(KnownPartitioners()),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
 
 TEST(PartitionerFactoryTest, ObliviousNamesIgnoreTheTrie) {
   // Workload-oblivious partitioners construct fine with or without a trie.

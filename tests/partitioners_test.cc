@@ -1,17 +1,21 @@
-// Tests for the streaming partitioners: hash, LDG, Fennel, buffered LDG.
-// Includes hand-computed LDG fixtures and cross-partitioner property sweeps.
+// Tests for the streaming partitioners: hash, LDG, Fennel.
+// Includes hand-computed LDG fixtures and cross-partitioner property sweeps,
+// which also cover LOOM.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
+#include "core/loom.h"
+#include "core/partitioner_factory.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
-#include "partition/buffered_ldg_partitioner.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
 #include "stream/stream.h"
+#include "workload/query_builders.h"
 
 namespace loom {
 namespace {
@@ -112,39 +116,24 @@ TEST(FennelPartitionerTest, EmptyGraphNoNeighborsBalances) {
   }
 }
 
-TEST(BufferedLdgTest, DrainsWindowOnFinish) {
-  Rng rng(5);
-  const LabeledGraph g = ErdosRenyiGnm(64, 128, LabelConfig{2, 0.0}, rng);
-  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-  BufferedLdgPartitioner p(Opts(4, 64, 0, 1.1, /*window=*/256));
-  // Window larger than the graph: nothing assigned until Finish.
-  for (const auto& a : stream.arrivals()) {
-    p.OnVertex(a.vertex, a.label, a.back_edges);
-  }
-  EXPECT_EQ(p.assignment().NumAssigned(), 0u);
-  p.Finish();
-  EXPECT_TRUE(AllAssigned(g, p.assignment()));
-}
-
-TEST(BufferedLdgTest, EquivalentToLdgUnderFifoEviction) {
-  // Under strict FIFO eviction the evicted vertex's known assigned
-  // neighbours equal its back edges, so buffered LDG must reproduce LDG
-  // exactly. This pins down why LOOM's motif grouping — not buffering — is
-  // the active ingredient (ablation E8a).
-  Rng rng(6);
-  const LabeledGraph g = BarabasiAlbert(500, 3, LabelConfig{3, 0.0}, rng);
-  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-  LdgPartitioner ldg(Opts(4, g.NumVertices()));
-  BufferedLdgPartitioner buffered(Opts(4, g.NumVertices()));
-  ldg.Run(stream);
-  buffered.Run(stream);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(ldg.assignment().PartOf(v), buffered.assignment().PartOf(v));
-  }
-}
-
 // Cross-partitioner properties, swept over partitioner type, k and order.
-enum class Kind { kHash, kLdg, kFennel, kBufferedLdg };
+enum class Kind { kHash, kLdg, kFennel, kLoom };
+
+// The workload LOOM scores against in the sweeps: paths over the first
+// labels, which every sweep graph carries. Built once; it outlives every
+// partitioner.
+const TpstryPP* SweepTrie() {
+  static const std::unique_ptr<TpstryPP> trie = [] {
+    Workload w;
+    EXPECT_TRUE(w.Add("ab", PathQuery({0, 1}), 1.0).ok());
+    EXPECT_TRUE(w.Add("aba", PathQuery({0, 1, 0}), 1.0).ok());
+    w.Normalize();
+    auto built = BuildTrie(w);
+    EXPECT_TRUE(built.ok());
+    return std::move(built).value();
+  }();
+  return trie.get();
+}
 
 std::unique_ptr<StreamingPartitioner> Make(Kind kind,
                                            const PartitionerOptions& o) {
@@ -155,8 +144,14 @@ std::unique_ptr<StreamingPartitioner> Make(Kind kind,
       return std::make_unique<LdgPartitioner>(o);
     case Kind::kFennel:
       return std::make_unique<FennelPartitioner>(o);
-    case Kind::kBufferedLdg:
-      return std::make_unique<BufferedLdgPartitioner>(o);
+    case Kind::kLoom: {
+      LoomOptions lopts;
+      lopts.partitioner = o;
+      lopts.matcher.frequency_threshold = 0.4;
+      auto made = MakePartitioner("loom", lopts, SweepTrie());
+      EXPECT_TRUE(made.ok());
+      return std::move(made).value();
+    }
   }
   return nullptr;
 }
@@ -203,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PartitionerProperty,
     ::testing::Combine(
         ::testing::Values(Kind::kHash, Kind::kLdg, Kind::kFennel,
-                          Kind::kBufferedLdg),
+                          Kind::kLoom),
         ::testing::Values(2u, 4u, 8u),
         ::testing::Values(StreamOrder::kRandom, StreamOrder::kBfs,
                           StreamOrder::kAdversarial)));
@@ -261,7 +256,7 @@ TEST_P(CapacityExhaustion, OverfullStreamNeverDropsVertices) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CapacityExhaustion,
     ::testing::Combine(::testing::Values(Kind::kHash, Kind::kLdg,
-                                         Kind::kFennel, Kind::kBufferedLdg),
+                                         Kind::kFennel, Kind::kLoom),
                        ::testing::Values(2u, 4u, 8u)));
 
 }  // namespace

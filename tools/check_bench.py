@@ -60,7 +60,7 @@ def check_results(d):
     errors = missing_keys("results", rows, {
         "graph", "partitioner", "edge_cut_fraction", "balance", "num_vertices",
         "num_edges"})
-    want = {"hash", "ldg", "fennel", "ldg-buffered", "loom", "metis-like"}
+    want = {"hash", "ldg", "fennel", "loom", "metis-like"}
     lacking = want - {r["partitioner"] for r in rows}
     if lacking:
         errors.append(f"results: no rows for {sorted(lacking)}")

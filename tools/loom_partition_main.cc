@@ -6,7 +6,7 @@
 //
 // Usage:
 //   loom_partition --graph g.loom --workload w.loom --out assignment.loom
-//                  [--partitioner loom|ldg|fennel|ldg-buffered|hash|metis]
+//                  [--partitioner loom|ldg|fennel|hash|metis]
 //                  [--k 8] [--window 1024] [--threshold 0.2]
 //                  [--order random|bfs|dfs|adversarial|stochastic|natural]
 //                  [--slack 1.1] [--seed 42] [--traversal-weights]
@@ -120,6 +120,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--k") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->k)) return false;
+      if (args->k == 0) {
+        std::fprintf(stderr, "loom_partition: --k must be >= 1\n");
+        return false;
+      }
     } else if (flag == "--window") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->window)) return false;
@@ -310,7 +314,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
                  "usage: loom_partition --graph G --out A [--workload W] "
-                 "[--partitioner loom|ldg|fennel|ldg-buffered|hash|metis] "
+                 "[--partitioner loom|ldg|fennel|hash|metis] "
                  "[--k K] "
                  "[--window N] [--threshold T] [--order O] [--slack S] "
                  "[--seed N] [--traversal-weights] [--evaluate]\n"
@@ -394,8 +398,8 @@ int main(int argc, char** argv) {
   } else {
     auto made = MakePartitioner(args.partitioner, popts);
     if (!made.ok()) {
-      std::fprintf(stderr, "unknown partitioner: %s\n",
-                   args.partitioner.c_str());
+      std::fprintf(stderr, "partitioner: %s\n",
+                   made.status().ToString().c_str());
       return 2;
     }
     streaming = std::move(made).value();
