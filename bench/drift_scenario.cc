@@ -69,8 +69,7 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
   copts.reaction_passes = config.reaction_passes;
   copts.seed = config.seed;
   DriftController controller(copts);
-  controller.SetReference(MotifDistributionOf(live->Trie()),
-                          result.cut_no_reaction);
+  controller.SetReference(MotifDistributionOf(live->Trie()));
 
   WorkloadTrackerOptions topts;
   topts.window_queries = config.tracker_window;

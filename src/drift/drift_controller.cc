@@ -62,24 +62,18 @@ DriftController::DriftController(const DriftControllerOptions& options)
     : options_(SanitizeDriftControllerOptions(options)),
       detector_(options_.detector) {}
 
-void DriftController::SetReference(MotifDistribution reference,
-                                   double baseline_edge_cut) {
+void DriftController::SetReference(MotifDistribution reference) {
   detector_.SetReference(std::move(reference));
-  if (baseline_edge_cut >= 0.0) {
-    detector_.SetBaselineEdgeCut(baseline_edge_cut);
-  }
 }
 
-DriftSignal DriftController::Check(const MotifDistribution& current,
-                                   double observed_edge_cut) {
-  return detector_.Observe(current, observed_edge_cut);
+DriftSignal DriftController::Check(const MotifDistribution& current) {
+  return detector_.Observe(current);
 }
 
 DriftReaction DriftController::React(const GraphStream& stream,
                                      StreamingPartitioner* partitioner,
                                      MotifDistribution rebase_to) {
   DriftReaction reaction;
-  reaction.reacted = true;
   WallTimer timer;
 
   // The budget is passed to each pass explicitly (RunIncrementalPass's
@@ -133,22 +127,8 @@ DriftReaction DriftController::React(const GraphStream& stream,
       MigrationFraction(original, reaction.assignment);
   reaction.seconds = timer.ElapsedSeconds();
 
-  detector_.Rebase(std::move(rebase_to), best_cut);
+  detector_.Rebase(std::move(rebase_to));
   ++num_reactions_;
-  return reaction;
-}
-
-DriftReaction DriftController::MaybeRepartition(
-    const MotifDistribution& current, const GraphStream& stream,
-    StreamingPartitioner* partitioner, double observed_edge_cut) {
-  const DriftSignal signal = Check(current, observed_edge_cut);
-  if (!signal.fired) {
-    DriftReaction reaction;
-    reaction.signal = signal;
-    return reaction;
-  }
-  DriftReaction reaction = React(stream, partitioner, current);
-  reaction.signal = signal;
   return reaction;
 }
 

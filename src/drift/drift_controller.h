@@ -70,10 +70,6 @@ DriftControllerOptions SanitizeDriftControllerOptions(
 
 /// What a reaction did.
 struct DriftReaction {
-  /// False when returned by a check that did not fire (MaybeRepartition).
-  bool reacted = false;
-  /// The detector evidence that triggered (or declined to trigger).
-  DriftSignal signal;
   /// Stats of each budgeted pass, renumbered 1..n; migration_fraction in
   /// each is measured against that pass's prior, while
   /// `migration_fraction` below is cumulative vs. the pre-reaction
@@ -97,18 +93,14 @@ class DriftController {
  public:
   explicit DriftController(const DriftControllerOptions& options);
 
-  /// Installs the workload expectation the live assignment was built for
-  /// (reference distribution + optional cut baseline for the degradation
-  /// trigger).
-  void SetReference(MotifDistribution reference,
-                    double baseline_edge_cut = -1.0);
+  /// Installs the workload expectation (reference distribution) the live
+  /// assignment was built for.
+  void SetReference(MotifDistribution reference);
 
-  /// Detector tick without a reaction: lets callers that must prepare for a
-  /// reaction (e.g. swap the LOOM partitioner onto the drifted trie via
-  /// `LoomPartitioner::SetTrie`) split detection from reaction. Check, then
-  /// on `fired` prepare and call React.
-  DriftSignal Check(const MotifDistribution& current,
-                    double observed_edge_cut = -1.0);
+  /// Detector tick: scores `current` against the reference. On `fired` the
+  /// caller prepares the partitioner (e.g. swaps LOOM onto the drifted trie
+  /// via `LoomPartitioner::SetTrie`) and calls React.
+  DriftSignal Check(const MotifDistribution& current);
 
   /// Runs the bounded-migration reaction against `partitioner`'s current
   /// (live) assignment and rebases the detector onto `rebase_to`. The
@@ -117,13 +109,6 @@ class DriftController {
   DriftReaction React(const GraphStream& stream,
                       StreamingPartitioner* partitioner,
                       MotifDistribution rebase_to);
-
-  /// Check + React in one call, for callers whose partitioner needs no
-  /// preparation (ldg/fennel, or LOOM kept on a fixed trie).
-  DriftReaction MaybeRepartition(const MotifDistribution& current,
-                                 const GraphStream& stream,
-                                 StreamingPartitioner* partitioner,
-                                 double observed_edge_cut = -1.0);
 
   const DriftDetector& detector() const { return detector_; }
   uint64_t NumReactions() const { return num_reactions_; }

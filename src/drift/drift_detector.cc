@@ -69,34 +69,18 @@ void DriftDetector::SetReference(MotifDistribution reference) {
   streak_ = 0;
 }
 
-void DriftDetector::SetBaselineEdgeCut(double edge_cut_fraction) {
-  baseline_edge_cut_ = edge_cut_fraction;
-}
-
-DriftSignal DriftDetector::Observe(const MotifDistribution& current,
-                                   double observed_edge_cut) {
+DriftSignal DriftDetector::Observe(const MotifDistribution& current) {
   DriftSignal signal;
   signal.l1 = L1Distance(reference_, current);
   signal.js = JensenShannonDistance(reference_, current);
-  signal.distance =
-      options_.metric == DriftMetric::kL1 ? signal.l1 : signal.js;
-  signal.workload_drifted = signal.distance >= options_.fire_threshold;
-  if (observed_edge_cut >= 0.0 && baseline_edge_cut_ > 0.0 &&
-      options_.cut_degradation_factor > 0.0) {
-    signal.cut_ratio = observed_edge_cut / baseline_edge_cut_;
-    signal.cut_degraded =
-        signal.cut_ratio >= options_.cut_degradation_factor;
-  }
+  signal.workload_drifted = signal.js >= options_.fire_threshold;
 
-  const bool over = signal.workload_drifted || signal.cut_degraded;
   if (!armed_) {
     // Fired and not yet rebased: re-arm only once the signal has clearly
     // subsided, so a workload hovering around the fire threshold cannot
     // trigger a reaction per tick.
-    if (signal.distance <= options_.clear_threshold && !signal.cut_degraded) {
-      armed_ = true;
-    }
-  } else if (over) {
+    if (signal.js <= options_.clear_threshold) armed_ = true;
+  } else if (signal.workload_drifted) {
     if (++streak_ >= options_.min_consecutive) {
       signal.fired = true;
       ++num_fired_;
@@ -109,10 +93,8 @@ DriftSignal DriftDetector::Observe(const MotifDistribution& current,
   return signal;
 }
 
-void DriftDetector::Rebase(MotifDistribution reference,
-                           double edge_cut_fraction) {
+void DriftDetector::Rebase(MotifDistribution reference) {
   SetReference(std::move(reference));
-  if (edge_cut_fraction >= 0.0) baseline_edge_cut_ = edge_cut_fraction;
 }
 
 }  // namespace loom

@@ -7,10 +7,9 @@
 /// prior knowledge of an expected workload") only pays off online if the
 /// system reacts when that expectation breaks, so the detector compares the
 /// motif-support distribution the live LOOM assignment was built for (the
-/// reference) against periodic `WorkloadTracker` distribution snapshots —
-/// by total-variation (L1) and Jensen–Shannon distance over canonical motif
-/// classes — and optionally watches for edge-cut degradation reported by
-/// the serving layer. Thresholds are pluggable and firing is
+/// reference) against periodic `WorkloadTracker` distribution snapshots.
+/// It thresholds the Jensen–Shannon distance over canonical motif classes
+/// and reports the total-variation (L1) distance beside it. Firing is
 /// hysteresis-gated (a consecutive-observation streak to fire, a lower
 /// clear threshold to re-arm), so an oscillating workload cannot thrash
 /// the re-partitioner. Complexity: one Observe is O(|reference| + |current|)
@@ -22,23 +21,11 @@
 
 namespace loom {
 
-/// Which distance drives the trigger. Both are always computed and reported
-/// in the signal; only the selected one is compared against the thresholds.
-enum class DriftMetric {
-  /// Total-variation distance: 0.5 * sum |p_i - q_i|, in [0, 1]. Linear and
-  /// easy to reason about, but insensitive to *which* mass moved.
-  kL1,
-  /// Jensen–Shannon distance (sqrt of the base-2 JS divergence), in [0, 1].
-  /// Symmetric, finite on disjoint supports, and emphasises mass appearing
-  /// where the reference had none — exactly what a motif-mix switch does.
-  kJensenShannon,
-};
-
-/// Detection thresholds and hysteresis. Defaults suit normalised motif
-/// distributions from a tracker window of O(100) queries.
+/// Detection thresholds and hysteresis, on the Jensen–Shannon distance.
+/// Defaults suit normalised motif distributions from a tracker window of
+/// O(100) queries.
 struct DriftDetectorOptions {
-  DriftMetric metric = DriftMetric::kJensenShannon;
-  /// Fire when the selected distance reaches this value...
+  /// Fire when the distance reaches this value...
   double fire_threshold = 0.15;
   /// ...for this many consecutive observations (debounces sampling noise).
   uint32_t min_consecutive = 2;
@@ -46,26 +33,20 @@ struct DriftDetectorOptions {
   /// (must be <= fire_threshold; the gap is the hysteresis band). A rebase
   /// re-arms immediately — the reaction itself closes the loop.
   double clear_threshold = 0.05;
-  /// Also fire when observed_edge_cut >= factor * baseline edge cut
-  /// (the partitioning itself degrading, e.g. under graph growth). <= 0
-  /// disables the cut trigger.
-  double cut_degradation_factor = 0.0;
 };
 
 /// One observation's worth of drift evidence.
 struct DriftSignal {
-  /// Total-variation distance to the reference.
+  /// Total-variation distance to the reference: 0.5 * sum |p_i - q_i|, in
+  /// [0, 1]. Reported only; insensitive to *which* mass moved.
   double l1 = 0.0;
-  /// Jensen–Shannon distance to the reference.
+  /// Jensen–Shannon distance to the reference (sqrt of the base-2 JS
+  /// divergence), in [0, 1]: the distance the thresholds compare.
+  /// Symmetric, finite on disjoint supports, and emphasises mass appearing
+  /// where the reference had none — exactly what a motif-mix switch does.
   double js = 0.0;
-  /// The distance selected by `DriftDetectorOptions::metric`.
-  double distance = 0.0;
-  /// observed / baseline edge cut (0 when either side is unknown).
-  double cut_ratio = 0.0;
-  /// distance >= fire_threshold on this observation.
+  /// js >= fire_threshold on this observation.
   bool workload_drifted = false;
-  /// Cut trigger tripped on this observation.
-  bool cut_degraded = false;
   /// Hysteresis-gated verdict: drift confirmed, react now. At most once per
   /// arm/fire cycle.
   bool fired = false;
@@ -81,20 +62,13 @@ class DriftDetector {
   /// re-arms. Typically `MotifDistributionOf(loom.Trie())`.
   void SetReference(MotifDistribution reference);
 
-  /// Baseline for the cut-degradation trigger (ignored while <= 0).
-  void SetBaselineEdgeCut(double edge_cut_fraction);
-
   /// Scores one periodic observation (e.g. a tracker's
-  /// `SupportDistribution()`); pass the currently observed edge-cut
-  /// fraction when the caller tracks it, or a negative value to skip the
-  /// cut trigger this tick. Updates the hysteresis state.
-  DriftSignal Observe(const MotifDistribution& current,
-                      double observed_edge_cut = -1.0);
+  /// `SupportDistribution()`) and updates the hysteresis state.
+  DriftSignal Observe(const MotifDistribution& current);
 
-  /// Adopts `reference` as the new expectation (and optionally a new cut
-  /// baseline) and re-arms — called after a reaction re-partitions for the
-  /// drifted workload, closing the loop.
-  void Rebase(MotifDistribution reference, double edge_cut_fraction = -1.0);
+  /// Adopts `reference` as the new expectation and re-arms — called after
+  /// a reaction re-partitions for the drifted workload, closing the loop.
+  void Rebase(MotifDistribution reference);
 
   /// False between a fire and the signal clearing (or a rebase).
   bool Armed() const { return armed_; }
@@ -107,7 +81,6 @@ class DriftDetector {
  private:
   DriftDetectorOptions options_;
   MotifDistribution reference_;
-  double baseline_edge_cut_ = -1.0;
   bool armed_ = true;
   uint32_t streak_ = 0;
   uint64_t num_fired_ = 0;

@@ -89,11 +89,9 @@ void EdgePartitioner::OnArrival(const ArrivalView& view) {
 }
 
 uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
-  // An invalid endpoint names no vertex: place nothing and skip the edge
-  // before it takes a stream index, so the placement log and a restream
-  // prior stay aligned across passes.
+  // An invalid endpoint names no vertex: place nothing, so the placement
+  // log holds valid edges only and stays aligned across passes.
   if (u == kInvalidVertex || v == kInvalidVertex) return options_.k;
-  const uint64_t index = edge_index_++;
   GrowTables(std::max(u, v));
   // The HDRF/DBH convention: the edge counts towards both partial degrees
   // before the placement rule sees them, so the very first edge already has
@@ -101,30 +99,7 @@ uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
   ++degree_[u];
   ++degree_[v];
 
-  uint32_t pick = 0;
-  if (prior_ != nullptr && index < prior_->size() &&
-      stats_.prior_moves >= migration_budget_) {
-    // Budget spent: the clamp forces the prior partition anyway, so skip
-    // the scoring round entirely (mirrors the vertex restreamer's
-    // early-stop). The prior respected the edge budget when it was laid
-    // down, so re-applying it cannot worsen the bound.
-    pick = (*prior_)[index];
-    ++stats_.budget_denied_moves;
-  } else {
-    pick = PickPartition(u, v);
-    if (prior_ != nullptr && index < prior_->size()) {
-      const uint32_t home = (*prior_)[index];
-      if (pick != home) {
-        if (stats_.prior_moves >= migration_budget_) {
-          pick = home;
-          ++stats_.budget_denied_moves;
-        } else {
-          ++stats_.prior_moves;
-        }
-      }
-    }
-  }
-
+  uint32_t pick = PickPartition(u, v);
   if (pick >= options_.k) {
     // A placement rule returning an out-of-range partition is a logic
     // error; re-route instead of corrupting the counts, and surface it.
@@ -145,27 +120,20 @@ uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
   return pick;
 }
 
-void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
+void EdgePartitioner::BeginPass() {
   // A restream pass re-streams the same vertex population: clearing in
   // place keeps the replica rows, so the pass allocates nothing for them.
   replicas_.Clear();
   std::fill(edge_counts_.begin(), edge_counts_.end(), 0);
   placements_.clear();
   stats_ = EdgePartitionerStats();
-  prior_ = prior;
-  migration_budget_ = kUnlimitedMigrationBudget;
-  edge_index_ = 0;
   RebuildLoadBounds();
 }
 
 void EdgePartitioner::Reset() {
-  BeginPass(nullptr);
+  BeginPass();
   degree_.clear();
   heat_scale_.clear();
-}
-
-void EdgePartitioner::SetMigrationBudget(uint64_t max_moves) {
-  migration_budget_ = max_moves;
 }
 
 void EdgePartitioner::NoteEdgeCountIncrement(uint32_t p) {

@@ -14,14 +14,15 @@
 /// undirected edge is yielded exactly once, on its later endpoint's
 /// arrival, so the same stream files, generators and replay machinery that
 /// feed the vertex partitioners feed this module, and "edge i" has a
-/// stable meaning (the i-th back edge in arrival order) that restream
-/// priors and golden-hash pins rely on.
+/// stable meaning (the i-th back edge in arrival order) that the placement
+/// log, restream comparisons and golden-hash pins rely on.
 ///
 /// Implementations: HDRF (hdrf_partitioner.h) and DBH (dbh_partitioner.h),
 /// both backed by ReplicaSet for the vertex→partition-set state. A
 /// workload-aware hook (workload_heat.h) scales partial degrees by motif
-/// support so hot motif hubs replicate first; a budgeted edge-restream
-/// pass (edge_restream.h) replays the stream against a prior placement.
+/// support so hot motif hubs replicate first; the edge restreamer
+/// (edge_restream.h) replays the stream with the degrees earlier passes
+/// counted.
 
 #include <cstdint>
 #include <functional>
@@ -114,12 +115,6 @@ struct EdgePartitionerStats {
   /// a partitioner logic error; surfaced so Release builds report it
   /// instead of silently mis-counting.
   uint64_t assign_errors = 0;
-  /// Restream passes only: edges placed on a different partition than the
-  /// prior pass assigned.
-  uint64_t prior_moves = 0;
-  /// Restream passes only: would-be moves clamped back to the edge's prior
-  /// partition because the migration budget was spent.
-  uint64_t budget_denied_moves = 0;
 };
 
 /// Base class for streaming edge partitioners.
@@ -129,11 +124,11 @@ struct EdgePartitionerStats {
 /// Mirrors StreamingPartitioner: a single pass is `Run` (or per-arrival
 /// `OnArrival` / per-edge `OnEdge` calls) over a back-edge ArrivalSource;
 /// after the pass, `replicas()` / `edge_counts()` / `placements()` describe
-/// the result. `BeginPass(&prior)` rewinds to a fresh placement with the
-/// previous pass's per-edge placement log installed as the scoring prior —
-/// partial degrees are *retained* (the graph is known after pass one, so
-/// later passes score with final degrees) — optionally bounded via
-/// `SetMigrationBudget`. `Reset()` discards everything including degrees.
+/// the result. `BeginPass()` rewinds to an empty placement for a restream
+/// pass and keeps the degree table, which goes on counting: the graph is
+/// known after pass one, so a later pass scores even its first edges with
+/// at least the whole graph's degrees. Nothing else carries over.
+/// `Reset()` discards everything including degrees.
 class EdgePartitioner {
  public:
   explicit EdgePartitioner(const EdgePartitionerOptions& options);
@@ -156,38 +151,23 @@ class EdgePartitioner {
   /// arriving vertex), `v` an earlier arrival. Updates both partial
   /// degrees *before* scoring (the HDRF/DBH convention), applies the
   /// replica-budget and edge-budget rules, and returns the chosen
-  /// partition. The call order is the edge's stream index, which looks up
-  /// its prior-pass placement during a restream pass. An edge with an
-  /// endpoint equal to kInvalidVertex places nothing, changes no state
-  /// (it takes no stream index) and returns `options().k`.
+  /// partition. An edge with an endpoint equal to kInvalidVertex places
+  /// nothing, changes no state (it takes no place in the log) and returns
+  /// `options().k`.
   uint32_t OnEdge(VertexId u, VertexId v);
 
   /// Partitioner name for result tables ("hdrf", "dbh").
   virtual std::string Name() const = 0;
 
   /// Restreaming hook: discards the placement state (replicas, edge
-  /// counts, placement log, stats) and installs `prior` — the previous
-  /// pass's placement log, indexed by stream edge order — as the scoring
-  /// prior. Partial degrees and heat scales are retained. Until the budget is
-  /// spent, an edge may land anywhere; after it, placements clamp to the
-  /// prior. Pass nullptr to reset to single-pass behaviour. `prior` must
-  /// outlive the pass and must not alias this partitioner's own log (copy
-  /// it first).
-  void BeginPass(const std::vector<uint32_t>* prior);
+  /// counts, placement log, stats). Partial degrees and heat scales are
+  /// retained, so a pass that replays the stream depends only on them and
+  /// the stream, not on any earlier placement.
+  void BeginPass();
 
-  /// Rewinds to the fresh state: BeginPass(nullptr) plus degree and heat
-  /// scale tables cleared.
+  /// Rewinds to the fresh state: BeginPass() plus degree and heat scale
+  /// tables cleared.
   void Reset();
-
-  /// `max_moves` value meaning "no migration budget" (the default).
-  static constexpr uint64_t kUnlimitedMigrationBudget = ~uint64_t{0};
-
-  /// Bounded-migration restream: caps the number of placements this pass
-  /// that may differ from the prior's. Once spent, every further placement
-  /// is clamped back to the edge's prior partition (and scoring is
-  /// skipped). Reset to unlimited by BeginPass; call after BeginPass,
-  /// before streaming. No effect without a prior.
-  void SetMigrationBudget(uint64_t max_moves);
 
   /// Vertex→partition-set replica state of the current pass.
   const ReplicaSet& replicas() const { return replicas_; }
@@ -206,10 +186,6 @@ class EdgePartitioner {
 
   const EdgePartitionerOptions& options() const { return options_; }
   const EdgePartitionerStats& stats() const { return stats_; }
-
-  /// True while a restream pass (BeginPass with a non-null prior) is
-  /// active.
-  bool HasPrior() const { return prior_ != nullptr; }
 
  protected:
   /// Placement rule of the concrete algorithm. Called with both partial
@@ -243,9 +219,12 @@ class EdgePartitioner {
   }
 
   /// Replica-budget test for one endpoint: true iff `p` already holds `x`
-  /// or `x` has budget for a new partition. Mask-only — no hashing.
+  /// or `x` has budget for a new partition. Mask-only — no hashing. At the
+  /// default cap of k the test passes without a popcount: only a vertex
+  /// already in all k partitions fails the count, and it holds every `p`.
   bool WithinReplicaBudget(VertexId x, uint32_t p) const {
-    return replicas_.Has(x, p) || replicas_.NumReplicasOf(x) < replica_cap_;
+    return replica_cap_ == options_.k || replicas_.Has(x, p) ||
+           replicas_.NumReplicasOf(x) < replica_cap_;
   }
 
   /// True iff `p` is past its edge budget. Equivalent to testing the
@@ -301,11 +280,6 @@ class EdgePartitioner {
   /// Recomputes heat_scale_[v] for `v` carrying `label` (no-op without
   /// the hook).
   void RefreshHeatScale(VertexId v, Label label);
-
-  const std::vector<uint32_t>* prior_ = nullptr;
-  uint64_t migration_budget_ = kUnlimitedMigrationBudget;
-  /// Stream position of the next edge this pass (index into the prior).
-  uint64_t edge_index_ = 0;
 };
 
 /// Every name `MakeEdgePartitioner` accepts, in the canonical bench-table

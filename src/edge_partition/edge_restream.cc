@@ -1,6 +1,6 @@
 #include "edge_partition/edge_restream.h"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 
 #include "common/timer.h"
@@ -8,25 +8,33 @@
 
 namespace loom {
 
+namespace {
+
+// Share of `placements` on a different partition than `earlier` put the
+// same edge; 0 when there is no earlier pass.
+double MovedFraction(const std::vector<uint32_t>& earlier,
+                     const std::vector<uint32_t>& placements) {
+  if (earlier.empty() || placements.empty()) return 0.0;
+  const size_t common = std::min(earlier.size(), placements.size());
+  uint64_t moved = 0;
+  for (size_t i = 0; i < common; ++i) {
+    moved += static_cast<uint64_t>(earlier[i] != placements[i]);
+  }
+  return static_cast<double>(moved) / static_cast<double>(placements.size());
+}
+
+}  // namespace
+
 Status ValidateEdgeRestreamOptions(const EdgeRestreamOptions& options) {
   if (options.num_passes == 0) {
     return Status::InvalidArgument(
         "EdgeRestreamOptions.num_passes must be >= 1");
-  }
-  if (std::isnan(options.max_migration_fraction) ||
-      options.max_migration_fraction < 0.0) {
-    return Status::InvalidArgument(
-        "EdgeRestreamOptions.max_migration_fraction must be >= 0");
   }
   return Status::OK();
 }
 
 EdgeRestreamOptions SanitizeEdgeRestreamOptions(EdgeRestreamOptions options) {
   if (options.num_passes == 0) options.num_passes = 1;
-  if (std::isnan(options.max_migration_fraction) ||
-      options.max_migration_fraction < 0.0) {
-    options.max_migration_fraction = 0.0;
-  }
   return options;
 }
 
@@ -37,35 +45,21 @@ EdgeRestreamer::EdgeRestreamer(ArrivalSource* source,
 Result<EdgeRestreamResult> EdgeRestreamer::Run(EdgePartitioner* partitioner) {
   if (!partitioner->options().record_placements) {
     return Status::InvalidArgument(
-        "edge restreaming needs record_placements: the per-edge log is the "
-        "restream prior");
+        "edge restreaming needs record_placements: the best pass is kept "
+        "as its per-edge log");
   }
   EdgeRestreamResult result;
   partitioner->Reset();
 
-  // The reported placement so far (keep-best: lowest replication factor,
-  // ties to the better balance; otherwise simply the last pass).
+  // The best pass so far: lowest replication factor, ties to the better
+  // balance.
   std::vector<uint32_t> best_placements;
   double best_rf = 0.0;
   double best_balance = 0.0;
-  bool have_best = false;
-
-  // Prior for the running pass; must stay alive while the partitioner
-  // streams against it (BeginPass borrows the pointer).
-  std::vector<uint32_t> prior;
 
   for (uint32_t pass = 1; pass <= options_.num_passes; ++pass) {
     WallTimer timer;
-    if (pass > 1) {
-      prior = best_placements;
-      partitioner->BeginPass(&prior);
-      if (options_.max_migration_fraction < 1.0) {
-        const uint64_t budget = static_cast<uint64_t>(
-            options_.max_migration_fraction *
-            static_cast<double>(prior.size()));
-        partitioner->SetMigrationBudget(budget);
-      }
-    }
+    if (pass > 1) partitioner->BeginPass();
     source_->Reset();
     partitioner->Run(*source_);
 
@@ -75,24 +69,17 @@ Result<EdgeRestreamResult> EdgeRestreamer::Run(EdgePartitioner* partitioner) {
     row.replication_factor = ReplicationFactor(partitioner->replicas());
     row.balance = EdgeBalanceMaxOverAvg(partitioner->edge_counts());
     row.moved_fraction =
-        stats.edges_assigned > 0
-            ? static_cast<double>(stats.prior_moves) /
-                  static_cast<double>(stats.edges_assigned)
-            : 0.0;
+        MovedFraction(best_placements, partitioner->placements());
     row.overflow_fallbacks = stats.overflow_fallbacks;
     row.cap_relaxations = stats.cap_relaxations;
     row.assign_errors = stats.assign_errors;
-    row.budget_denied_moves = stats.budget_denied_moves;
     row.seconds = timer.ElapsedSeconds();
 
-    const bool better =
-        !have_best || row.replication_factor < best_rf ||
-        (row.replication_factor == best_rf && row.balance < best_balance);
-    if (!options_.keep_best || better) {
+    if (pass == 1 || row.replication_factor < best_rf ||
+        (row.replication_factor == best_rf && row.balance < best_balance)) {
       best_placements = partitioner->placements();
       best_rf = row.replication_factor;
       best_balance = row.balance;
-      have_best = true;
     }
     row.best_replication_factor = best_rf;
     result.passes.push_back(row);

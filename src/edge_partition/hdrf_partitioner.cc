@@ -34,9 +34,12 @@ uint32_t HdrfPartitioner::PickPartition(VertexId u, VertexId v) {
   const uint32_t k = options_.k;
   const uint32_t num_words = (k + 63) / 64;
   // A capped endpoint (replica budget spent) only allows partitions that
-  // already hold it — exactly its bitmask; a free endpoint allows all.
-  const bool u_free = replicas_.NumReplicasOf(u) < replica_cap_;
-  const bool v_free = replicas_.NumReplicasOf(v) < replica_cap_;
+  // already hold it — exactly its bitmask; a free endpoint allows all. At
+  // the default cap of k no popcount is needed: only a vertex in all k
+  // partitions is capped, and its mask admits the same partitions.
+  const bool uncapped = replica_cap_ == k;
+  const bool u_free = uncapped || replicas_.NumReplicasOf(u) < replica_cap_;
+  const bool v_free = uncapped || replicas_.NumReplicasOf(v) < replica_cap_;
 
   uint32_t best_rep = k;
   double best_rep_score = 0.0;

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Mutation test of tools/check_bench.py's --baseline equality gate.
+"""Mutation test of tools/check_bench.py's equality gate and contracts.
 
 Usage: check_bench_test.py CHECK_BENCH BASELINE
 
 Writes copies of BASELINE (a checked-in BENCH_edge_cut.json) into a temp
-dir, each with one quality drift, and requires the checker to exit 1 with a
-violation naming the drifted key. The unmodified copy must pass. Needs no
-run_benchmarks output, so it runs in well under a second. Registered as the
+dir, each with one mutation, and requires the checker to exit 1. A quality
+drift must yield a --baseline violation naming the drifted key; a broken
+contract must yield a violation naming the rule, so the rule holds without
+a baseline too. The unmodified copy must pass. Needs no run_benchmarks
+output, so it runs in well under a second. Registered as the
 `check_bench_detects_quality_drift` ctest entry.
 """
 
@@ -43,13 +45,37 @@ def drift_replication(d):
     row["replication_factor"] = bump_sixth_digit(row["replication_factor"])
 
 
-# (name, mutation, text the violation must contain)
+def restream_never_improves(d):
+    """Holds every later pass's best cut at the first sequence's pass one."""
+    first = min(d["restream"], key=lambda r: r["pass"])
+    for r in d["restream"]:
+        if (r["graph"], r["partitioner"]) == (first["graph"],
+                                              first["partitioner"]):
+            r["best_edge_cut_fraction"] = first["edge_cut_fraction"]
+
+
+def edge_restream_ties_one_pass(d):
+    """Gives a 2-pass edge row the rf of its 1-pass row."""
+    rows = d["edge_partition"]
+    two = next(r for r in rows if r["restream_passes"] == 2)
+    one = next(r for r in rows if r["restream_passes"] == 1 and all(
+        r[a] == two[a] for a in ("tier", "graph", "partitioner", "lambda")))
+    two["replication_factor"] = one["replication_factor"]
+
+
+# (name, mutation, text the violation must contain, whether that violation
+# is a --baseline mismatch or a contract rule)
 CASES = [
-    ("unmodified", None, None),
-    ("edge_cut_fraction drift", drift_cut, "edge_cut_fraction"),
-    ("deleted restream row", delete_restream_row, "restream"),
-    ("config.n changed", change_config_n, "config: n ="),
-    ("replication_factor drift", drift_replication, "replication_factor"),
+    ("unmodified", None, None, None),
+    ("edge_cut_fraction drift", drift_cut, "edge_cut_fraction", "baseline"),
+    ("deleted restream row", delete_restream_row, "restream", "baseline"),
+    ("config.n changed", change_config_n, "config: n =", "baseline"),
+    ("replication_factor drift", drift_replication, "replication_factor",
+     "baseline"),
+    ("restream never beats pass one", restream_never_improves,
+     "not below pass-one cut", "rule"),
+    ("edge restream ties one pass", edge_restream_ties_one_pass,
+     "not below 1-pass rf", "rule"),
 ]
 
 
@@ -59,7 +85,7 @@ def main():
         base = json.load(f)
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, mutate, want in CASES:
+        for name, mutate, want, kind in CASES:
             d = copy.deepcopy(base)
             if mutate is not None:
                 mutate(d)
@@ -77,7 +103,7 @@ def main():
                 failures.append(f"{name}: exit {proc.returncode}, want "
                                 f"{want_rc}\n{out}")
             elif want is not None and not any(
-                    want in line and "baseline" in line
+                    want in line and (kind == "rule" or "baseline" in line)
                     for line in out.splitlines()):
                 failures.append(f"{name}: no violation names {want!r}\n{out}")
     for failure in failures:

@@ -117,12 +117,11 @@ TEST(DriftDetectorTest, FiresOnMotifMixSwitchAfterConsecutiveStreak) {
 
 TEST(DriftDetectorTest, NoiseBelowThresholdResetsTheStreak) {
   DriftDetectorOptions options;
-  options.metric = DriftMetric::kL1;
   options.fire_threshold = 0.3;
   options.min_consecutive = 2;
   DriftDetector detector(options);
   const MotifDistribution a = Dist({{1, 0.5}, {2, 0.5}});
-  // 0.4 of the mass moved: over the 0.3 threshold.
+  // 0.4 of the mass moved: JS distance 0.552, over the 0.3 threshold.
   const MotifDistribution spike = Dist({{1, 0.1}, {2, 0.5}, {3, 0.4}});
   detector.SetReference(a);
 
@@ -132,6 +131,41 @@ TEST(DriftDetectorTest, NoiseBelowThresholdResetsTheStreak) {
     EXPECT_FALSE(detector.Observe(a).fired);
   }
   EXPECT_EQ(detector.NumFired(), 0u);
+}
+
+// The thresholds compare the JS distance; L1 is reported beside it.
+TEST(DriftDetectorTest, ThresholdsJensenShannonAndReportsL1) {
+  DriftDetectorOptions options;
+  options.clear_threshold = 0.0;
+  options.min_consecutive = 1;
+  const MotifDistribution a = Dist({{1, 0.5}, {2, 0.5}});
+
+  // Spike: L1 0.4 is under a 0.5 threshold, JS 0.552 is over it.
+  options.fire_threshold = 0.5;
+  DriftDetector spiked(options);
+  spiked.SetReference(a);
+  const MotifDistribution spike = Dist({{1, 0.1}, {2, 0.5}, {3, 0.4}});
+  const DriftSignal s = spiked.Observe(spike);
+  EXPECT_DOUBLE_EQ(s.l1, L1Distance(a, spike));
+  EXPECT_DOUBLE_EQ(s.js, JensenShannonDistance(a, spike));
+  EXPECT_LT(s.l1, options.fire_threshold);
+  EXPECT_GE(s.js, options.fire_threshold);
+  EXPECT_TRUE(s.workload_drifted);
+  EXPECT_TRUE(s.fired);
+
+  // Nudge: L1 0.1 is over a 0.09 threshold, JS 0.085 is under it.
+  options.fire_threshold = 0.09;
+  DriftDetector nudged(options);
+  nudged.SetReference(a);
+  const MotifDistribution nudge = Dist({{1, 0.6}, {2, 0.4}});
+  const DriftSignal n = nudged.Observe(nudge);
+  EXPECT_DOUBLE_EQ(n.l1, L1Distance(a, nudge));
+  EXPECT_DOUBLE_EQ(n.js, JensenShannonDistance(a, nudge));
+  EXPECT_GE(n.l1, options.fire_threshold);
+  EXPECT_LT(n.js, options.fire_threshold);
+  EXPECT_FALSE(n.workload_drifted);
+  EXPECT_FALSE(n.fired);
+  EXPECT_EQ(nudged.NumFired(), 0u);
 }
 
 TEST(DriftDetectorTest, HysteresisBlocksRefireUntilClear) {
@@ -176,22 +210,6 @@ TEST(DriftDetectorTest, RebaseAdoptsTheDriftedDistributionAndRearms) {
   EXPECT_FALSE(detector.Observe(b).workload_drifted);
   // ...and drifting *back* to a is a new drift.
   EXPECT_TRUE(detector.Observe(a).fired);
-}
-
-TEST(DriftDetectorTest, CutDegradationTriggersWithoutWorkloadDrift) {
-  DriftDetectorOptions options;
-  options.min_consecutive = 1;
-  options.cut_degradation_factor = 1.25;
-  DriftDetector detector(options);
-  const MotifDistribution a = Dist({{1, 1.0}});
-  detector.SetReference(a);
-  detector.SetBaselineEdgeCut(0.40);
-
-  EXPECT_FALSE(detector.Observe(a, 0.45).fired);  // ratio 1.125 < 1.25
-  const DriftSignal s = detector.Observe(a, 0.52);  // ratio 1.3
-  EXPECT_FALSE(s.workload_drifted);
-  EXPECT_TRUE(s.cut_degraded);
-  EXPECT_TRUE(s.fired);
 }
 
 // ------------------------------------------------------- migration budget
@@ -358,10 +376,9 @@ TEST(DriftControllerTest, NoReactionWithoutAConfirmedDrift) {
   const MotifDistribution reference = Dist({{1, 0.5}, {2, 0.5}});
   controller.SetReference(reference);
 
-  const DriftReaction r =
-      controller.MaybeRepartition(reference, stream, ldg.get());
-  EXPECT_FALSE(r.reacted);
-  EXPECT_FALSE(r.signal.fired);
+  // Service's path: Check, and React only on a fire.
+  const DriftSignal signal = controller.Check(reference);
+  EXPECT_FALSE(signal.fired);
   EXPECT_EQ(controller.NumReactions(), 0u);
   // The live assignment is untouched.
   EXPECT_EQ(ComputeMigration(before, ldg->assignment()).moved, 0u);
@@ -385,13 +402,13 @@ TEST(DriftControllerTest, ReactionStaysUnderBudgetAndNeverPublishesWorse) {
   options.detector.min_consecutive = 1;
   options.max_migration_fraction = 0.2;
   DriftController controller(options);
-  controller.SetReference(Dist({{1, 1.0}}), cut_before);
+  controller.SetReference(Dist({{1, 1.0}}));
 
+  // Service's path: Check, and React on the fire.
   const MotifDistribution drifted = Dist({{2, 1.0}});
-  const DriftReaction r =
-      controller.MaybeRepartition(drifted, stream, ldg.get());
-  ASSERT_TRUE(r.reacted);
-  EXPECT_TRUE(r.signal.fired);
+  const DriftSignal signal = controller.Check(drifted);
+  ASSERT_TRUE(signal.fired);
+  const DriftReaction r = controller.React(stream, ldg.get(), drifted);
   EXPECT_EQ(controller.NumReactions(), 1u);
   EXPECT_DOUBLE_EQ(r.edge_cut_before, cut_before);
   EXPECT_LE(r.edge_cut_after, cut_before);  // keep-best adoption
@@ -413,7 +430,7 @@ TEST(DriftScenarioTest, ReactionContractOnThePiecewiseStationaryScenario) {
   ASSERT_TRUE(r.fired);
   EXPECT_GE(r.fire_tick, 1u);
   EXPECT_EQ(r.post_reaction_fires, 0u);
-  EXPECT_GE(r.fire_signal.distance, 0.15);
+  EXPECT_GE(r.fire_signal.js, 0.15);
 
   // Reaction: strictly improves on doing nothing, lands within 2 edge-cut
   // points of the cold 3-pass restream, and stays under the budget.

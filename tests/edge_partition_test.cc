@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -67,6 +69,21 @@ uint64_t CountStreamEdges(const GraphStream& stream) {
     edges += a.back_edges.size();
   }
   return edges;
+}
+
+// Each edge's partition under a placement log of `stream`, keyed by its
+// endpoints in ascending order, so logs of one graph streamed in different
+// orders compare edge by edge.
+std::map<std::pair<VertexId, VertexId>, uint32_t> EdgeToPartition(
+    const GraphStream& stream, const std::vector<uint32_t>& placements) {
+  std::map<std::pair<VertexId, VertexId>, uint32_t> out;
+  size_t i = 0;
+  for (const VertexArrival& a : stream.arrivals()) {
+    for (const VertexId v : a.back_edges) {
+      out[std::minmax(a.vertex, v)] = placements.at(i++);
+    }
+  }
+  return out;
 }
 
 uint64_t PlacementHash(const std::vector<uint32_t>& placements) {
@@ -365,7 +382,7 @@ TEST_P(EdgePartitionPropertyTest, FileBackedMatchesMaterialized) {
 
 // An edge naming kInvalidVertex places nothing and changes no state: the
 // partitioner must neither grow its tables to that id (a write far out of
-// bounds) nor give the edge a stream index.
+// bounds) nor give the edge a place in the placement log.
 TEST_P(EdgePartitionPropertyTest, InvalidEndpointPlacesNothing) {
   std::vector<VertexArrival> arrivals(3);
   for (VertexId v = 0; v < 3; ++v) arrivals[v].vertex = v;
@@ -386,17 +403,15 @@ TEST_P(EdgePartitionPropertyTest, InvalidEndpointPlacesNothing) {
   EXPECT_EQ((*part)->replicas().NumReplicatedVertices(), 3u);
   EXPECT_TRUE((*part)->replicas().CheckInvariants());
 
-  // A pass clamped to that log stays aligned with it: the invalid edges
-  // take no stream index, so both valid edges find their prior entry.
-  const std::vector<uint32_t> prior = (*part)->placements();
-  (*part)->BeginPass(&prior);
-  (*part)->SetMigrationBudget(0);
+  // A replay after BeginPass() logs only the two valid edges, and the
+  // invalid ones add nothing to the retained degrees.
+  (*part)->BeginPass();
   (*part)->OnEdge(1, 0);
   EXPECT_EQ((*part)->OnEdge(kInvalidVertex, 0), opt.k);
   EXPECT_EQ((*part)->OnEdge(2, kInvalidVertex), opt.k);
   (*part)->OnEdge(2, 1);
-  EXPECT_EQ((*part)->placements(), prior);
-  EXPECT_EQ((*part)->stats().budget_denied_moves, 2u);
+  EXPECT_EQ((*part)->placements().size(), 2u);
+  EXPECT_EQ((*part)->stats().edges_assigned, 2u);
   EXPECT_EQ((*part)->PartialDegree(0), 2u);
 }
 
@@ -615,7 +630,7 @@ TEST(WorkloadHeatTest, HeatInflatesEffectiveDegreeDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// Budgeted edge restream
+// Edge restream
 
 TEST(EdgeRestreamTest, KeepBestNeverRegresses) {
   const GraphStream stream = PowerLawStream(1000, 5, 41);
@@ -661,7 +676,7 @@ TEST(EdgeRestreamTest, BeginPassStartsFromEmptyReplicaSet) {
   part.Run(full_cursor);
   ASSERT_TRUE(part.replicas().CheckInvariants());
 
-  part.BeginPass(nullptr);
+  part.BeginPass();
   EXPECT_TRUE(part.replicas().CheckInvariants());
   EXPECT_EQ(part.replicas().NumReplicatedVertices(), 0u);
   StreamCursor half_cursor(half);
@@ -669,44 +684,6 @@ TEST(EdgeRestreamTest, BeginPassStartsFromEmptyReplicaSet) {
   EXPECT_TRUE(part.replicas().CheckInvariants());
   EXPECT_EQ(part.replicas().NumReplicatedVertices(), 50u);
   EXPECT_GE(ReplicationFactor(part.replicas()), 1.0);
-}
-
-TEST(EdgeRestreamTest, ZeroBudgetFreezesPlacement) {
-  const GraphStream stream = SmallStream(400, 1600, 43);
-  StreamCursor cursor(stream);
-  EdgePartitionerOptions opt;
-  opt.k = 6;
-  opt.num_edges_hint = CountStreamEdges(stream);
-  HdrfPartitioner part(opt);
-  EdgeRestreamOptions ropt;
-  ropt.num_passes = 2;
-  ropt.max_migration_fraction = 0.0;
-  EdgeRestreamer restreamer(&cursor, ropt);
-  auto result = restreamer.Run(&part);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->passes[1].moved_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(result->passes[1].replication_factor,
-                   result->passes[0].replication_factor);
-}
-
-TEST(EdgeRestreamTest, BudgetIsStrict) {
-  const GraphStream stream = PowerLawStream(800, 5, 47);
-  StreamCursor cursor(stream);
-  const uint64_t m = CountStreamEdges(stream);
-  EdgePartitionerOptions opt;
-  opt.k = 8;
-  opt.num_edges_hint = m;
-  DbhPartitioner part(opt);
-  EdgeRestreamOptions ropt;
-  ropt.num_passes = 2;
-  ropt.max_migration_fraction = 0.05;
-  ropt.keep_best = false;
-  EdgeRestreamer restreamer(&cursor, ropt);
-  auto result = restreamer.Run(&part);
-  ASSERT_TRUE(result.ok());
-  const uint64_t budget = static_cast<uint64_t>(0.05 * m);
-  EXPECT_LE(result->passes[1].moved_fraction * static_cast<double>(m),
-            static_cast<double>(budget) + 0.5);
 }
 
 TEST(EdgeRestreamTest, RequiresPlacementLog) {
@@ -725,14 +702,10 @@ TEST(EdgeRestreamTest, OptionsContract) {
   opt.num_passes = 0;
   EXPECT_FALSE(ValidateEdgeRestreamOptions(opt).ok());
   EXPECT_EQ(SanitizeEdgeRestreamOptions(opt).num_passes, 1u);
-  opt = EdgeRestreamOptions();
-  opt.max_migration_fraction = -0.5;
-  EXPECT_FALSE(ValidateEdgeRestreamOptions(opt).ok());
-  EXPECT_EQ(SanitizeEdgeRestreamOptions(opt).max_migration_fraction, 0.0);
   EXPECT_TRUE(ValidateEdgeRestreamOptions(EdgeRestreamOptions()).ok());
 }
 
-// Budgeted multi-pass edge restream properties, for each edge partitioner.
+// Multi-pass edge restream properties, for each edge partitioner.
 class EdgeRestreamPropertyTest
     : public ::testing::TestWithParam<const char*> {
  protected:
@@ -757,7 +730,6 @@ TEST_P(EdgeRestreamPropertyTest, DeterministicAcrossRepeatedRuns) {
   const uint64_t m = CountStreamEdges(stream);
   EdgeRestreamOptions ropt;
   ropt.num_passes = 3;
-  ropt.max_migration_fraction = 0.2;
   auto a = MakeEdgePartitioner(GetParam(), Options(m));
   auto b = MakeEdgePartitioner(GetParam(), Options(m));
   ASSERT_TRUE(a.ok() && b.ok());
@@ -773,22 +745,16 @@ TEST_P(EdgeRestreamPropertyTest, DeterministicAcrossRepeatedRuns) {
                      rb->passes[i].replication_factor);
     EXPECT_DOUBLE_EQ(ra->passes[i].moved_fraction,
                      rb->passes[i].moved_fraction);
-    EXPECT_EQ(ra->passes[i].budget_denied_moves,
-              rb->passes[i].budget_denied_moves);
   }
 }
 
-TEST_P(EdgeRestreamPropertyTest, EveryPassBudgetedAndClean) {
-  // Without keep-best every pass is adopted, so each budgeted pass's move
-  // count is checked against the strict cap, and no pass needs a cap
-  // relaxation or errors an assignment.
+TEST_P(EdgeRestreamPropertyTest, EveryPassClean) {
+  // No pass needs a cap relaxation or errors an assignment, and every
+  // moved share is a fraction of the edges.
   const GraphStream stream = PowerLawStream(1500, 5, 67);
   const uint64_t m = CountStreamEdges(stream);
   EdgeRestreamOptions ropt;
   ropt.num_passes = 3;
-  ropt.max_migration_fraction = 0.1;
-  ropt.keep_best = false;
-  const uint64_t budget = static_cast<uint64_t>(0.1 * static_cast<double>(m));
   auto part = MakeEdgePartitioner(GetParam(), Options(m));
   ASSERT_TRUE(part.ok());
   auto result = Restream(stream, ropt, (*part).get());
@@ -797,13 +763,90 @@ TEST_P(EdgeRestreamPropertyTest, EveryPassBudgetedAndClean) {
   for (const EdgeRestreamPassStats& pass : result->passes) {
     EXPECT_EQ(pass.cap_relaxations, 0u) << "pass " << pass.pass;
     EXPECT_EQ(pass.assign_errors, 0u) << "pass " << pass.pass;
-    if (pass.pass > 1) {
-      EXPECT_LE(pass.moved_fraction * static_cast<double>(m),
-                static_cast<double>(budget) + 0.5)
-          << "pass " << pass.pass;
-    }
+    EXPECT_GE(pass.moved_fraction, 0.0) << "pass " << pass.pass;
+    EXPECT_LE(pass.moved_fraction, 1.0) << "pass " << pass.pass;
   }
   EXPECT_EQ(result->placements.size(), m);
+}
+
+// Only the degree table carries over between passes. Two partitioners see
+// one graph in different orders, so their first passes place it
+// differently but end with equal degrees; after BeginPass() a replay of
+// one stream places every edge identically on both.
+TEST_P(EdgeRestreamPropertyTest, LaterPassesDependOnlyOnDegrees) {
+  Rng rng(79);
+  const LabeledGraph g = BarabasiAlbert(1000, 5, LabelConfig{4, 0.3}, rng);
+  const GraphStream random_order = MakeStream(g, StreamOrder::kRandom, rng);
+  const GraphStream bfs_order = MakeStream(g, StreamOrder::kBfs, rng);
+  auto a = MakeEdgePartitioner(GetParam(), Options(g.NumEdges()));
+  auto b = MakeEdgePartitioner(GetParam(), Options(g.NumEdges()));
+  ASSERT_TRUE(a.ok() && b.ok());
+  StreamCursor random_cursor(random_order);
+  StreamCursor bfs_cursor(bfs_order);
+  (*a)->Run(random_cursor);
+  (*b)->Run(bfs_cursor);
+  ASSERT_NE(EdgeToPartition(random_order, (*a)->placements()),
+            EdgeToPartition(bfs_order, (*b)->placements()));
+
+  (*a)->BeginPass();
+  (*b)->BeginPass();
+  StreamCursor replay_a(random_order);
+  StreamCursor replay_b(random_order);
+  (*a)->Run(replay_a);
+  (*b)->Run(replay_b);
+  EXPECT_EQ((*a)->placements(), (*b)->placements());
+  EXPECT_EQ((*a)->edge_counts(), (*b)->edge_counts());
+}
+
+// Run is a first pass plus BeginPass() replays and nothing more: each row
+// matches a hand-driven replay, moved_fraction is the share of edges placed
+// off the best earlier pass, and the result keeps the best pass's log.
+TEST_P(EdgeRestreamPropertyTest, RunMatchesHandDrivenReplays) {
+  const GraphStream stream = PowerLawStream(1200, 5, 83);
+  const uint64_t m = CountStreamEdges(stream);
+  constexpr uint32_t kPasses = 4;
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = kPasses;
+  auto run = MakeEdgePartitioner(GetParam(), Options(m));
+  auto hand = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(run.ok() && hand.ok());
+  auto result = Restream(stream, ropt, (*run).get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->passes.size(), kPasses);
+
+  std::vector<uint32_t> best;
+  double best_rf = 0.0;
+  double best_balance = 0.0;
+  for (uint32_t pass = 1; pass <= kPasses; ++pass) {
+    if (pass > 1) (*hand)->BeginPass();
+    StreamCursor cursor(stream);
+    (*hand)->Run(cursor);
+    const std::vector<uint32_t>& log = (*hand)->placements();
+    ASSERT_EQ(log.size(), m);
+    const double rf = ReplicationFactor((*hand)->replicas());
+    const double balance = EdgeBalanceMaxOverAvg((*hand)->edge_counts());
+    uint64_t moved = 0;
+    for (size_t i = 0; i < best.size(); ++i) moved += best[i] != log[i];
+
+    const EdgeRestreamPassStats& row = result->passes[pass - 1];
+    EXPECT_EQ(row.pass, pass);
+    EXPECT_DOUBLE_EQ(row.replication_factor, rf) << "pass " << pass;
+    EXPECT_DOUBLE_EQ(row.balance, balance) << "pass " << pass;
+    EXPECT_DOUBLE_EQ(row.moved_fraction,
+                     static_cast<double>(moved) / static_cast<double>(m))
+        << "pass " << pass;
+    if (pass == 1 || rf < best_rf ||
+        (rf == best_rf && balance < best_balance)) {
+      best = log;
+      best_rf = rf;
+      best_balance = balance;
+    }
+    EXPECT_DOUBLE_EQ(row.best_replication_factor, best_rf) << "pass " << pass;
+  }
+  EXPECT_EQ(result->placements, best);
+  EXPECT_DOUBLE_EQ(result->replication_factor, best_rf);
+  EXPECT_DOUBLE_EQ(result->balance, best_balance);
+  EXPECT_EQ((*run)->placements(), (*hand)->placements());
 }
 
 TEST_P(EdgeRestreamPropertyTest, ReplicaSetConsistentAfterRun) {

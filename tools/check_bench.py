@@ -78,13 +78,18 @@ def check_restream(d):
         return errors
     if not {"ldg", "fennel", "loom"} <= {r["partitioner"] for r in rows}:
         errors.append("restream: needs ldg, fennel and loom rows")
-    # The anytime contract: the best cut never increases over passes.
+    # The anytime contract: the best cut never increases over passes, and
+    # restreaming beats pass one.
     for key in sorted({(r["graph"], r["partitioner"]) for r in rows}):
         seq = sorted((r for r in rows if (r["graph"], r["partitioner"]) == key),
                      key=lambda r: r["pass"])
         bests = [r["best_edge_cut_fraction"] for r in seq]
         if any(b > a + 1e-12 for a, b in zip(bests, bests[1:])):
             errors.append(f"restream: best cut rises over passes {key}: {bests}")
+        first = seq[0]["edge_cut_fraction"]
+        if not bests[-1] < first:
+            errors.append(f"restream: final best cut {bests[-1]} not below "
+                          f"pass-one cut {first} at {key}")
     return errors
 
 
@@ -232,7 +237,8 @@ def check_edge_partition(d):
                           f"{by['hdrf']['replication_factor']} > dbh "
                           f"{by['dbh']['replication_factor']}")
 
-    # Keep-best: a restream never reports a worse rf than its own pass one.
+    # Restreaming beats pass one: a restream row's kept-best rf is strictly
+    # below the rf of the 1-pass row with the same axes.
     def axes(r):
         return (r["tier"], r["graph"], r["partitioner"], r["lambda"])
 
@@ -244,9 +250,9 @@ def check_edge_partition(d):
         if first is None:
             errors.append(f"edge_partition: no 1-pass row for restream row "
                           f"{axes(r)}")
-        elif r["replication_factor"] > first["replication_factor"]:
+        elif not r["replication_factor"] < first["replication_factor"]:
             errors.append(f"edge_partition: {r['restream_passes']}-pass rf "
-                          f"{r['replication_factor']} > 1-pass rf "
+                          f"{r['replication_factor']} not below 1-pass rf "
                           f"{first['replication_factor']} at {axes(r)}")
     return errors
 

@@ -16,7 +16,7 @@
 // placements are reported rather than persisted):
 //   loom_partition --graph g.loom --edge-partitioner hdrf|dbh
 //                  [--k 8] [--lambda 1.0] [--max-replicas R] [--slack 1.1]
-//                  [--restream-passes N] [--migration-fraction F]
+//                  [--restream-passes N]
 //                  [--heat-weight W]   (needs --workload; hot motif labels
 //                                       replicate first)
 
@@ -67,7 +67,6 @@ struct Args {
   double lambda = 1.0;
   uint32_t max_replicas = 0;
   uint32_t restream_passes = 1;
-  double migration_fraction = 1.0;
   double heat_weight = 0.0;
 };
 
@@ -157,11 +156,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--restream-passes") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->restream_passes)) {
-        return false;
-      }
-    } else if (flag == "--migration-fraction") {
-      const char* v = next();
-      if (!v || !ParseFlag(kTool, flag, v, &args->migration_fraction)) {
         return false;
       }
     } else if (flag == "--heat-weight") {
@@ -270,7 +264,6 @@ int RunEdgePartitionMode(const Args& args, const loom::Workload& workload) {
 
   EdgeRestreamOptions ropts;
   ropts.num_passes = args.restream_passes;
-  ropts.max_migration_fraction = args.migration_fraction;
   EdgeRestreamer restreamer(source, ropts);
   auto run = restreamer.Run(partitioner->get());
   if (!run.ok()) {
@@ -321,7 +314,7 @@ int main(int argc, char** argv) {
                  "   or: loom_partition --graph G[.loomstrm] "
                  "--edge-partitioner hdrf|dbh [--k K] [--lambda L] "
                  "[--max-replicas R] [--slack S] [--restream-passes N] "
-                 "[--migration-fraction F] [--heat-weight W --workload W]\n");
+                 "[--heat-weight W --workload W]\n");
     return 2;
   }
 

@@ -515,7 +515,7 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
 // In-memory edge-partitioning rows: per graph family, HDRF at lambda in
 // {1.0, 4.0} and DBH at lambda 1.0 (DBH ignores lambda, so a second DBH row
 // would repeat the first; check_bench.py compares HDRF with DBH at 1.0),
-// plus one budgeted two-pass HDRF restream row per family. Replication
+// plus one two-pass HDRF restream row per family. Replication
 // factor and balance are the §vertex-cut quality axes.
 bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
                           std::vector<JsonObject>* rows) {
@@ -553,7 +553,6 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       StreamCursor cursor(stream);
       EdgeRestreamOptions ropts;
       ropts.num_passes = config.passes;
-      ropts.max_migration_fraction = 0.25;
       EdgeRestreamer restreamer(&cursor, ropts);
       auto run = restreamer.Run(partitioner->get());
       if (!run.ok()) {
