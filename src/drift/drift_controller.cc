@@ -127,7 +127,7 @@ DriftReaction DriftController::React(const GraphStream& stream,
       MigrationFraction(original, reaction.assignment);
   reaction.seconds = timer.ElapsedSeconds();
 
-  detector_.Rebase(std::move(rebase_to));
+  detector_.SetReference(std::move(rebase_to));
   ++num_reactions_;
   return reaction;
 }

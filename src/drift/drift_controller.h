@@ -11,8 +11,8 @@
 /// budget on the highest-value moves first, the budget caps the cumulative
 /// `MigrationFraction` against the pre-reaction assignment, and the result
 /// is adopted keep-best (a reaction never publishes a worse cut than the
-/// assignment it started from). After reacting, the detector is rebased
-/// onto the drifted distribution so the loop re-arms.
+/// assignment it started from). After reacting, the detector takes the
+/// drifted distribution as its reference so the loop re-arms.
 ///
 /// Contract: `React` mutates the partitioner (it ends holding the *last*
 /// pass's assignment, which may differ from the adopted keep-best one in
@@ -103,7 +103,7 @@ class DriftController {
   DriftSignal Check(const MotifDistribution& current);
 
   /// Runs the bounded-migration reaction against `partitioner`'s current
-  /// (live) assignment and rebases the detector onto `rebase_to`. The
+  /// (live) assignment and makes `rebase_to` the detector's reference. The
   /// stream must be the recorded stream the live assignment was built from
   /// (the replay source).
   DriftReaction React(const GraphStream& stream,

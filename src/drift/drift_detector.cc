@@ -76,7 +76,7 @@ DriftSignal DriftDetector::Observe(const MotifDistribution& current) {
   signal.workload_drifted = signal.js >= options_.fire_threshold;
 
   if (!armed_) {
-    // Fired and not yet rebased: re-arm only once the signal has clearly
+    // Fired and no new reference yet: re-arm only once the signal has clearly
     // subsided, so a workload hovering around the fire threshold cannot
     // trigger a reaction per tick.
     if (signal.js <= options_.clear_threshold) armed_ = true;
@@ -91,10 +91,6 @@ DriftSignal DriftDetector::Observe(const MotifDistribution& current) {
     streak_ = 0;
   }
   return signal;
-}
-
-void DriftDetector::Rebase(MotifDistribution reference) {
-  SetReference(std::move(reference));
 }
 
 }  // namespace loom

@@ -30,8 +30,8 @@ struct DriftDetectorOptions {
   /// ...for this many consecutive observations (debounces sampling noise).
   uint32_t min_consecutive = 2;
   /// After firing, stay disarmed until the distance falls back below this
-  /// (must be <= fire_threshold; the gap is the hysteresis band). A rebase
-  /// re-arms immediately — the reaction itself closes the loop.
+  /// (must be <= fire_threshold; the gap is the hysteresis band). A new
+  /// reference re-arms immediately — the reaction itself closes the loop.
   double clear_threshold = 0.05;
 };
 
@@ -59,18 +59,16 @@ class DriftDetector {
   explicit DriftDetector(const DriftDetectorOptions& options);
 
   /// Installs the distribution the live assignment was built for and
-  /// re-arms. Typically `MotifDistributionOf(loom.Trie())`.
+  /// re-arms. Typically `MotifDistributionOf(loom.Trie())` at start-up, and
+  /// the drifted distribution after a reaction re-partitions for it, which
+  /// closes the loop.
   void SetReference(MotifDistribution reference);
 
   /// Scores one periodic observation (e.g. a tracker's
   /// `SupportDistribution()`) and updates the hysteresis state.
   DriftSignal Observe(const MotifDistribution& current);
 
-  /// Adopts `reference` as the new expectation and re-arms — called after
-  /// a reaction re-partitions for the drifted workload, closing the loop.
-  void Rebase(MotifDistribution reference);
-
-  /// False between a fire and the signal clearing (or a rebase).
+  /// False between a fire and the signal clearing (or a new reference).
   bool Armed() const { return armed_; }
 
   /// Fires so far (monotone; a stationary workload keeps this at 0).

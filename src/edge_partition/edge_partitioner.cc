@@ -83,6 +83,15 @@ void EdgePartitioner::OnArrival(const ArrivalView& view) {
   if (view.vertex == kInvalidVertex) return;
   GrowTables(view.vertex);
   RefreshHeatScale(view.vertex, view.label);
+  // Every edge reads its neighbour's degree and replica mask, rows of
+  // vertices that arrived anywhere earlier; start all of their loads before
+  // the first edge is placed.
+  for (const VertexId neighbor : view.back_edges) {
+    if (neighbor < degree_.size()) {
+      __builtin_prefetch(degree_.data() + neighbor);
+    }
+    replicas_.PrefetchMask(neighbor);
+  }
   for (const VertexId neighbor : view.back_edges) {
     OnEdge(view.vertex, neighbor);
   }

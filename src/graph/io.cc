@@ -513,13 +513,14 @@ Result<std::unique_ptr<FileArrivalSource>> FileArrivalSource::Open(
   }
 
   // The validation sweep faulted the whole file in; start cold when the
-  // caller asked for bounded residency, so the sweep itself cannot blow
-  // the budget's RSS contract.
-  if (options.residency_budget_bytes != 0) {
+  // file is larger than the residency budget, so the sweep itself cannot
+  // blow the budget's RSS contract.
+  std::unique_ptr<FileArrivalSource> source(new FileArrivalSource());
+  if (NeedsResidencyDrops(file_bytes, options)) {
     ::madvise(map, file_bytes, MADV_DONTNEED);
+    source->residency_drops_ = 1;
   }
 
-  std::unique_ptr<FileArrivalSource> source(new FileArrivalSource());
   source->info_.version = header.version;
   source->info_.has_full_neighborhoods = full;
   source->info_.num_vertices = header.num_vertices;
@@ -542,13 +543,14 @@ FileArrivalSource::~FileArrivalSource() {
 }
 
 void FileArrivalSource::NoteTouched(size_t bytes) const {
-  if (options_.residency_budget_bytes == 0) return;
+  if (!NeedsResidencyDrops(map_bytes_, options_)) return;
   touched_bytes_ += bytes;
   if (touched_bytes_ < options_.residency_budget_bytes) return;
   // Drop the whole mapping's resident pages; the clean file-backed pages
   // re-fault from the page cache (or disk) on the next touch.
   ::madvise(const_cast<unsigned char*>(map_), map_bytes_, MADV_DONTNEED);
   touched_bytes_ = 0;
+  ++residency_drops_;
 }
 
 ReplaySource::Record FileArrivalSource::At(uint64_t index) const {
@@ -563,6 +565,30 @@ ReplaySource::Record FileArrivalSource::At(uint64_t index) const {
   out.full_edges = Span<const VertexId>(slice, record.full_degree);
   NoteTouched(kStreamFileRecordBytes + record.full_degree * sizeof(VertexId));
   return out;
+}
+
+void FileArrivalSource::Prefetch(uint64_t index, Warm what) const {
+  const unsigned char* entry = directory_ + index * kStreamFileRecordBytes;
+  if (what == Warm::kRecord) {
+    // A record can straddle two cache lines.
+    __builtin_prefetch(entry);
+    __builtin_prefetch(entry + kStreamFileRecordBytes - 1);
+    return;
+  }
+  StreamFileRecord record;
+  std::memcpy(&record, entry, sizeof(record));
+  // The slice's first cache lines: all of a typical neighbourhood, and the
+  // part of a hub's that is read first.
+  constexpr uintptr_t kLineBytes = 64;
+  constexpr uintptr_t kSliceLines = 4;
+  const auto begin = reinterpret_cast<uintptr_t>(edges_ + record.edge_offset);
+  const uintptr_t end = begin + record.full_degree * sizeof(VertexId);
+  const uintptr_t first = begin & ~(kLineBytes - 1);
+  for (uintptr_t line = first;
+       line < end && line < first + kSliceLines * kLineBytes;
+       line += kLineBytes) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
 }
 
 bool FileArrivalSource::Next(ArrivalView* out) {

@@ -167,11 +167,14 @@ struct StreamOpenOptions {
 /// checks.
 ///
 /// Residency: consuming a mapped file faults its pages in, which would make
-/// peak RSS O(file) and defeat the out-of-core design. The source therefore
-/// tracks bytes touched since the last drop and `madvise(MADV_DONTNEED)`s
-/// the mapping whenever that exceeds `residency_budget_bytes`, bounding the
-/// mapping's resident contribution by the budget (pages re-fault on the
-/// next pass).
+/// peak RSS O(file) and defeat the out-of-core design. When the file is
+/// larger than `residency_budget_bytes`, the source therefore drops the
+/// mapping (`madvise(MADV_DONTNEED)`) once after Open's validation sweep,
+/// then tracks bytes touched by At/Next since the last drop and drops it
+/// again whenever that exceeds the budget, bounding the mapping's resident
+/// contribution by the budget (pages re-fault on the next pass). A file no
+/// larger than the budget can never hold more than the budget resident, so
+/// it is never dropped.
 class FileArrivalSource final : public ArrivalSource, public ReplaySource {
  public:
   using OpenOptions = StreamOpenOptions;
@@ -198,8 +201,23 @@ class FileArrivalSource final : public ArrivalSource, public ReplaySource {
   /// on files without full neighbourhoods, `full_edges` == `back_edges`.
   Record At(uint64_t index) const override;
 
+  /// kRecord warms the 24-byte directory record; kEdges reads it and warms
+  /// the first lines of the arrival's edge slice.
+  void Prefetch(uint64_t index, Warm what) const override;
+
+  /// Residency drops of the whole mapping so far, Open's included (see the
+  /// class comment); always 0 for a file no larger than the budget.
+  uint64_t residency_drops() const { return residency_drops_; }
+
  private:
   FileArrivalSource() = default;
+
+  /// True when the file is larger than a non-zero residency budget, the
+  /// only case in which the mapping is ever dropped.
+  static bool NeedsResidencyDrops(size_t file_bytes, const OpenOptions& o) {
+    return o.residency_budget_bytes != 0 &&
+           file_bytes > o.residency_budget_bytes;
+  }
 
   void NoteTouched(size_t bytes) const;
 
@@ -213,6 +231,8 @@ class FileArrivalSource final : public ArrivalSource, public ReplaySource {
   uint64_t pos_ = 0;
   /// Bytes touched since the last MADV_DONTNEED drop (see class comment).
   mutable size_t touched_bytes_ = 0;
+  /// Backs residency_drops().
+  mutable uint64_t residency_drops_ = 0;
 };
 
 }  // namespace loom

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -67,6 +68,12 @@ class PartitionAssignment {
 
   /// One past the largest vertex id ever assigned; bound for PartOf scans.
   size_t IdBound() const { return part_of_.size(); }
+
+  /// The per-id table behind PartOf: IdBound() entries, -1 where
+  /// unassigned. A read-only view, valid until the next assignment.
+  Span<const int32_t> PartTable() const {
+    return Span<const int32_t>(part_of_.data(), part_of_.size());
+  }
 
   /// Vertices placed past the capacity bound C via ForceAssign.
   size_t NumOverflowed() const { return num_overflowed_; }

@@ -45,6 +45,14 @@ void StreamingPartitioner::Run(ArrivalSource& source) {
         continue;
       }
     }
+    if (prior_ != nullptr) {
+      // A replay pass visits ids in random order, so the neighbours' score
+      // rows are cold; start their loads before OnVertex scores them.
+      const int32_t* rows = score_part_.data();
+      for (const VertexId w : arrival.back_edges) {
+        if (w < score_part_.size()) __builtin_prefetch(rows + w);
+      }
+    }
     OnVertex(arrival.vertex, arrival.label, arrival.back_edges);
   }
   Finish();
@@ -66,7 +74,12 @@ void StreamingPartitioner::BeginPass(const PartitionAssignment* prior) {
       options_.k, ComputeCapacity(options_.k, options_.num_vertices_hint,
                                   options_.capacity_slack));
   stats_ = PartitionerStats();
-  prior_ = prior;
+  ClearPrior();
+  if (prior != nullptr) {
+    prior_ = prior;
+    const Span<const int32_t> table = prior->PartTable();
+    score_part_.assign(table.begin(), table.end());
+  }
   migration_budget_ = kUnlimitedMigrationBudget;
   home_claims_.clear();
 }
@@ -83,7 +96,7 @@ void StreamingPartitioner::AdoptAssignment(PartitionAssignment assignment,
                                            const PartitionerStats& stats) {
   assignment_ = std::move(assignment);
   stats_ = stats;
-  prior_ = nullptr;
+  ClearPrior();
   migration_budget_ = kUnlimitedMigrationBudget;
   home_claims_.clear();
 }
@@ -146,6 +159,10 @@ void StreamingPartitioner::AssignOrFallback(VertexId v, uint32_t part) {
       return;
     }
     placed = fallback;
+  }
+  if (prior_ != nullptr) {
+    if (v >= score_part_.size()) score_part_.resize(v + 1, -1);
+    score_part_[v] = static_cast<int32_t>(placed);
   }
   if (home >= 0) {
     if (placed != static_cast<uint32_t>(home)) ++stats_.prior_moves;

@@ -136,7 +136,10 @@ class StreamingPartitioner {
   /// the remaining arrivals bypass OnVertex scoring entirely and are placed
   /// straight onto their prior partition — the budget forces that outcome
   /// anyway, so the tail of a budgeted pass costs one table lookup per
-  /// vertex instead of a full scoring round.
+  /// vertex instead of a full scoring round. In a restream pass each
+  /// arrival's neighbour rows of the score table are prefetched before
+  /// OnVertex, which scores off them; a replay order is random, so those
+  /// rows are cold.
   void Run(ArrivalSource& source);
 
   /// Convenience adapter: runs a borrowed in-memory stream through a
@@ -149,9 +152,11 @@ class StreamingPartitioner {
   /// assignment — as the scoring prior for the next pass. Until a vertex is
   /// re-assigned this pass, ScorePartOf reports its prior-pass partition, so
   /// placement scores incorporate last pass's neighbourhoods while balance is
-  /// accounted against this pass's placements only. Pass nullptr to reset to
-  /// single-pass behaviour. `prior` must outlive the pass and must not alias
-  /// this partitioner's own assignment (copy it first).
+  /// accounted against this pass's placements only. The pass scores off one
+  /// table: a copy of the prior's per-id partitions (4 B per id) that every
+  /// placement of the pass overwrites. Pass nullptr to reset to single-pass
+  /// behaviour, which drops the table. `prior` must outlive the pass and
+  /// must not alias this partitioner's own assignment (copy it first).
   virtual void BeginPass(const PartitionAssignment* prior);
 
   /// Rewinds to the fresh state: discards the assignment, stats, prior and
@@ -196,9 +201,13 @@ class StreamingPartitioner {
     return prior_ != nullptr && stats_.prior_moves >= migration_budget_;
   }
 
-  /// Drops the restream prior without touching the current assignment (for
-  /// drivers whose prior storage goes out of scope after the run).
-  void ClearPrior() { prior_ = nullptr; }
+  /// Drops the restream prior and the pass's score table without touching
+  /// the current assignment (for drivers whose prior storage goes out of
+  /// scope after the run).
+  void ClearPrior() {
+    prior_ = nullptr;
+    score_part_ = std::vector<int32_t>();
+  }
 
   /// Cluster-memoization hooks (see stream/cluster_log.h). A partitioner
   /// whose unit of assignment is larger than a vertex (LOOM) can record the
@@ -223,11 +232,13 @@ class StreamingPartitioner {
 
  protected:
   /// Partition of `w` as seen by placement scores: this pass's placement
-  /// when present, else the prior pass's, else -1.
+  /// when present, else the prior pass's, else -1. With a prior installed
+  /// that is one load from the pass's score table (see BeginPass), which
+  /// holds exactly this by construction; without one it is this pass's
+  /// placement.
   int32_t ScorePartOf(VertexId w) const {
-    const int32_t p = assignment_.PartOf(w);
-    if (p >= 0) return p;
-    return prior_ != nullptr ? prior_->PartOf(w) : -1;
+    if (prior_ == nullptr) return assignment_.PartOf(w);
+    return w < score_part_.size() ? score_part_[w] : -1;
   }
 
   /// Assigns `v` to `part` when valid; otherwise (no eligible partition, or
@@ -241,6 +252,11 @@ class StreamingPartitioner {
   PartitionerStats stats_;
   /// Previous restream pass's assignment (not owned); null in pass one.
   const PartitionAssignment* prior_ = nullptr;
+  /// While a prior is installed: per id, this pass's partition when placed,
+  /// else the prior's, else -1 — what ScorePartOf reads. Seeded from the
+  /// prior by BeginPass and written by every AssignOrFallback placement;
+  /// empty without a prior.
+  std::vector<int32_t> score_part_;
   /// Max placements allowed to leave their prior partition this pass.
   uint64_t migration_budget_ = kUnlimitedMigrationBudget;
   /// Budgeted passes only: per partition, prior members not yet placed this

@@ -93,6 +93,14 @@ class ReplicaSet {
   /// Mask words per vertex: 1 until a partition index >= 64 appears.
   uint32_t words_per_vertex() const { return words_per_vertex_; }
 
+  /// Hint that `v`'s mask row is read soon: starts the load of its first
+  /// word, so a caller can overlap the misses of several rows. No effect on
+  /// the set; an id without a row is ignored.
+  void PrefetchMask(VertexId v) const {
+    const size_t base = static_cast<size_t>(v) * words_per_vertex_;
+    if (base < masks_.size()) __builtin_prefetch(masks_.data() + base);
+  }
+
   /// Primary partition of `v`, or kNoReplica when unreplicated.
   uint32_t PrimaryOf(VertexId v) const {
     return v < primaries_.size() ? primaries_[v] : kNoReplica;

@@ -74,6 +74,13 @@ namespace {
 // behind the cut. With a permutation it yields `perm`'s vertices in that
 // order with their full neighbourhoods, located through the vertex ->
 // arrival index: passes >= 2.
+//
+// A permutation reads the source in random order, so each arrival would
+// stall on its index entry, then its record, then its edges. The cursor
+// therefore looks ahead: it warms the index entry kLookAhead * 4 arrivals
+// ahead, the record kLookAhead * 2 ahead and the edges kLookAhead ahead, so
+// each load has been in flight for a few arrivals when it is needed. The
+// in-order sweeps read sequentially and get no hints.
 class ReplayCursor final : public ArrivalSource {
  public:
   explicit ReplayCursor(const ReplaySource& source)
@@ -87,13 +94,18 @@ class ReplayCursor final : public ArrivalSource {
 
   bool Next(ArrivalView* out) override {
     if (pos_ >= size_) return false;
-    const uint64_t index =
-        perm_ == nullptr ? pos_ : (*index_of_vertex_)[(*perm_)[pos_]];
-    ++pos_;
-    const ReplaySource::Record record = source_->At(index);
+    if (perm_ == nullptr) {
+      const ReplaySource::Record record = source_->At(pos_++);
+      out->vertex = record.vertex;
+      out->label = record.label;
+      out->back_edges = record.back_edges;
+      return true;
+    }
+    WarmAhead();
+    const ReplaySource::Record record = source_->At(IndexAt(pos_++));
     out->vertex = record.vertex;
     out->label = record.label;
-    out->back_edges = perm_ == nullptr ? record.back_edges : record.full_edges;
+    out->back_edges = record.full_edges;
     return true;
   }
   void Reset() override { pos_ = 0; }
@@ -101,6 +113,30 @@ class ReplayCursor final : public ArrivalSource {
   uint64_t NumEdges() const override { return source_->NumEdges(); }
 
  private:
+  // Arrivals between the edge hint and the read; the record and index hints
+  // run 2x and 4x as far ahead. Tuned on a 500k-vertex replay.
+  static constexpr uint64_t kLookAhead = 8;
+
+  // Arrival index of the permutation's `pos`-th vertex.
+  uint64_t IndexAt(uint64_t pos) const {
+    return (*index_of_vertex_)[(*perm_)[pos]];
+  }
+
+  void WarmAhead() const {
+    if (pos_ + 4 * kLookAhead < size_) {
+      __builtin_prefetch(index_of_vertex_->data() +
+                         (*perm_)[pos_ + 4 * kLookAhead]);
+    }
+    if (pos_ + 2 * kLookAhead < size_) {
+      source_->Prefetch(IndexAt(pos_ + 2 * kLookAhead),
+                        ReplaySource::Warm::kRecord);
+    }
+    if (pos_ + kLookAhead < size_) {
+      source_->Prefetch(IndexAt(pos_ + kLookAhead),
+                        ReplaySource::Warm::kEdges);
+    }
+  }
+
   const ReplaySource* source_;
   const std::vector<VertexId>* perm_ = nullptr;
   const std::vector<uint32_t>* index_of_vertex_ = nullptr;

@@ -152,7 +152,11 @@ struct RestreamResult {
 ///
 /// Pass one streams the arrivals in order with their back edges; later
 /// passes replay full neighbourhoods in the prioritized order, located
-/// through a vertex -> arrival index built on the first replay. Only
+/// through a vertex -> arrival index built on the first replay. That order
+/// is random, so the replay cursor looks ahead: it warms the index entry,
+/// record and edges of arrivals a few positions past its own through
+/// ReplaySource::Prefetch, and the partitioner scores off one table per
+/// pass (StreamingPartitioner::BeginPass). Neither moves a placement. Only
 /// ReplayStream materialises a stream (`materializations()`).
 class Restreamer {
  public:

@@ -26,6 +26,17 @@ ReplaySource::Record StreamReplay::At(uint64_t index) const {
   return out;
 }
 
+void StreamReplay::Prefetch(uint64_t index, Warm what) const {
+  const VertexArrival* a = &stream_->arrivals()[index];
+  if (what == Warm::kRecord) {
+    __builtin_prefetch(a);
+    return;
+  }
+  // The record was warmed by the kRecord hint; its vertex names the
+  // adjacency row At reads.
+  __builtin_prefetch(graph_.Neighbors(a->vertex).data());
+}
+
 GraphStream MaterializeStream(ArrivalSource& source) {
   GraphStream stream;
   ArrivalView view;

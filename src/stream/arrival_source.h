@@ -101,6 +101,22 @@ class ReplaySource {
   virtual uint64_t IdBound() const = 0;
   /// Arrival record at `index` (< NumVertices()).
   virtual Record At(uint64_t index) const = 0;
+
+  /// What a Prefetch hint warms.
+  enum class Warm {
+    /// The arrival's record: what At reads before it can find the edges.
+    kRecord,
+    /// The record and the first cache lines of the full neighbourhood. Reads
+    /// the record, so it should follow a kRecord hint for the same index.
+    kEdges,
+  };
+
+  /// Hint that At(`index`) (< NumVertices()) comes soon, so a replay in a
+  /// random order can start the loads it would otherwise stall on. Moves no
+  /// cursor, reads nothing outside the source and changes no result; a
+  /// hint's reads are charged to a residency budget only when At reads the
+  /// arrival.
+  virtual void Prefetch(uint64_t index, Warm what) const = 0;
 };
 
 /// ReplaySource over a borrowed in-memory GraphStream (must outlive it).
@@ -114,6 +130,7 @@ class StreamReplay final : public ReplaySource {
   uint64_t NumEdges() const override { return graph_.NumEdges(); }
   uint64_t IdBound() const override { return graph_.NumVertices(); }
   Record At(uint64_t index) const override;
+  void Prefetch(uint64_t index, Warm what) const override;
 
  private:
   const GraphStream* stream_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -334,6 +335,126 @@ TEST(ArrivalSourceTest, OutOfCoreRestreamMatchesMaterialized) {
                        from_file.ReplayStream(order, prior, rng2));
     }
   }
+  std::remove(path.c_str());
+}
+
+// `n` arrivals in a random order, with up to 3n edges among them.
+GraphStream SmallStream(uint32_t n, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
+  const LabeledGraph g = ErdosRenyiGnm(
+      n, std::min<uint64_t>(3 * uint64_t{n}, pairs), LabelConfig{3, 0.0}, rng);
+  return MakeStream(g, StreamOrder::kRandom, rng);
+}
+
+TEST(ArrivalSourceTest, ReplayLookAheadStaysInsideShortAndSparseStreams) {
+  // A replay pass hints arrivals up to 32 positions past its cursor. On
+  // streams shorter than that, and on sparse ids, every hint must stay
+  // inside the permutation and the source, and both backings must still
+  // agree on every pass, for every partitioner and order.
+  std::vector<GraphStream> streams;
+  for (const uint32_t n : {1u, 2u, 9u, 33u}) {
+    streams.push_back(SmallStream(n, 100 + n));
+  }
+  streams.push_back(SparseStream());
+
+  WorkloadGenOptions wopts;
+  wopts.num_queries = 4;
+  auto trie = BuildTrie(MixedMotifWorkload(wopts));
+  ASSERT_TRUE(trie.ok());
+  const std::string path = TempPath("loom_lookahead.loomstrm");
+  for (const GraphStream& stream : streams) {
+    SCOPED_TRACE("arrivals " + std::to_string(stream.NumVertices()));
+    ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+    auto file = FileArrivalSource::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    const uint64_t id_bound = (*file)->IdBound();
+
+    // Every hint a cursor can issue, on both backings.
+    const StreamReplay memory(stream);
+    for (const ReplaySource* source :
+         {static_cast<const ReplaySource*>(&memory),
+          static_cast<const ReplaySource*>(file->get())}) {
+      for (uint64_t i = 0; i < source->NumVertices(); ++i) {
+        source->Prefetch(i, ReplaySource::Warm::kRecord);
+        source->Prefetch(i, ReplaySource::Warm::kEdges);
+      }
+    }
+
+    LoomOptions lopts;
+    lopts.partitioner.k = 2;
+    lopts.partitioner.num_vertices_hint = stream.NumVertices();
+    lopts.partitioner.num_edges_hint = stream.NumEdges();
+    lopts.partitioner.window_size = 4;
+    for (const std::string& name : KnownPartitioners()) {
+      for (const RestreamOrder order :
+           {RestreamOrder::kOriginal, RestreamOrder::kRandom,
+            RestreamOrder::kGain}) {
+        SCOPED_TRACE(name + " " + RestreamOrderName(order));
+        RestreamOptions ropts;
+        ropts.num_passes = 3;
+        ropts.order = order;
+        const Restreamer in_memory(stream, ropts);
+        const Restreamer from_file(file->get(), ropts);
+        auto p1 = MakePartitioner(name, lopts, trie->get());
+        auto p2 = MakePartitioner(name, lopts, trie->get());
+        ASSERT_TRUE(p1.ok() && p2.ok());
+        const RestreamResult want = in_memory.Run(p1->get());
+        const RestreamResult got = from_file.Run(p2->get());
+        ASSERT_EQ(want.passes.size(), got.passes.size());
+        for (size_t i = 0; i < want.passes.size(); ++i) {
+          EXPECT_EQ(want.passes[i].edge_cut_fraction,
+                    got.passes[i].edge_cut_fraction);
+          EXPECT_EQ(want.passes[i].migration_fraction,
+                    got.passes[i].migration_fraction);
+        }
+        EXPECT_EQ(want.assignment.NumAssigned(), stream.NumVertices());
+        EXPECT_EQ(FirstDifference(want.assignment, got.assignment, id_bound),
+                  kInvalidVertex);
+        Rng rng1(5);
+        Rng rng2(5);
+        ExpectSameStream(in_memory.ReplayStream(order, want.assignment, rng1),
+                         from_file.ReplayStream(order, want.assignment, rng2));
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ArrivalSourceTest, ResidencyDropsOnlyAMappingLargerThanItsBudget) {
+  // A mapping no larger than the residency budget can never hold more than
+  // the budget resident, so a 3-pass restream at the default budget drops
+  // nothing. A budget below the file's size drops the mapping, and the
+  // re-faulted pages give the same placements.
+  const GraphStream stream = MakeTestStream(1200, 12);
+  const std::string path = TempPath("loom_residency.loomstrm");
+  ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+  auto roomy = FileArrivalSource::Open(path);
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  StreamOpenOptions tight_options;
+  tight_options.residency_budget_bytes = 4096;
+  auto tight = FileArrivalSource::Open(path, tight_options);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  ASSERT_LE((*roomy)->info().file_bytes,
+            StreamOpenOptions().residency_budget_bytes);
+  ASSERT_GT((*tight)->info().file_bytes, tight_options.residency_budget_bytes);
+
+  RestreamOptions ropts;
+  ropts.num_passes = 3;
+  PartitionerOptions popts;
+  popts.num_vertices_hint = stream.NumVertices();
+  popts.num_edges_hint = stream.NumEdges();
+  auto a = MakePartitioner("ldg", popts);
+  auto b = MakePartitioner("ldg", popts);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const RestreamResult want = Restreamer(roomy->get(), ropts).Run(a->get());
+  const RestreamResult got = Restreamer(tight->get(), ropts).Run(b->get());
+  EXPECT_EQ((*roomy)->residency_drops(), 0u);
+  EXPECT_GT((*tight)->residency_drops(), 0u);
+  EXPECT_EQ(want.edge_cut_fraction, got.edge_cut_fraction);
+  EXPECT_EQ(FirstDifference(want.assignment, got.assignment,
+                            stream.NumVertices()),
+            kInvalidVertex);
   std::remove(path.c_str());
 }
 

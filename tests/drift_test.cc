@@ -195,7 +195,7 @@ TEST(DriftDetectorTest, HysteresisBlocksRefireUntilClear) {
   EXPECT_EQ(detector.NumFired(), 2u);
 }
 
-TEST(DriftDetectorTest, RebaseAdoptsTheDriftedDistributionAndRearms) {
+TEST(DriftDetectorTest, SetReferenceAdoptsTheDriftedDistributionAndRearms) {
   DriftDetectorOptions options;
   options.min_consecutive = 1;
   DriftDetector detector(options);
@@ -204,7 +204,7 @@ TEST(DriftDetectorTest, RebaseAdoptsTheDriftedDistributionAndRearms) {
   detector.SetReference(a);
   EXPECT_TRUE(detector.Observe(b).fired);
 
-  detector.Rebase(b);
+  detector.SetReference(b);
   EXPECT_TRUE(detector.Armed());
   // b is the new normal: quiet.
   EXPECT_FALSE(detector.Observe(b).workload_drifted);
@@ -414,7 +414,7 @@ TEST(DriftControllerTest, ReactionStaysUnderBudgetAndNeverPublishesWorse) {
   EXPECT_LE(r.edge_cut_after, cut_before);  // keep-best adoption
   EXPECT_LE(r.migration_fraction, options.max_migration_fraction + 1e-12);
   EXPECT_FALSE(r.passes.empty());
-  // Rebase re-armed the detector on the drifted distribution.
+  // The reaction re-armed the detector on the drifted distribution.
   EXPECT_TRUE(controller.detector().Armed());
   EXPECT_FALSE(controller.Check(drifted).workload_drifted);
 }

@@ -532,6 +532,167 @@ TEST(RestreamerTest, OverfullPriorIncrementalPassAssignsEveryVertex) {
   EXPECT_EQ(pass.assignment().NumAssigned(), g.NumVertices());
 }
 
+// ------------------------------------------------ score table differential
+
+// A partitioner that checks the pass's score table against the rule it
+// stands for: before and after every placement of an OnVertex, and at
+// Finish, every id must score as "this pass's placement, else the prior's,
+// else -1". It places an arrival where most of its scored neighbours are,
+// ties and empty neighbourhoods on partition 0, so a test can steer
+// placements into full partitions.
+class ScoreTableProbe final : public StreamingPartitioner {
+ public:
+  ScoreTableProbe(const PartitionerOptions& options, size_t id_bound)
+      : StreamingPartitioner(options),
+        id_bound_(id_bound),
+        counts_(options.k, 0) {}
+
+  void OnVertex(VertexId v, Label label,
+                Span<const VertexId> back_edges) override {
+    (void)label;
+    Check();
+    std::fill(counts_.begin(), counts_.end(), 0);
+    for (const VertexId w : back_edges) {
+      const int32_t p = ScorePartOf(w);
+      if (p >= 0) ++counts_[static_cast<uint32_t>(p)];
+    }
+    const uint32_t part = static_cast<uint32_t>(
+        std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
+    AssignOrFallback(v, part);
+    Check();
+  }
+  void Finish() override { Check(); }
+  std::string Name() const override { return "score-table-probe"; }
+
+  // Compares ScorePartOf with the rule for every id up to past the largest
+  // one the stream, the assignment or the prior knows.
+  void Check() {
+    ++checks_;
+    const size_t prior_bound = prior_ != nullptr ? prior_->IdBound() : 0;
+    const size_t bound =
+        std::max({id_bound_, assignment_.IdBound(), prior_bound}) + 1;
+    for (VertexId w = 0; w < bound; ++w) {
+      const int32_t placed = assignment_.PartOf(w);
+      const int32_t want =
+          placed >= 0 ? placed : (prior_ != nullptr ? prior_->PartOf(w) : -1);
+      const int32_t got = ScorePartOf(w);
+      if (got == want) continue;
+      if (mismatches_ == 0) {
+        first_mismatch_ = "id " + std::to_string(w) + " scores " +
+                          std::to_string(got) + ", want " +
+                          std::to_string(want);
+      }
+      ++mismatches_;
+    }
+  }
+
+  uint64_t checks() const { return checks_; }
+  uint64_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+
+ private:
+  size_t id_bound_;
+  std::vector<uint32_t> counts_;
+  uint64_t checks_ = 0;
+  uint64_t mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+// The probe checked at least once and never saw a mismatch.
+void ExpectScoreTableHolds(const ScoreTableProbe& probe) {
+  EXPECT_GT(probe.checks(), 0u);
+  EXPECT_EQ(probe.mismatches(), 0u)
+      << "first mismatch: " << probe.first_mismatch();
+}
+
+TEST(ScoreTableTest, RestreamPassScoresPlacementElsePriorElseNone) {
+  Rng rng(81);
+  const LabeledGraph g = BarabasiAlbert(300, 3, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  RestreamOptions ropts;
+  ropts.num_passes = 3;
+  ScoreTableProbe probe(Opts(4, g.NumVertices(), g.NumEdges()),
+                        g.NumVertices());
+  const RestreamResult r = Restreamer(stream, ropts).Run(&probe);
+  ASSERT_EQ(r.passes.size(), 3u);
+  EXPECT_GT(r.passes[1].migration_fraction, 0.0);
+  ExpectScoreTableHolds(probe);
+  // Run dropped the prior: scores are the assignment's again.
+  probe.Check();
+  ExpectScoreTableHolds(probe);
+}
+
+TEST(ScoreTableTest, BudgetedPassWithDeniedMovesAndEarlyStop) {
+  Rng rng(82);
+  const LabeledGraph g = BarabasiAlbert(400, 3, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  const PartitionerOptions popts = Opts(4, g.NumVertices(), g.NumEdges());
+  ScoreTableProbe first(popts, g.NumVertices());
+  first.Run(stream);
+  const PartitionAssignment prior = first.assignment();
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.05);
+  ASSERT_GT(budget, 0u);
+
+  RestreamOptions ropts;
+  ropts.order = RestreamOrder::kDecisive;
+  ScoreTableProbe pass(popts, g.NumVertices());
+  const RestreamPassStats stats =
+      Restreamer(stream, ropts).RunIncrementalPass(&pass, prior, budget);
+  EXPECT_GT(stats.budget_denied_moves, 0u);
+  // The budget ran out mid-pass, so the early-stop tail placed the rest.
+  EXPECT_EQ(pass.stats().prior_moves, budget);
+  EXPECT_TRUE(AllAssigned(g, pass.assignment()));
+  ExpectScoreTableHolds(pass);
+}
+
+TEST(ScoreTableTest, OverfullStreamScoresFallbackAndForcedPlacements) {
+  Rng rng(83);
+  const LabeledGraph g = BarabasiAlbert(300, 3, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  RestreamOptions ropts;
+  ropts.num_passes = 2;
+  // Capacity for a quarter of the stream: k*C < n on every pass.
+  ScoreTableProbe probe(Opts(2, g.NumVertices() / 4, 0, /*slack=*/1.0),
+                        g.NumVertices());
+  const RestreamResult r = Restreamer(stream, ropts).Run(&probe);
+  EXPECT_GT(r.passes[1].overflow_fallbacks, 0u);
+  EXPECT_GT(r.passes[1].forced_placements, 0u);
+  ExpectScoreTableHolds(probe);
+}
+
+TEST(ScoreTableTest, PriorBelowTheStreamsIdBoundThenClearAndAdopt) {
+  // The prior knows ids 0..9, all in partition 0; the stream first brings
+  // the new ids 10..19, which fill partition 0, then 0..9. A zero budget
+  // sends 0..9 down Run's early-stop tail, where their home is full: each
+  // falls back to partition 1, and the table must say so.
+  GraphStream stream;
+  for (VertexId v = 10; v < 20; ++v) stream.Append({v, 0, {}});
+  for (VertexId v = 0; v < 10; ++v) stream.Append({v, 0, {v + 10}});
+  PartitionAssignment prior(2, 0);
+  for (VertexId v = 0; v < 10; ++v) ASSERT_TRUE(prior.Assign(v, 0).ok());
+
+  ScoreTableProbe probe(Opts(2, 20, 0, /*slack=*/1.0), 20);
+  probe.BeginPass(&prior);
+  probe.SetMigrationBudget(0);
+  probe.Run(stream);
+  for (VertexId v = 0; v < 20; ++v) {
+    EXPECT_EQ(probe.assignment().PartOf(v), v < 10 ? 1 : 0) << v;
+  }
+  EXPECT_EQ(probe.stats().overflow_fallbacks, 10u);
+  ExpectScoreTableHolds(probe);
+
+  probe.ClearPrior();
+  probe.Check();
+  ExpectScoreTableHolds(probe);
+  probe.BeginPass(&prior);
+  probe.AdoptAssignment(prior, PartitionerStats());
+  probe.Check();
+  ExpectScoreTableHolds(probe);
+  probe.BeginPass(nullptr);
+  probe.Check();
+  ExpectScoreTableHolds(probe);
+}
+
 TEST(RestreamOptionsValidationTest, ClampsPassesAndRejectsInvalidBudgets) {
   RestreamOptions zero_passes;
   zero_passes.num_passes = 0;

@@ -158,6 +158,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v || !ParseFlag(kTool, flag, v, &args->restream_passes)) {
         return false;
       }
+      if (args->restream_passes == 0) {
+        std::fprintf(stderr,
+                     "loom_partition: --restream-passes must be >= 1\n");
+        return false;
+      }
     } else if (flag == "--heat-weight") {
       const char* v = next();
       if (!v || !ParseFlag(kTool, flag, v, &args->heat_weight)) return false;
