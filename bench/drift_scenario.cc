@@ -67,7 +67,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
   DriftControllerOptions copts;
   copts.max_migration_fraction = config.max_migration_fraction;
   copts.reaction_passes = config.reaction_passes;
-  copts.seed = config.seed;
   DriftController controller(copts);
   controller.SetReference(MotifDistributionOf(live->Trie()));
 

@@ -68,7 +68,6 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
   opts.tracker.window_queries = config.tracker_window;
   opts.drift.max_migration_fraction = config.max_migration_fraction;
   opts.drift.reaction_passes = config.reaction_passes;
-  opts.drift.seed = config.seed;
 
   const std::vector<VertexArrival>& arrivals = stream.arrivals();
   const uint64_t num_batches =

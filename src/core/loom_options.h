@@ -62,9 +62,9 @@ struct LoomStats {
   uint64_t memo_units = 0;
   /// Vertices placed via memoized units.
   uint64_t memo_vertices = 0;
-  /// Recalled units rejected by the correctness gate (a member's label or
-  /// neighbourhood fingerprint changed, or members arrived un-grouped);
-  /// their vertices fell back to the full pipeline.
+  /// Buffered recalled units cut short by another unit's arrival, an order
+  /// GroupPermByUnits never produces; each was placed as buffered. Reads 0
+  /// under Restreamer::Run, which groups every replay order.
   uint64_t memo_invalidated = 0;
 };
 

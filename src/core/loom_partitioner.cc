@@ -44,7 +44,6 @@ void LoomPartitioner::SetTrie(const TpstryPP* trie) {
   // A memo recorded under the old summary describes clusters the new trie
   // may no longer match; drop it (the driver installs a fresh one per pass).
   memo_ = nullptr;
-  invalid_units_.clear();
   ClearPending();
 }
 
@@ -58,11 +57,6 @@ void LoomPartitioner::OnVertex(VertexId v, Label label,
   label_of_[v] = label;
 
   if (memo_ != nullptr && HandleMemoArrival(v, label, back_edges)) return;
-  StreamIntoWindow(v, label, back_edges);
-}
-
-void LoomPartitioner::StreamIntoWindow(VertexId v, Label label,
-                                       Span<const VertexId> back_edges) {
   if (window_.Full()) EvictOldest();
 
   // Restream arrivals already carry the full neighbourhood; reverse
@@ -79,8 +73,9 @@ void LoomPartitioner::StreamIntoWindow(VertexId v, Label label,
 
 void LoomPartitioner::Finish() {
   // A partial recalled unit can be stranded here — a migration-budget
-  // early-stop bypasses OnVertex for the stream tail, so the unit's
-  // remaining members never arrive. Place what was buffered.
+  // early-stop bypasses OnVertex for the stream tail, or an interleaved
+  // order resumed a cut-short unit that never completes. Place what was
+  // buffered.
   if (pending_unit_ >= 0) AssignPendingUnit();
   while (!window_.Empty()) EvictOldest();
 }
@@ -93,28 +88,23 @@ void LoomPartitioner::BeginPass(const PartitionAssignment* prior) {
   // The memo describes the pass that just ended; drivers re-install one per
   // pass (after this call) when they want memoized replay.
   memo_ = nullptr;
-  invalid_units_.clear();
   ClearPending();
-  // Restream passes carry full neighbourhoods per arrival, so only their
-  // logs get validation fingerprints (see ClusterLog).
-  if (log_enabled_) cluster_log_.Reset(/*fingerprints_complete=*/HasPrior());
+  if (log_enabled_) cluster_log_.Reset();
 }
 
 void LoomPartitioner::SetClusterLogging(bool enabled) {
   log_enabled_ = enabled;
-  cluster_log_.Reset(enabled && HasPrior());
+  cluster_log_.Reset();
 }
 
 void LoomPartitioner::SetClusterMemo(const ClusterMemo* memo) {
   memo_ = memo;
-  invalid_units_.assign(memo != nullptr ? memo->log().NumUnits() : 0, 0);
   ClearPending();
 }
 
 void LoomPartitioner::ClearPending() {
   pending_unit_ = -1;
   pending_ids_.clear();
-  pending_fps_.clear();
   pending_neighbors_.clear();
   pending_offsets_.clear();
   pending_offsets_.push_back(0);
@@ -124,41 +114,14 @@ bool LoomPartitioner::HandleMemoArrival(VertexId v, Label label,
                                         Span<const VertexId> back_edges) {
   const int32_t unit = memo_->UnitOf(v);
   if (pending_unit_ >= 0 && unit != pending_unit_) {
-    // The arrival order is not unit-grouped here, so the pending unit can
-    // never complete as a contiguous block: fall back.
+    // Another arrival cut the buffered unit short, an order GroupPermByUnits
+    // never produces: place what was buffered, as Finish places a stranded
+    // unit.
     ++loom_stats_.memo_invalidated;
-    FlushPendingToPipeline();
+    AssignPendingUnit();
   }
   if (unit < 0) return false;
   const uint32_t u = static_cast<uint32_t>(unit);
-  if (invalid_units_[u]) return false;
-
-  // 0 = not yet computed (real fingerprints are |1, never 0). Computed at
-  // most once per arrival: the validation gate fills it, and the re-log
-  // below reuses the cached value instead of hashing the neighbourhood
-  // again.
-  uint64_t fp = 0;
-  if (memo_->validate()) {
-    const Span<const VertexId> members = memo_->log().MembersOf(u);
-    const Span<const uint64_t> fps = memo_->log().FingerprintsOf(u);
-    uint64_t recorded = 0;
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (members[i] == v) {
-        recorded = fps[i];
-        break;
-      }
-    }
-    fp = ClusterLog::Fingerprint(label, back_edges);
-    if (recorded == 0 || recorded != fp) {
-      // Correctness gate: the member's label or neighbourhood changed since
-      // the recorded pass — the whole unit must be re-derived by the
-      // matcher, not recalled.
-      ++loom_stats_.memo_invalidated;
-      invalid_units_[u] = 1;
-      FlushPendingToPipeline();
-      return false;
-    }
-  }
 
   if (memo_->log().MembersOf(u).size() == 1) {
     // Singleton fast path (the common case on low-motif streams): score and
@@ -166,10 +129,7 @@ bool LoomPartitioner::HandleMemoArrival(VertexId v, Label label,
     // scoring input is identical to AssignPendingSingle's, so the placement
     // is bit-identical to the buffered path.
     if (log_enabled_) {
-      if (cluster_log_.fingerprints_complete() && fp == 0) {
-        fp = ClusterLog::Fingerprint(label, back_edges);
-      }
-      cluster_log_.AddMember(v, cluster_log_.fingerprints_complete() ? fp : 0);
+      cluster_log_.AddMember(v);
       cluster_log_.CommitUnit();
     }
     ++loom_stats_.memo_units;
@@ -186,7 +146,6 @@ bool LoomPartitioner::HandleMemoArrival(VertexId v, Label label,
 
   if (pending_unit_ < 0) pending_unit_ = unit;
   pending_ids_.push_back(v);
-  pending_fps_.push_back(fp);
   pending_neighbors_.insert(pending_neighbors_.end(), back_edges.begin(),
                             back_edges.end());
   pending_offsets_.push_back(static_cast<uint32_t>(pending_neighbors_.size()));
@@ -194,19 +153,6 @@ bool LoomPartitioner::HandleMemoArrival(VertexId v, Label label,
     AssignPendingUnit();
   }
   return true;
-}
-
-void LoomPartitioner::FlushPendingToPipeline() {
-  if (pending_unit_ < 0) return;
-  invalid_units_[static_cast<uint32_t>(pending_unit_)] = 1;
-  // Deactivate first; the buffered arena stays intact for the replay below
-  // (StreamIntoWindow copies each span into the window).
-  pending_unit_ = -1;
-  for (size_t i = 0; i < pending_ids_.size(); ++i) {
-    const VertexId id = pending_ids_[i];
-    StreamIntoWindow(id, label_of_[id], PendingNeighbors(i));
-  }
-  ClearPending();
 }
 
 void LoomPartitioner::ScoreVertices(const std::vector<VertexId>& vertices,
@@ -234,7 +180,7 @@ void LoomPartitioner::EvictOldest() {
     const WindowMember member = window_.Remove(oldest);
     matcher_.RemoveVertex(oldest);
     if (log_enabled_) {
-      LogUnitMember(member.id, member.label, member.neighbors);
+      cluster_log_.AddMember(member.id);
       cluster_log_.CommitUnit();
     }
     AssignSingle(member);
@@ -250,10 +196,7 @@ void LoomPartitioner::EvictOldest() {
   // below is a placement decision of this pass, not part of the
   // decomposition a later pass should recall.
   if (log_enabled_) {
-    for (const VertexId m : cluster) {
-      const WindowMember& wm = window_.Get(m);
-      LogUnitMember(m, wm.label, wm.neighbors);
-    }
+    for (const VertexId m : cluster) cluster_log_.AddMember(m);
     cluster_log_.CommitUnit();
   }
 
@@ -420,20 +363,9 @@ void LoomPartitioner::AssignCluster(const std::vector<VertexId>& cluster,
 void LoomPartitioner::AssignPendingUnit() {
   const size_t n = pending_ids_.size();
   // Re-log the unit (pre-split, in recorded scoring order) so the *next*
-  // pass can recall it too — now with complete fingerprints, since buffered
-  // arrivals carry full neighbourhoods.
+  // pass can recall it too.
   if (log_enabled_) {
-    const bool complete = cluster_log_.fingerprints_complete();
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t fp = complete ? pending_fps_[i] : 0;
-      if (complete && fp == 0) {
-        // Not cached (the consumed log had no fingerprints to validate
-        // against): hash once here.
-        fp = ClusterLog::Fingerprint(label_of_[pending_ids_[i]],
-                                     PendingNeighbors(static_cast<uint32_t>(i)));
-      }
-      cluster_log_.AddMember(pending_ids_[i], fp);
-    }
+    for (const VertexId id : pending_ids_) cluster_log_.AddMember(id);
     cluster_log_.CommitUnit();
   }
   ++loom_stats_.memo_units;

@@ -66,10 +66,11 @@ class LoomPartitioner : public StreamingPartitioner {
   /// partitioner records every unit it assigns (singles and pre-split motif
   /// clusters, in assignment order); with a memo installed, recalled units
   /// are scored straight off their buffered arrivals through the blocked
-  /// kernel — no window, no matcher — unless the correctness gate
-  /// invalidates them (changed label/neighbourhood fingerprint, or
-  /// un-grouped arrival order), in which case their members flow through
-  /// the normal pipeline.
+  /// kernel — no window, no matcher. The memo must be replayed over the
+  /// stream it was recorded from, in GroupPermByUnits order; nothing is
+  /// re-checked. A buffered unit cut short by another unit's arrival is
+  /// placed as buffered, as Finish places a stranded one, and counted in
+  /// LoomStats::memo_invalidated.
   void SetClusterLogging(bool enabled) override;
   const ClusterLog* cluster_log() const override {
     return log_enabled_ ? &cluster_log_ : nullptr;
@@ -77,7 +78,7 @@ class LoomPartitioner : public StreamingPartitioner {
   void TakeClusterLog(ClusterLog* out) override {
     if (!log_enabled_) return;
     *out = std::move(cluster_log_);
-    cluster_log_.Reset(false);  // restore the moved-from invariant
+    cluster_log_.Reset();  // restore the moved-from invariant
   }
   void SetClusterMemo(const ClusterMemo* memo) override;
 
@@ -86,15 +87,9 @@ class LoomPartitioner : public StreamingPartitioner {
   /// unless traversal weighting is enabled).
   void RebuildEdgeWeights();
 
-  /// The normal per-arrival pipeline: evict if full, buffer into the
-  /// window, feed the matcher. Factored out of OnVertex so memo fallbacks
-  /// can re-feed buffered arrivals through it.
-  void StreamIntoWindow(VertexId v, Label label,
-                        Span<const VertexId> back_edges);
-
   /// Memoized-replay arrival handling. Returns true when the arrival was
   /// consumed (buffered into, or completing, a recalled unit); false sends
-  /// it through the normal pipeline.
+  /// an unrecorded vertex through the normal pipeline.
   bool HandleMemoArrival(VertexId v, Label label,
                          Span<const VertexId> back_edges);
 
@@ -111,10 +106,6 @@ class LoomPartitioner : public StreamingPartitioner {
   /// SplitAndAssignCluster, over arrival adjacency instead of the window).
   void SplitPendingUnit();
 
-  /// Invalidation fallback: marks the pending unit invalid and re-feeds its
-  /// buffered members through the window/matcher pipeline.
-  void FlushPendingToPipeline();
-
   void ClearPending();
 
   /// Neighbourhood of buffered member `index` (into the flat arena).
@@ -122,15 +113,6 @@ class LoomPartitioner : public StreamingPartitioner {
     return Span<const VertexId>(
         pending_neighbors_.data() + pending_offsets_[index],
         pending_offsets_[index + 1] - pending_offsets_[index]);
-  }
-
-  /// Records one member of the unit being logged (fingerprint only when the
-  /// log carries complete neighbourhoods).
-  void LogUnitMember(VertexId v, Label label, Span<const VertexId> neighbors) {
-    cluster_log_.AddMember(
-        v, cluster_log_.fingerprints_complete()
-               ? ClusterLog::Fingerprint(label, neighbors)
-               : 0);
   }
 
   /// Shared connectivity-aware split core behind SplitAndAssignCluster
@@ -197,16 +179,11 @@ class LoomPartitioner : public StreamingPartitioner {
   ClusterLog cluster_log_;
   /// Previous pass's decomposition to replay, or null (not owned).
   const ClusterMemo* memo_ = nullptr;
-  /// Per recalled unit: 1 once the correctness gate rejected it.
-  std::vector<uint8_t> invalid_units_;
   /// The one unit currently buffering (grouped arrival order guarantees at
   /// most one): its id, its members so far, and their neighbourhoods in a
   /// flat arena.
   int32_t pending_unit_ = -1;
   SmallVector<VertexId, 32> pending_ids_;
-  /// Validation-time fingerprints, cached so the re-log never hashes a
-  /// neighbourhood twice (0 = not computed; real fingerprints are never 0).
-  SmallVector<uint64_t, 32> pending_fps_;
   std::vector<VertexId> pending_neighbors_;
   SmallVector<uint32_t, 33> pending_offsets_{0};
 

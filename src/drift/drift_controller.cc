@@ -76,11 +76,14 @@ DriftReaction DriftController::React(const GraphStream& stream,
   DriftReaction reaction;
   WallTimer timer;
 
-  // The budget is passed to each pass explicitly (RunIncrementalPass's
+  // Decisiveness order (descending |gain|) is what makes a small budget
+  // effective: strong stayers anchor their neighbourhoods early, strong
+  // movers spend the budget on the highest-value moves first, and the
+  // ambivalent tail, which plain kGain would let drain the budget, streams
+  // last. The budget is passed to each pass explicitly (RunIncrementalPass's
   // max_moves): the remaining allowance shrinks as passes spend it.
   RestreamOptions ropts;
-  ropts.order = options_.order;
-  ropts.seed = options_.seed;
+  ropts.order = RestreamOrder::kDecisive;
   const Restreamer restreamer(stream, ropts);
 
   // The live assignment: migration is capped against it, and keep-best
@@ -116,10 +119,10 @@ DriftReaction DriftController::React(const GraphStream& stream,
     stats.best_edge_cut_fraction = best_cut;
     reaction.passes.push_back(stats);
     // Keep-best prior, mirroring Restreamer::Run's anytime semantics. A
-    // non-improving pass under a deterministic ordering would replay the
-    // same prior to the same result — stop instead.
+    // non-improving pass would replay the same prior in the same order to
+    // the same result — stop instead.
     prior = reaction.assignment;
-    if (!improved && options_.order != RestreamOrder::kRandom) break;
+    if (!improved) break;
   }
 
   reaction.edge_cut_after = best_cut;

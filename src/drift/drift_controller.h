@@ -38,17 +38,10 @@ struct DriftControllerOptions {
   /// vertices assigned in the pre-reaction (live) assignment. All reaction
   /// passes together stay under this cap (see React).
   double max_migration_fraction = 0.25;
-  /// Inter-pass ordering of the budgeted passes. Decisiveness ordering
-  /// (descending |gain|) is what makes a small budget effective: strong
-  /// stayers anchor their neighbourhoods early, strong movers spend the
-  /// budget on the highest-value moves first, and the ambivalent tail —
-  /// which plain kGain would let drain the budget — streams last.
-  RestreamOrder order = RestreamOrder::kDecisive;
-  /// Budgeted passes per reaction. The second pass typically converts the
-  /// remaining budget into another point of cut at much lower migration.
+  /// Budgeted passes per reaction, each replayed in decisiveness order (see
+  /// React). The second pass typically converts the remaining budget into
+  /// another point of cut at much lower migration.
   uint32_t reaction_passes = 2;
-  /// Seed for the replay orderings.
-  uint64_t seed = 42;
 };
 
 /// Uniform options contract (see `ValidateRestreamOptions`): rejects —
@@ -105,7 +98,10 @@ class DriftController {
   /// Runs the bounded-migration reaction against `partitioner`'s current
   /// (live) assignment and makes `rebase_to` the detector's reference. The
   /// stream must be the recorded stream the live assignment was built from
-  /// (the replay source).
+  /// (the replay source). Passes replay in `RestreamOrder::kDecisive` order
+  /// without a cluster memo, and stop at the first pass that does not
+  /// improve the cut: the order is deterministic, so a repeat would replay
+  /// the same prior to the same result.
   DriftReaction React(const GraphStream& stream,
                       StreamingPartitioner* partitioner,
                       MotifDistribution rebase_to);

@@ -461,10 +461,14 @@ Result<std::unique_ptr<FileArrivalSource>> FileArrivalSource::Open(
       header.num_vertices > header.id_bound) {
     return reject_mapped("implausible vertex counts");
   }
-  const uint64_t expected_bytes = kStreamFileHeaderBytes +
-                                  header.num_vertices * kStreamFileRecordBytes +
-                                  header.edge_slots * sizeof(VertexId);
-  if (file_bytes != expected_bytes) {
+  // The edge array's size is divided, never multiplied out: a corrupt
+  // edge_slots times 4 could wrap. num_vertices <= 2^32, so the directory's
+  // size cannot.
+  const uint64_t prefix_bytes =
+      kStreamFileHeaderBytes + header.num_vertices * kStreamFileRecordBytes;
+  if (file_bytes < prefix_bytes ||
+      (file_bytes - prefix_bytes) % sizeof(VertexId) != 0 ||
+      (file_bytes - prefix_bytes) / sizeof(VertexId) != header.edge_slots) {
     return reject_mapped("file size inconsistent with header");
   }
   // Directory validation: exact prefix-sum offsets and in-bound degrees.
@@ -489,6 +493,9 @@ Result<std::unique_ptr<FileArrivalSource>> FileArrivalSource::Open(
     }
     if (record.edge_offset != running_offset) {
       return reject_mapped("edge offsets are not a prefix sum");
+    }
+    if (record.full_degree > header.edge_slots - running_offset) {
+      return reject_mapped("edge slice runs past the edge array");
     }
     // Edge-value validation: every slot must name a real vertex (an
     // out-of-range id would make consumers size their tables off corrupt

@@ -227,7 +227,9 @@ class StreamingPartitioner {
   virtual void TakeClusterLog(ClusterLog* out) { (void)out; }
   /// Installs the previous pass's decomposition for memoized replay of the
   /// pass that just began (call after BeginPass; BeginPass drops any
-  /// installed memo). `memo` must outlive the pass; null disables replay.
+  /// installed memo). The pass must replay the stream the memo was recorded
+  /// from, one unit at a time (GroupPermByUnits). `memo` must outlive the
+  /// pass; null disables replay.
   virtual void SetClusterMemo(const ClusterMemo* memo) { (void)memo; }
 
  protected:

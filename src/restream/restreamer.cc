@@ -185,18 +185,10 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
   const uint64_t n = source_->NumVertices();
   std::vector<VertexId> perm;
   perm.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) perm.push_back(source_->At(i).vertex);
-
-  switch (order) {
-    case RestreamOrder::kOriginal:
-      return perm;
-    case RestreamOrder::kRandom:
-      rng.Shuffle(&perm);
-      return perm;
-    case RestreamOrder::kGain:
-    case RestreamOrder::kAmbivalence:
-    case RestreamOrder::kDecisive:
-      break;
+  if (order == RestreamOrder::kOriginal || order == RestreamOrder::kRandom) {
+    for (uint64_t i = 0; i < n; ++i) perm.push_back(source_->At(i).vertex);
+    if (order == RestreamOrder::kRandom) rng.Shuffle(&perm);
+    return perm;
   }
 
   // Prioritized restreaming: gain(v) = edges to v's prior partition minus
@@ -239,12 +231,14 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
     return static_cast<int64_t>(stay) - static_cast<int64_t>(best_other);
   };
 
-  // One sequential sweep of the full neighbourhoods; O(V) keys and O(k)
-  // scratch, never the adjacency.
+  // One sequential sweep of the full neighbourhoods lists the ids and their
+  // keys; O(V) keys and O(k) scratch, never the adjacency. The sort reads
+  // only which ids `perm` holds, not their order.
   std::vector<int64_t> key(source_->IdBound(), 0);
   std::vector<uint32_t> counts(k, 0);
   for (uint64_t i = 0; i < n; ++i) {
     const ReplaySource::Record record = source_->At(i);
+    perm.push_back(record.vertex);
     key[record.vertex] =
         gain_key(scored_gain(record.vertex, record.full_edges, counts));
   }
@@ -351,9 +345,10 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
       partitioner->BeginPass(&prior);
       if (memoize && prev_log.NumUnits() > 0) {
         memo = ClusterMemo(&prev_log);
-        // Hoist each recalled unit's members to its first member's stream
-        // position, so the unit arrives contiguously and can be scored as
-        // one buffered group.
+        // The memo contract: replay the stream it was recorded from (this
+        // run's one source_), one unit at a time. Hoisting each recalled
+        // unit's members to its first member's position makes the unit
+        // arrive contiguously, to be scored as one buffered group.
         perm = GroupPermByUnits(perm, memo);
         partitioner->SetClusterMemo(&memo);
       }

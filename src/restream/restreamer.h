@@ -68,10 +68,8 @@ struct RestreamOptions {
   /// Cluster-memoized replay (stream/cluster_log.h): when the partitioner
   /// supports cluster logging (LOOM does), record the unit decomposition of
   /// every pass and feed it to the next as pre-grouped arrivals, so
-  /// unchanged units skip the window/matcher pipeline and are re-scored
-  /// straight off their buffered neighbourhoods. A per-member fingerprint
-  /// gate invalidates recalled units whose label or neighbourhood changed —
-  /// those members flow through the normal pipeline. Pass one is untouched.
+  /// recalled units skip the window/matcher pipeline and are re-scored
+  /// straight off their buffered neighbourhoods. Pass one is untouched.
   /// No-op for partitioners without the logging hook.
   bool memoize_clusters = true;
 };

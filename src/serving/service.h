@@ -196,10 +196,6 @@ class Service {
   /// concurrency before sealing.
   Status Seal();
 
-  /// The stream recorded so far. Only meaningful once sealed or flushed
-  /// (the pipeline worker appends concurrently otherwise).
-  const GraphStream& RecordedStream() const { return recorded_; }
-
   const ServiceOptions& options() const { return options_; }
 
  private:

@@ -4,29 +4,14 @@
 
 namespace loom {
 
-namespace {
-
-/// SplitMix64 finalizer: the standard 64-bit avalanche mix.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-void ClusterLog::Reset(bool fingerprints_complete) {
-  fingerprints_complete_ = fingerprints_complete;
+void ClusterLog::Reset() {
   id_bound_ = 0;
   members_.clear();
-  fingerprints_.clear();
   unit_offsets_.assign(1, 0);
 }
 
-void ClusterLog::AddMember(VertexId v, uint64_t fingerprint) {
+void ClusterLog::AddMember(VertexId v) {
   members_.push_back(v);
-  if (fingerprints_complete_) fingerprints_.push_back(fingerprint);
   id_bound_ = std::max(id_bound_, v + 1);
 }
 
@@ -34,19 +19,6 @@ void ClusterLog::CommitUnit() {
   // Empty units are dropped (nothing between this boundary and the last).
   if (members_.size() == unit_offsets_.back()) return;
   unit_offsets_.push_back(static_cast<uint32_t>(members_.size()));
-}
-
-uint64_t ClusterLog::Fingerprint(Label label, Span<const VertexId> neighbors) {
-  // Commutative accumulation over neighbours, then one avalanche over the
-  // (label, degree, neighbour-sum) triple. OR 1 keeps 0 reserved.
-  uint64_t sum = 0;
-  for (const VertexId w : neighbors) {
-    sum += Mix64(static_cast<uint64_t>(w) + 0x517cc1b727220a95ull);
-  }
-  const uint64_t h =
-      Mix64((static_cast<uint64_t>(label) << 32) ^ neighbors.size()) ^
-      Mix64(sum);
-  return h | 1;
 }
 
 ClusterMemo::ClusterMemo(const ClusterLog* log) : log_(log) {

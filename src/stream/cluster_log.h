@@ -12,19 +12,15 @@
 ///
 /// A memoized restream pass replays the previous pass's units as pre-grouped
 /// arrival blocks and scores each recalled unit directly through the
-/// prior-aware blocked kernel — the window/matcher pipeline is skipped
-/// entirely for vertices whose cluster membership is unchanged. Correctness
-/// gate: a unit is invalidated (and its members fall back to the full
-/// pipeline) when any member's label or neighbourhood differs from the
-/// recorded pass, detected by a per-member fingerprint.
+/// prior-aware blocked kernel — the window/matcher pipeline is skipped for
+/// every recalled vertex.
 ///
-/// Fingerprints are only complete when the recording pass saw full
-/// neighbourhoods (restream passes, which carry the whole adjacency per
-/// arrival); a pass-one log records back-edge-only views, so its
-/// fingerprints are omitted and a memo built from it skips validation —
-/// safe exactly when the same stream is replayed (the multi-pass
-/// Restreamer::Run case), which is also the case the golden-hash
-/// equivalence tests pin down.
+/// Contract: a memo is replayed over the stream it was recorded from, one
+/// unit at a time (GroupPermByUnits order). Restreamer::Run, the one caller
+/// that installs memos, holds one ReplaySource for the whole run and groups
+/// every replay order, so a recalled unit's labels and neighbourhoods are
+/// the recorded ones and its members arrive contiguously. Nothing is
+/// re-checked on replay.
 
 #include <cstdint>
 #include <vector>
@@ -38,14 +34,10 @@ namespace loom {
 class ClusterLog {
  public:
   /// Drops all units and starts a new recording.
-  /// \param fingerprints_complete true when the pass being recorded sees
-  ///   full neighbourhoods per arrival (passes with a prior).
-  void Reset(bool fingerprints_complete);
+  void Reset();
 
   /// Appends a member to the unit currently being recorded.
-  /// \param fingerprint member fingerprint (see Fingerprint); ignored when
-  ///   the log was Reset without complete fingerprints.
-  void AddMember(VertexId v, uint64_t fingerprint);
+  void AddMember(VertexId v);
   /// Seals the current unit (all members since the previous CommitUnit);
   /// a commit with no new members is a no-op.
   void CommitUnit();
@@ -60,32 +52,12 @@ class ClusterLog {
                                 unit_offsets_[unit + 1] - unit_offsets_[unit]);
   }
 
-  /// Per-member fingerprints parallel to MembersOf; empty when the log was
-  /// recorded without complete fingerprints.
-  Span<const uint64_t> FingerprintsOf(uint32_t unit) const {
-    if (!fingerprints_complete_) return Span<const uint64_t>();
-    return Span<const uint64_t>(
-        fingerprints_.data() + unit_offsets_[unit],
-        unit_offsets_[unit + 1] - unit_offsets_[unit]);
-  }
-
-  bool fingerprints_complete() const { return fingerprints_complete_; }
-
   /// One past the largest member id (bound for memo index sizing).
   VertexId IdBound() const { return id_bound_; }
 
-  /// Order-independent hash of a vertex's scoring-relevant state: its label
-  /// and its neighbour multiset (plus the degree). Never 0, so 0 can mean
-  /// "no fingerprint". Commutative over neighbours: the recording pass sees
-  /// window adjacency order, the validating pass sees arrival order.
-  static uint64_t Fingerprint(Label label, Span<const VertexId> neighbors);
-
  private:
-  bool fingerprints_complete_ = false;
   VertexId id_bound_ = 0;
   std::vector<VertexId> members_;
-  /// Parallel to members_; only populated when fingerprints_complete_.
-  std::vector<uint64_t> fingerprints_;
   /// CSR-style unit boundaries: unit u = members_[offsets[u], offsets[u+1]).
   std::vector<uint32_t> unit_offsets_{0};
 };
@@ -103,10 +75,6 @@ class ClusterMemo {
   }
 
   const ClusterLog& log() const { return *log_; }
-
-  /// True when recalled units must be fingerprint-validated member by
-  /// member (the log carries complete fingerprints).
-  bool validate() const { return log_->fingerprints_complete(); }
 
  private:
   const ClusterLog* log_ = nullptr;

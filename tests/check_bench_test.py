@@ -63,6 +63,16 @@ def edge_restream_ties_one_pass(d):
     two["replication_factor"] = one["replication_factor"]
 
 
+def memo_cuts_a_unit_short(d):
+    loom = next(r for r in d["large"] if r["partitioner"] == "loom")
+    loom["memo_invalidated"] = 1
+
+
+def memo_misses_a_vertex(d):
+    loom = next(r for r in d["large"] if r["partitioner"] == "loom")
+    loom["memo_vertices"] -= 1
+
+
 # (name, mutation, text the violation must contain, whether that violation
 # is a --baseline mismatch or a contract rule)
 CASES = [
@@ -76,6 +86,9 @@ CASES = [
      "not below pass-one cut", "rule"),
     ("edge restream ties one pass", edge_restream_ties_one_pass,
      "not below 1-pass rf", "rule"),
+    ("memo cuts a unit short", memo_cuts_a_unit_short,
+     "memo_invalidated 1, must be 0", "rule"),
+    ("memo misses a vertex", memo_misses_a_vertex, "must recall all", "rule"),
 ]
 
 

@@ -1,22 +1,21 @@
 // Cluster-memoization tests (stream/cluster_log.h + the LoomPartitioner
 // memo path + Restreamer wiring):
 //
-//  * ClusterLog / ClusterMemo / GroupPermByUnits container semantics and the
-//    order-independent fingerprint;
+//  * ClusterLog / ClusterMemo / GroupPermByUnits container semantics;
 //  * pass one is bit-identical with logging (and the whole memoize_clusters
 //    feature) on vs off, for both bench graph families — recording must be
 //    a pure observer;
 //  * a memoized multi-pass restream replays every vertex, actually recalls
 //    units, and lands within the documented edge-cut tolerance of the
-//    non-memoized run;
-//  * the invalidation gate: a fully-perturbed replay invalidates every unit
-//    and is then *bit-identical* to the plain pipeline on the same
-//    arrivals, and a single perturbed label invalidates exactly its unit
-//    while everything else stays memoized.
+//    non-memoized run; under prioritized orders its last pass recalls every
+//    vertex and cuts no unit short;
+//  * an interleaved replay (a unit cut short by another unit's member)
+//    still places every vertex within capacity, deterministically.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,14 +41,14 @@ uint64_t AssignmentHash(const PartitionAssignment& a, size_t n) {
 
 TEST(ClusterLogTest, RecordsUnitsInOrder) {
   ClusterLog log;
-  log.Reset(/*fingerprints_complete=*/true);
+  log.Reset();
   EXPECT_EQ(log.NumUnits(), 0u);
 
-  log.AddMember(5, 11);
-  log.AddMember(3, 22);
+  log.AddMember(5);
+  log.AddMember(3);
   log.CommitUnit();
   log.CommitUnit();  // empty commit: no-op
-  log.AddMember(9, 33);
+  log.AddMember(9);
   log.CommitUnit();
 
   ASSERT_EQ(log.NumUnits(), 2u);
@@ -57,38 +56,18 @@ TEST(ClusterLogTest, RecordsUnitsInOrder) {
   ASSERT_EQ(log.MembersOf(0).size(), 2u);
   EXPECT_EQ(log.MembersOf(0)[0], 5u);
   EXPECT_EQ(log.MembersOf(0)[1], 3u);
-  ASSERT_EQ(log.FingerprintsOf(0).size(), 2u);
-  EXPECT_EQ(log.FingerprintsOf(0)[1], 22u);
   ASSERT_EQ(log.MembersOf(1).size(), 1u);
   EXPECT_EQ(log.MembersOf(1)[0], 9u);
   EXPECT_EQ(log.IdBound(), 10u);
-
-  // Without complete fingerprints the per-member hashes are not stored.
-  log.Reset(/*fingerprints_complete=*/false);
-  log.AddMember(1, 44);
-  log.CommitUnit();
-  EXPECT_FALSE(log.fingerprints_complete());
-  EXPECT_TRUE(log.FingerprintsOf(0).empty());
-}
-
-TEST(ClusterLogTest, FingerprintIsOrderIndependentAndStateSensitive) {
-  const std::vector<VertexId> abc = {7, 2, 9};
-  const std::vector<VertexId> cab = {9, 7, 2};
-  const std::vector<VertexId> abd = {7, 2, 8};
-  EXPECT_EQ(ClusterLog::Fingerprint(1, abc), ClusterLog::Fingerprint(1, cab));
-  EXPECT_NE(ClusterLog::Fingerprint(1, abc), ClusterLog::Fingerprint(2, abc));
-  EXPECT_NE(ClusterLog::Fingerprint(1, abc), ClusterLog::Fingerprint(1, abd));
-  // Never 0 — 0 is the "no fingerprint" sentinel.
-  EXPECT_NE(ClusterLog::Fingerprint(0, {}), 0u);
 }
 
 TEST(ClusterMemoTest, UnitOfAndGroupPermHoistUnitsContiguously) {
   ClusterLog log;
-  log.Reset(false);
-  log.AddMember(4, 0);
-  log.AddMember(1, 0);
+  log.Reset();
+  log.AddMember(4);
+  log.AddMember(1);
   log.CommitUnit();  // unit 0: {4, 1}
-  log.AddMember(6, 0);
+  log.AddMember(6);
   log.CommitUnit();  // unit 1: {6}
   const ClusterMemo memo(&log);
 
@@ -97,7 +76,6 @@ TEST(ClusterMemoTest, UnitOfAndGroupPermHoistUnitsContiguously) {
   EXPECT_EQ(memo.UnitOf(6), 1);
   EXPECT_EQ(memo.UnitOf(0), -1);
   EXPECT_EQ(memo.UnitOf(999), -1);
-  EXPECT_FALSE(memo.validate());
 
   // Unit 0 hoists to 4's position (recorded order 4,1); 6 stays a unit of
   // one; non-members keep relative order.
@@ -219,126 +197,87 @@ TEST_P(MemoEquivalence, MemoizedRestreamMatchesNonMemoizedWithinTolerance) {
   EXPECT_EQ((*loom_off)->Partitioner().loom_stats().memo_units, 0u);
 }
 
-// Builds the state a memoized pass three starts from: pass one (logged),
-// then a memoized-and-logged pass two, returning the pass-two log (complete
-// fingerprints), the pass-two assignment, and the grouped full-neighbourhood
-// replay arrivals for pass three.
-struct PassThreeSetup {
-  ClusterLog log2;
-  PartitionAssignment prior{1, 0};
-  std::vector<VertexArrival> arrivals;
-};
+// A prioritized memoized Run replays the stream its memo was recorded from,
+// grouped unit by unit: the last pass recalls every vertex, and no unit is
+// cut short.
+TEST_P(MemoEquivalence, PrioritizedRunRecallsEveryVertexUncut) {
+  const MemoFixture f = MakeFixture(GetParam());
+  for (const RestreamOrder order :
+       {RestreamOrder::kGain, RestreamOrder::kDecisive}) {
+    RestreamOptions ropts;
+    ropts.num_passes = 3;
+    ropts.order = order;
+    auto loom = Loom::Create(f.workload, f.options);
+    ASSERT_TRUE(loom.ok());
+    const RestreamResult result =
+        Restreamer(f.stream, ropts).Run(&(*loom)->Partitioner());
+    ASSERT_EQ(result.passes.size(), 3u);
 
-PassThreeSetup MakePassThreeSetup(const MemoFixture& f) {
-  PassThreeSetup s;
-  auto loom = Loom::Create(f.workload, f.options);
-  EXPECT_TRUE(loom.ok());
-  LoomPartitioner& p = (*loom)->Partitioner();
+    const LoomStats& stats = (*loom)->Partitioner().loom_stats();
+    EXPECT_EQ(stats.memo_invalidated, 0u) << RestreamOrderName(order);
+    EXPECT_EQ(stats.memo_vertices, f.graph.NumVertices())
+        << RestreamOrderName(order);
+  }
+}
 
-  const Restreamer restreamer(f.stream, RestreamOptions{});
+// An order GroupPermByUnits never produces: another unit's member arrives
+// inside a multi-member unit, cutting it short. The buffered members are
+// placed as buffered and the rest of the unit is recalled when it arrives;
+// every vertex is placed within capacity, and the replay is deterministic.
+TEST_P(MemoEquivalence, InterleavedReplayPlacesEveryVertexDeterministically) {
+  const MemoFixture f = MakeFixture(GetParam());
+  auto recorder = Loom::Create(f.workload, f.options);
+  ASSERT_TRUE(recorder.ok());
+  LoomPartitioner& p1 = (*recorder)->Partitioner();
+  p1.SetClusterLogging(true);
+  p1.BeginPass(nullptr);
+  p1.Run(f.stream);
+  const ClusterLog log1 = *p1.cluster_log();
+  const PartitionAssignment prior = p1.assignment();
+  const ClusterMemo memo(&log1);
+
+  // The grouped full-neighbourhood replay a memoized pass two would see.
   Rng rng(7);
-
-  p.SetClusterLogging(true);
-  p.BeginPass(nullptr);
-  p.Run(f.stream);
-  const ClusterLog log1 = *p.cluster_log();
-  PartitionAssignment prior1 = p.assignment();
-
-  // Pass two: memoized replay of the pass-one units, original order,
-  // logging on — this log carries complete fingerprints.
-  const GraphStream replay =
-      restreamer.ReplayStream(RestreamOrder::kOriginal, prior1, rng);
+  const GraphStream replay = Restreamer(f.stream, RestreamOptions{})
+                                 .ReplayStream(RestreamOrder::kOriginal,
+                                               prior, rng);
   std::vector<VertexId> perm;
   for (const VertexArrival& a : replay.arrivals()) perm.push_back(a.vertex);
-  const ClusterMemo memo1(&log1);
-  perm = GroupPermByUnits(perm, memo1);
+  perm = GroupPermByUnits(perm, memo);
+
+  // Move the vertex after the first multi-member unit's block to just
+  // behind that unit's first member.
+  size_t first = perm.size();
+  for (size_t i = 0; i < perm.size(); ++i) {
+    const int32_t u = memo.UnitOf(perm[i]);
+    if (u >= 0 && log1.MembersOf(static_cast<uint32_t>(u)).size() > 1) {
+      first = i;
+      break;
+    }
+  }
+  ASSERT_LT(first, perm.size()) << "no multi-member unit recorded";
+  const size_t unit_size =
+      log1.MembersOf(static_cast<uint32_t>(memo.UnitOf(perm[first]))).size();
+  ASSERT_LT(first + unit_size, perm.size());
+  const VertexId intruder = perm[first + unit_size];
+  perm.erase(perm.begin() + static_cast<std::ptrdiff_t>(first + unit_size));
+  perm.insert(perm.begin() + static_cast<std::ptrdiff_t>(first + 1), intruder);
 
   std::vector<uint32_t> index_of(f.graph.NumVertices());
   for (uint32_t i = 0; i < replay.arrivals().size(); ++i) {
     index_of[replay.arrivals()[i].vertex] = i;
   }
-  std::vector<VertexArrival> grouped;
-  for (const VertexId v : perm) grouped.push_back(replay.arrivals()[index_of[v]]);
-  const GraphStream grouped_stream{std::vector<VertexArrival>(grouped)};
-
-  p.BeginPass(&prior1);
-  p.SetClusterMemo(&memo1);
-  p.Run(grouped_stream);
-  p.ClearPrior();
-
-  EXPECT_TRUE(p.cluster_log()->fingerprints_complete());
-  s.log2 = *p.cluster_log();
-  s.prior = p.assignment();
-  s.arrivals = std::move(grouped);
-  return s;
-}
-
-// Every label perturbed -> every recalled unit fails its fingerprint ->
-// every arrival falls back to the pipeline: the memoized run must then be
-// BIT-IDENTICAL to a plain (never-memoized) run over the same arrivals and
-// prior. This pins the invalidation fallback end-to-end.
-TEST_P(MemoEquivalence, FullyInvalidatedReplayEqualsPipelineBitForBit) {
-  const MemoFixture f = MakeFixture(GetParam());
-  PassThreeSetup s = MakePassThreeSetup(f);
-
-  for (VertexArrival& a : s.arrivals) a.label = (a.label + 1) % 3;
-  const GraphStream perturbed{std::vector<VertexArrival>(s.arrivals)};
-
-  const ClusterMemo memo2(&s.log2);
-  ASSERT_TRUE(memo2.validate());
-
-  auto memoized = Loom::Create(f.workload, f.options);
-  ASSERT_TRUE(memoized.ok());
-  LoomPartitioner& pm = (*memoized)->Partitioner();
-  pm.BeginPass(&s.prior);
-  pm.SetClusterMemo(&memo2);
-  pm.Run(perturbed);
-  pm.ClearPrior();
-
-  auto plain = Loom::Create(f.workload, f.options);
-  ASSERT_TRUE(plain.ok());
-  LoomPartitioner& pp = (*plain)->Partitioner();
-  pp.BeginPass(&s.prior);
-  pp.Run(perturbed);
-  pp.ClearPrior();
-
-  EXPECT_EQ(pm.loom_stats().memo_units, 0u);
-  EXPECT_EQ(pm.loom_stats().memo_invalidated, s.log2.NumUnits());
-  for (VertexId v = 0; v < f.graph.NumVertices(); ++v) {
-    ASSERT_EQ(pm.assignment().PartOf(v), pp.assignment().PartOf(v))
-        << "vertex " << v;
+  GraphStream interleaved;
+  for (const VertexId v : perm) {
+    interleaved.Append(replay.arrivals()[index_of[v]]);
   }
-}
-
-// One perturbed label invalidates exactly its own unit; everything else
-// stays memoized, the run is deterministic, and no vertex is dropped.
-TEST_P(MemoEquivalence, SinglePerturbationInvalidatesExactlyItsUnit) {
-  const MemoFixture f = MakeFixture(GetParam());
-  PassThreeSetup s = MakePassThreeSetup(f);
-
-  // Perturb one member of a multi-member unit.
-  int32_t target_unit = -1;
-  for (uint32_t u = 0; u < s.log2.NumUnits(); ++u) {
-    if (s.log2.MembersOf(u).size() > 1) {
-      target_unit = static_cast<int32_t>(u);
-      break;
-    }
-  }
-  ASSERT_GE(target_unit, 0) << "no multi-member unit recorded";
-  const VertexId victim = s.log2.MembersOf(target_unit)[0];
-  for (VertexArrival& a : s.arrivals) {
-    if (a.vertex == victim) a.label = (a.label + 1) % 3;
-  }
-  const GraphStream perturbed{std::vector<VertexArrival>(s.arrivals)};
-  const ClusterMemo memo2(&s.log2);
 
   const auto run_once = [&](LoomPartitioner& p) {
-    p.BeginPass(&s.prior);
-    p.SetClusterMemo(&memo2);
-    p.Run(perturbed);
+    p.BeginPass(&prior);
+    p.SetClusterMemo(&memo);
+    p.Run(interleaved);
     p.ClearPrior();
   };
-
   auto a = Loom::Create(f.workload, f.options);
   auto b = Loom::Create(f.workload, f.options);
   ASSERT_TRUE(a.ok());
@@ -346,13 +285,18 @@ TEST_P(MemoEquivalence, SinglePerturbationInvalidatesExactlyItsUnit) {
   run_once((*a)->Partitioner());
   run_once((*b)->Partitioner());
 
+  const PartitionAssignment& result = (*a)->Partitioner().assignment();
   const LoomStats& stats = (*a)->Partitioner().loom_stats();
-  EXPECT_EQ(stats.memo_invalidated, 1u);
-  EXPECT_EQ(stats.memo_units, s.log2.NumUnits() - 1);
-  EXPECT_EQ((*a)->Partitioner().assignment().NumAssigned(),
-            f.graph.NumVertices());
-  EXPECT_EQ(AssignmentHash((*a)->Partitioner().assignment(),
-                           f.graph.NumVertices()),
+  EXPECT_GE(stats.memo_invalidated, 1u);
+  EXPECT_EQ(stats.memo_vertices, f.graph.NumVertices());
+  EXPECT_EQ(result.NumAssigned(), f.graph.NumVertices());
+  EXPECT_TRUE(AllAssigned(f.graph, result));
+  EXPECT_EQ(result.NumOverflowed(), 0u);
+  ASSERT_GT(result.capacity(), 0u);
+  for (const uint32_t size : result.Sizes()) {
+    EXPECT_LE(size, result.capacity());
+  }
+  EXPECT_EQ(AssignmentHash(result, f.graph.NumVertices()),
             AssignmentHash((*b)->Partitioner().assignment(),
                            f.graph.NumVertices()));
 }

@@ -358,6 +358,61 @@ TEST(StreamFileTest, RejectsCorruptEdgeValues) {
   std::remove(path.c_str());
 }
 
+// Crafted headers and records whose edge slice ends past the mapping. Open()
+// must reject them before its validation sweep reads the slice, which would
+// otherwise fault on the unmapped pages behind the file.
+TEST(StreamFileTest, RejectsEdgeSlicesPastTheFile) {
+  const auto crafted = [](uint64_t num_edges, uint64_t edge_slots,
+                          uint32_t edge_words) {
+    std::string bytes;
+    const auto u32 = [&](uint32_t v) {
+      for (int b = 0; b < 4; ++b) {
+        bytes.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+      }
+    };
+    const auto u64 = [&](uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        bytes.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+      }
+    };
+    bytes += "LOOMSTRM";
+    u32(1);                     // version
+    u32(1);                     // flags: full neighbourhoods
+    u64(1);                     // num_vertices
+    u64(uint64_t{1} << 32);     // id_bound
+    u64(num_edges);
+    u64(edge_slots);
+    u64(0);                     // reserved
+    u64(0);
+    // One arrival whose full degree runs far past the edge array. Its id is
+    // one no stray word past the file is likely to equal, so a sweep that
+    // reads the slice unchecked cannot stop early on a "self-loop" and
+    // reject the file by chance.
+    u32(0xd15ea5e7u); u32(0); u32(0); u32(0xfffffff0u); u64(0);
+    for (uint32_t w = 0; w < edge_words; ++w) u32(0);
+    return bytes;
+  };
+  const std::string path = TempPath("loom_stream_overrun.loomstrm");
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const char* what) {
+    WriteFileBytes(path, bytes);
+    const auto opened = FileArrivalSource::Open(path);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  const std::string slice = crafted(1, 2, 2);
+  ASSERT_EQ(slice.size(), 96u);
+  expect_rejected(slice, "full degree past the edge array");
+  // 2^62 slots of 4 bytes wrap to 0, so a multiplied-out size check would
+  // accept this 88-byte file.
+  const std::string wrapped =
+      crafted(uint64_t{1} << 61, uint64_t{1} << 62, 0);
+  ASSERT_EQ(wrapped.size(), 88u);
+  expect_rejected(wrapped, "edge-slot count wraps the size check");
+  std::remove(path.c_str());
+}
+
 TEST(StreamFileTest, WriterRejectsStreamInvariantViolations) {
   const std::string path = TempPath("loom_stream_invariants.loomstrm");
   const std::vector<VertexId> none;

@@ -147,7 +147,8 @@ def check_large(d):
         "file_bytes", "materializations", "edge_cut_fraction_before",
         "edge_cut_fraction_after", "migration_fraction"})
     errors += missing_keys("large loom", [loom], {
-        "edge_cut_fraction", "edge_cut_fraction_nomemo"})
+        "edge_cut_fraction", "edge_cut_fraction_nomemo", "memo_vertices",
+        "memo_invalidated"})
     if errors:
         return errors
     tiers = {r["tier"] for r in rows}
@@ -179,6 +180,14 @@ def check_large(d):
         errors.append(f"large loom: memo cut {loom['edge_cut_fraction']} vs "
                       f"no-memo {loom['edge_cut_fraction_nomemo']} "
                       f"differ by {gap:.6f} > 0.001")
+    # A memoized pass replays the stream its memo was recorded from, one
+    # unit at a time: it recalls every vertex and cuts no unit short.
+    if loom["memo_invalidated"] != 0:
+        errors.append(f"large loom: memo_invalidated "
+                      f"{loom['memo_invalidated']}, must be 0")
+    if loom["memo_vertices"] != loom["num_vertices"]:
+        errors.append(f"large loom: memo recalled {loom['memo_vertices']} "
+                      f"of {loom['num_vertices']} vertices, must recall all")
     return errors
 
 
