@@ -282,8 +282,6 @@ bool RunAblation() {
   variants.back().second.matcher.frequency_threshold = 1.01;
   variants.emplace_back("+ traversal-weighted LDG (E8e, §5)", base);
   variants.back().second.use_traversal_weights = true;
-  variants.emplace_back("oldest-first split fallback (E8f)", base);
-  variants.back().second.local_cluster_split = false;
 
   TablePrinter table(
       "E8 loom ablations (n=" + std::to_string(g.NumVertices()) +

@@ -72,7 +72,7 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
 
   WorkloadTrackerOptions topts;
   topts.window_queries = config.tracker_window;
-  WorkloadTracker tracker(/*num_labels=*/4, topts);
+  WorkloadTracker tracker(/*num_labels=*/4, topts, lopts.paths_only);
   Rng qrng(config.seed + 1);
   const auto observe_tick = [&](const Workload& w) {
     for (uint32_t i = 0; i < config.queries_per_tick; ++i) {
@@ -133,7 +133,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
     RestreamOptions ropts;
     ropts.num_passes = config.cold_passes;
     ropts.order = RestreamOrder::kGain;
-    ropts.seed = config.seed;
     // The cold bracket is a fixed reference for the reaction contract, so it
     // pins the classic full-rematch replay: cluster-memoized passes regroup
     // arrivals by recorded unit, which under gain ordering can shift the cut

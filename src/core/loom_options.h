@@ -11,8 +11,10 @@ namespace loom {
 
 /// All LOOM knobs in one place. `partitioner` carries the generic streaming
 /// settings (k, capacity, window size); `matcher` the workload-awareness
-/// settings; the booleans below select the §4.4 assignment semantics and the
-/// ablation variants of experiment E8.
+/// settings; the fields below select the §4.4 assignment semantics and §5's
+/// traversal weighting. Experiment E8 switches them one at a time: E8c
+/// `paths_only`, E8d `group_overlapping_matches`, E8e
+/// `use_traversal_weights` (E8a and E8b are matcher settings).
 struct LoomOptions {
   PartitionerOptions partitioner;
   StreamMatcherOptions matcher;
@@ -35,12 +37,6 @@ struct LoomOptions {
   /// `use_traversal_weights` is on. Non-zero keeps pure-structure cohesion
   /// as a tie-breaker.
   double untraversed_edge_weight = 0.05;
-
-  /// §5 future work, implemented: when a motif cluster exceeds every
-  /// partition's free capacity, split it with a local connectivity-aware
-  /// bisection (keeping connected chunks together) instead of degrading to
-  /// vertex-by-vertex assignment.
-  bool local_cluster_split = true;
 };
 
 /// Counters produced by a LOOM run.
@@ -50,9 +46,10 @@ struct LoomStats {
   /// Motif clusters assigned as a unit.
   uint64_t clusters_assigned = 0;
   /// Clusters that did not fit any partition and had to be split (the
-  /// paper's §4.4 balance concern; the safety valve loom adds).
+  /// paper's §4.4 balance concern; the safety valve loom adds): a window
+  /// cluster into connected chunks, a recalled memo unit member by member.
   uint64_t clusters_split = 0;
-  /// Connected chunks produced by local cluster splitting.
+  /// Connected chunks produced by splitting window clusters.
   uint64_t split_chunks = 0;
   /// Vertices assigned individually by plain LDG.
   uint64_t single_vertices = 0;

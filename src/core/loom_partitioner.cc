@@ -124,23 +124,15 @@ bool LoomPartitioner::HandleMemoArrival(VertexId v, Label label,
   const uint32_t u = static_cast<uint32_t>(unit);
 
   if (memo_->log().MembersOf(u).size() == 1) {
-    // Singleton fast path (the common case on low-motif streams): score and
-    // place straight off the borrowed arrival — no pending-buffer copy. The
-    // scoring input is identical to AssignPendingSingle's, so the placement
-    // is bit-identical to the buffered path.
+    // Singleton fast path (the common case on low-motif streams): placed
+    // straight off the borrowed arrival, with no pending-buffer copy.
     if (log_enabled_) {
       cluster_log_.AddMember(v);
       cluster_log_.CommitUnit();
     }
     ++loom_stats_.memo_units;
     ++loom_stats_.memo_vertices;
-    scorer_.BeginUnit();
-    scorer_.AddMember(label, back_edges, label_of_,
-                      [this](VertexId w) { return ScorePartOf(w); });
-    scorer_.Commit(&scores_);
-    AssignOrFallback(v, PickLdgPartitionWeightedSparse(assignment_, scores_,
-                                                       scorer_.touched()));
-    ++loom_stats_.single_vertices;
+    PlaceSingle(v, label, back_edges);
     return true;
   }
 
@@ -183,8 +175,7 @@ void LoomPartitioner::EvictOldest() {
       cluster_log_.AddMember(member.id);
       cluster_log_.CommitUnit();
     }
-    AssignSingle(member);
-    ++loom_stats_.single_vertices;
+    PlaceSingle(member.id, member.label, member.neighbors);
     return;
   }
 
@@ -214,32 +205,14 @@ void LoomPartitioner::EvictOldest() {
 
   // No partition can hold the whole cluster (§4.4's balance risk).
   ++loom_stats_.clusters_split;
-  if (loom_options_.local_cluster_split) {
-    SplitAndAssignCluster(cluster);
-    return;
-  }
-  // Fallback: oldest-first, one vertex at a time by plain LDG.
-  std::sort(cluster.begin(), cluster.end(), [this](VertexId a, VertexId b) {
-    return window_.Get(a).arrival_seq < window_.Get(b).arrival_seq;
-  });
-  for (const VertexId member : cluster) {
-    const WindowMember m = window_.Remove(member);
-    matcher_.RemoveVertex(member);
-    AssignSingle(m);
-    ++loom_stats_.single_vertices;
-  }
+  SplitAndAssignCluster(cluster);
 }
 
-template <typename SlotFn, typename NeighborsFn, typename PlaceChunkFn,
-          typename PlaceSinglesFn>
-void LoomPartitioner::SplitClusterCore(Span<const VertexId> seeds,
-                                       size_t state_size, SlotFn&& slot_of,
-                                       NeighborsFn&& neighbors_of,
-                                       PlaceChunkFn&& place_chunk,
-                                       PlaceSinglesFn&& place_singles) {
+void LoomPartitioner::SplitAndAssignCluster(
+    const std::vector<VertexId>& cluster) {
   // Connectivity-aware chunking (§5 "local partitioning procedure for large
-  // matched sub-graphs"): BFS over the cluster's internal adjacency grows
-  // connected chunks no larger than the largest free capacity, so each
+  // matched sub-graphs"): BFS over the cluster's internal window adjacency
+  // grows connected chunks no larger than the largest free capacity, so each
   // chunk is assigned as a unit and whole sub-structures stay together.
   size_t max_free = 0;
   for (uint32_t p = 0; p < assignment_.k(); ++p) {
@@ -249,103 +222,76 @@ void LoomPartitioner::SplitClusterCore(Span<const VertexId> seeds,
   // whose per-member overflow fallback places everything without drops.
   const size_t chunk_cap = std::max<size_t>(1, max_free);
 
-  // Cluster membership lives in one byte per dense member index — no
-  // hash-set probes anywhere in the BFS.
-  split_state_.assign(state_size, 0);
-  for (const VertexId v : seeds) {
-    const int32_t s = slot_of(v);
-    if (s >= 0) split_state_[s] = 1;
-  }
-
-  for (const VertexId seed : seeds) {
-    // A placed member has already left the index domain (slot -1) or
-    // carries state 2; either way it cannot seed another chunk.
-    const int32_t seed_slot = slot_of(seed);
-    if (seed_slot < 0 || split_state_[seed_slot] != 1) continue;
-    std::vector<VertexId> chunk;
-    SmallVector<uint32_t, 32> chunk_slots;
-    SmallVector<VertexId, 32> frontier;
-    frontier.push_back(seed);
-    // FIFO via a head cursor keeps the historical BFS visit order.
-    for (size_t head = 0; head < frontier.size() && chunk.size() < chunk_cap;
-         ++head) {
-      const VertexId v = frontier[head];
-      const int32_t vs = slot_of(v);
-      if (vs < 0 || split_state_[vs] != 1) continue;
-      split_state_[vs] = 2;
-      chunk.push_back(v);
-      chunk_slots.push_back(static_cast<uint32_t>(vs));
-      for (const VertexId w : neighbors_of(static_cast<uint32_t>(vs))) {
-        const int32_t ws = slot_of(w);
-        if (ws >= 0 && static_cast<size_t>(ws) < state_size &&
-            split_state_[ws] == 1) {
-          frontier.push_back(w);
-        }
-      }
-    }
-    if (chunk.empty()) continue;
-    scorer_.BeginUnit();
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      scorer_.AddMember(label_of_[chunk[i]], neighbors_of(chunk_slots[i]),
-                        label_of_,
-                        [this](VertexId w) { return ScorePartOf(w); });
-    }
-    scorer_.Commit(&scores_);
-    const uint32_t part = PickLdgPartitionWeightedSparse(
-        assignment_, scores_, scorer_.touched(), chunk.size());
-    ++loom_stats_.split_chunks;
-    if (part < assignment_.k()) {
-      place_chunk(chunk, part);
-      loom_stats_.cluster_vertices += chunk.size();
-    } else {
-      // Even the chunk does not fit anywhere as a unit: place its members
-      // individually (capacity-total guarantees a slot per vertex).
-      place_singles(chunk);
-    }
-  }
-}
-
-void LoomPartitioner::SplitAndAssignCluster(
-    const std::vector<VertexId>& cluster) {
   // Deterministic seeding: oldest member first.
   SmallVector<VertexId, 32> seeds;
   seeds.assign(cluster.begin(), cluster.end());
   std::sort(seeds.begin(), seeds.end(), [this](VertexId a, VertexId b) {
     return window_.Get(a).arrival_seq < window_.Get(b).arrival_seq;
   });
+  // Cluster membership lives in one byte per window slot, so the BFS never
+  // probes a hash set.
   uint32_t slot_bound = 0;
   for (const VertexId v : cluster) {
     slot_bound =
         std::max(slot_bound, static_cast<uint32_t>(window_.SlotOf(v)) + 1);
   }
-  SplitClusterCore(
-      Span<const VertexId>(seeds.data(), seeds.size()), slot_bound,
-      [this](VertexId v) { return window_.SlotOf(v); },
-      [this](uint32_t slot) -> Span<const VertexId> {
-        const SmallVector<VertexId, 8>& nb =
-            window_.MemberAtSlot(slot).neighbors;
-        return Span<const VertexId>(nb.data(), nb.size());
-      },
-      [this](const std::vector<VertexId>& chunk, uint32_t part) {
-        AssignCluster(chunk, part);
-      },
-      [this](const std::vector<VertexId>& chunk) {
-        for (const VertexId member : chunk) {
-          const WindowMember m = window_.Remove(member);
-          matcher_.RemoveVertex(member);
-          AssignSingle(m);
-          ++loom_stats_.single_vertices;
+  split_state_.assign(slot_bound, 0);
+  for (const VertexId v : cluster) split_state_[window_.SlotOf(v)] = 1;
+
+  std::vector<VertexId> chunk;
+  SmallVector<VertexId, 32> frontier;
+  for (const VertexId seed : seeds) {
+    // A placed member has left the window (slot -1) or carries state 2;
+    // either way it cannot seed another chunk.
+    const int32_t seed_slot = window_.SlotOf(seed);
+    if (seed_slot < 0 || split_state_[seed_slot] != 1) continue;
+    chunk.clear();
+    frontier.clear();
+    frontier.push_back(seed);
+    // FIFO via a head cursor keeps the historical BFS visit order.
+    for (size_t head = 0; head < frontier.size() && chunk.size() < chunk_cap;
+         ++head) {
+      const VertexId v = frontier[head];
+      const int32_t vs = window_.SlotOf(v);
+      if (vs < 0 || split_state_[vs] != 1) continue;
+      split_state_[vs] = 2;
+      chunk.push_back(v);
+      for (const VertexId w : window_.MemberAtSlot(vs).neighbors) {
+        const int32_t ws = window_.SlotOf(w);
+        if (ws >= 0 && static_cast<size_t>(ws) < split_state_.size() &&
+            split_state_[ws] == 1) {
+          frontier.push_back(w);
         }
-      });
+      }
+    }
+    ScoreVertices(chunk, &scores_);
+    const uint32_t part = PickLdgPartitionWeightedSparse(
+        assignment_, scores_, scorer_.touched(), chunk.size());
+    ++loom_stats_.split_chunks;
+    if (part < assignment_.k()) {
+      AssignCluster(chunk, part);
+      loom_stats_.cluster_vertices += chunk.size();
+      continue;
+    }
+    // Even the chunk does not fit anywhere as a unit: place its members
+    // individually (capacity-total guarantees a slot per vertex).
+    for (const VertexId member : chunk) {
+      const WindowMember m = window_.Remove(member);
+      matcher_.RemoveVertex(member);
+      PlaceSingle(m.id, m.label, m.neighbors);
+    }
+  }
 }
 
-void LoomPartitioner::AssignSingle(const WindowMember& member) {
+void LoomPartitioner::PlaceSingle(VertexId v, Label label,
+                                  Span<const VertexId> neighbors) {
   scorer_.BeginUnit();
-  scorer_.AddMember(member.label, member.neighbors, label_of_,
+  scorer_.AddMember(label, neighbors, label_of_,
                     [this](VertexId w) { return ScorePartOf(w); });
   scorer_.Commit(&scores_);
-  AssignOrFallback(member.id, PickLdgPartitionWeightedSparse(
-                                  assignment_, scores_, scorer_.touched()));
+  AssignOrFallback(v, PickLdgPartitionWeightedSparse(assignment_, scores_,
+                                                     scorer_.touched()));
+  ++loom_stats_.single_vertices;
 }
 
 void LoomPartitioner::AssignCluster(const std::vector<VertexId>& cluster,
@@ -371,83 +317,34 @@ void LoomPartitioner::AssignPendingUnit() {
   ++loom_stats_.memo_units;
   loom_stats_.memo_vertices += n;
 
-  if (n == 1) {
-    AssignPendingSingle(0);
-    ClearPending();
-    return;
-  }
-
-  // Whole-unit cluster-LDG, exactly as EvictOldest scores a fresh closure —
-  // buffered arrival adjacency equals what the window would have held.
-  scorer_.BeginUnit();
-  for (size_t i = 0; i < n; ++i) {
-    scorer_.AddMember(label_of_[pending_ids_[i]],
-                      PendingNeighbors(static_cast<uint32_t>(i)), label_of_,
-                      [this](VertexId w) { return ScorePartOf(w); });
-  }
-  scorer_.Commit(&scores_);
-  const uint32_t part = PickLdgPartitionWeightedSparse(
-      assignment_, scores_, scorer_.touched(), n);
-  if (part < assignment_.k()) {
-    for (const VertexId id : pending_ids_) AssignOrFallback(id, part);
-    ++loom_stats_.clusters_assigned;
-    loom_stats_.cluster_vertices += n;
-    ClearPending();
-    return;
-  }
-
-  ++loom_stats_.clusters_split;
-  if (loom_options_.local_cluster_split) {
-    SplitPendingUnit();
-  } else {
-    // Oldest-first individual placement; buffered order is arrival order.
+  if (n > 1) {
+    // Whole-unit cluster-LDG, exactly as EvictOldest scores a fresh closure
+    // — buffered arrival adjacency equals what the window would have held.
+    scorer_.BeginUnit();
     for (size_t i = 0; i < n; ++i) {
-      AssignPendingSingle(static_cast<uint32_t>(i));
+      scorer_.AddMember(label_of_[pending_ids_[i]],
+                        PendingNeighbors(static_cast<uint32_t>(i)), label_of_,
+                        [this](VertexId w) { return ScorePartOf(w); });
     }
+    scorer_.Commit(&scores_);
+    const uint32_t part = PickLdgPartitionWeightedSparse(
+        assignment_, scores_, scorer_.touched(), n);
+    if (part < assignment_.k()) {
+      for (const VertexId id : pending_ids_) AssignOrFallback(id, part);
+      ++loom_stats_.clusters_assigned;
+      loom_stats_.cluster_vertices += n;
+      ClearPending();
+      return;
+    }
+    ++loom_stats_.clusters_split;
+  }
+  // A unit of one, or one that fits no partition: member by member, in
+  // buffered (arrival) order.
+  for (size_t i = 0; i < n; ++i) {
+    PlaceSingle(pending_ids_[i], label_of_[pending_ids_[i]],
+                PendingNeighbors(static_cast<uint32_t>(i)));
   }
   ClearPending();
-}
-
-void LoomPartitioner::AssignPendingSingle(uint32_t index) {
-  scorer_.BeginUnit();
-  scorer_.AddMember(label_of_[pending_ids_[index]], PendingNeighbors(index),
-                    label_of_, [this](VertexId w) { return ScorePartOf(w); });
-  scorer_.Commit(&scores_);
-  AssignOrFallback(pending_ids_[index],
-                   PickLdgPartitionWeightedSparse(assignment_, scores_,
-                                                  scorer_.touched()));
-  ++loom_stats_.single_vertices;
-}
-
-void LoomPartitioner::SplitPendingUnit() {
-  const size_t n = pending_ids_.size();
-  // Dense member index for the split core: buffered position, looked up by
-  // binary search over the id-sorted members.
-  SmallVector<uint32_t, 32> order;
-  for (uint32_t i = 0; i < n; ++i) order.push_back(i);
-  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-    return pending_ids_[a] < pending_ids_[b];
-  });
-  SmallVector<VertexId, 32> sorted_ids;
-  for (const uint32_t i : order) sorted_ids.push_back(pending_ids_[i]);
-
-  const auto slot_of = [this, &sorted_ids, &order](VertexId v) -> int32_t {
-    const VertexId* it =
-        std::lower_bound(sorted_ids.begin(), sorted_ids.end(), v);
-    if (it == sorted_ids.end() || *it != v) return -1;
-    return static_cast<int32_t>(order[it - sorted_ids.begin()]);
-  };
-  SplitClusterCore(
-      Span<const VertexId>(pending_ids_.data(), n), n, slot_of,
-      [this](uint32_t slot) { return PendingNeighbors(slot); },
-      [this](const std::vector<VertexId>& chunk, uint32_t part) {
-        for (const VertexId id : chunk) AssignOrFallback(id, part);
-      },
-      [this, &slot_of](const std::vector<VertexId>& chunk) {
-        for (const VertexId id : chunk) {
-          AssignPendingSingle(static_cast<uint32_t>(slot_of(id)));
-        }
-      });
 }
 
 }  // namespace loom

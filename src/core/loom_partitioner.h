@@ -14,9 +14,10 @@
 ///      free-capacity weighted); otherwise assign the single vertex by LDG;
 ///   3. buffer the new arrival and feed the matcher.
 ///
-/// A cluster too large for any partition's remaining capacity is split and
-/// assigned vertex-by-vertex — the safety valve for the balance risk the
-/// paper flags as future work (§4.4, §5).
+/// A cluster too large for any partition's remaining capacity is split —
+/// the safety valve for the balance risk the paper flags as future work
+/// (§4.4, §5). A window cluster is split into connected chunks, each placed
+/// as a unit; a recalled memo unit is placed member by member.
 
 #include <utility>
 
@@ -93,18 +94,10 @@ class LoomPartitioner : public StreamingPartitioner {
   bool HandleMemoArrival(VertexId v, Label label,
                          Span<const VertexId> back_edges);
 
-  /// Scores and places the buffered unit (whole-unit first, split/individual
-  /// fallbacks mirroring EvictOldest), records it into this pass's log, and
-  /// clears the buffer.
+  /// Scores and places the buffered unit (whole-unit cluster-LDG first; a
+  /// unit of one or one that fits no partition goes member by member via
+  /// PlaceSingle), records it into this pass's log, and clears the buffer.
   void AssignPendingUnit();
-
-  /// Places buffered member `index` by single-vertex LDG (memoized
-  /// equivalent of AssignSingle).
-  void AssignPendingSingle(uint32_t index);
-
-  /// Splits the buffered unit into connected chunks (memoized equivalent of
-  /// SplitAndAssignCluster, over arrival adjacency instead of the window).
-  void SplitPendingUnit();
 
   void ClearPending();
 
@@ -115,32 +108,21 @@ class LoomPartitioner : public StreamingPartitioner {
         pending_offsets_[index + 1] - pending_offsets_[index]);
   }
 
-  /// Shared connectivity-aware split core behind SplitAndAssignCluster
-  /// (window adjacency) and SplitPendingUnit (buffered arrival adjacency):
-  /// BFS-grows connected chunks no larger than the largest free capacity,
-  /// scores each through the blocked kernel and places it as a unit, falling
-  /// back to per-member placement. `slot_of` maps a vertex to a dense index
-  /// < `state_size` (or -1 when not a cluster member); `neighbors_of` reads
-  /// a member's adjacency by that index.
-  template <typename SlotFn, typename NeighborsFn, typename PlaceChunkFn,
-            typename PlaceSinglesFn>
-  void SplitClusterCore(Span<const VertexId> seeds, size_t state_size,
-                        SlotFn&& slot_of, NeighborsFn&& neighbors_of,
-                        PlaceChunkFn&& place_chunk,
-                        PlaceSinglesFn&& place_singles);
-
   /// Assigns the oldest window member (with its motif closure, if any).
   void EvictOldest();
 
-  /// LDG assignment of one evicted member using all edges seen for it.
-  void AssignSingle(const WindowMember& member);
+  /// Single-vertex LDG over `neighbors`, the edges seen for `v` (a window
+  /// member's, a buffered member's or a borrowed arrival's); counts
+  /// LoomStats::single_vertices.
+  void PlaceSingle(VertexId v, Label label, Span<const VertexId> neighbors);
 
   /// Assigns every cluster vertex to `part`, removing them from window and
   /// matcher.
   void AssignCluster(const std::vector<VertexId>& cluster, uint32_t part);
 
-  /// §5 future work: splits an oversized cluster into connected chunks that
-  /// fit the remaining capacities and assigns each chunk as a unit.
+  /// §5 future work: splits an oversized window cluster into connected
+  /// chunks no larger than the largest free capacity and assigns each chunk
+  /// as a unit; a chunk that still fits nowhere goes member by member.
   void SplitAndAssignCluster(const std::vector<VertexId>& cluster);
 
   /// Accumulates the (possibly weighted) LDG scores of `vertices`' edges

@@ -16,12 +16,8 @@ std::string RestreamOrderName(RestreamOrder order) {
   switch (order) {
     case RestreamOrder::kOriginal:
       return "original";
-    case RestreamOrder::kRandom:
-      return "random";
     case RestreamOrder::kGain:
       return "gain";
-    case RestreamOrder::kAmbivalence:
-      return "ambivalence";
     case RestreamOrder::kDecisive:
       return "decisive";
   }
@@ -179,15 +175,13 @@ void SortByKeyThenId(const std::vector<int64_t>& key,
 
 }  // namespace
 
-std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
-                                            const PartitionAssignment& prior,
-                                            Rng& rng) const {
+std::vector<VertexId> Restreamer::PassOrder(
+    RestreamOrder order, const PartitionAssignment& prior) const {
   const uint64_t n = source_->NumVertices();
   std::vector<VertexId> perm;
   perm.reserve(n);
-  if (order == RestreamOrder::kOriginal || order == RestreamOrder::kRandom) {
+  if (order == RestreamOrder::kOriginal) {
     for (uint64_t i = 0; i < n; ++i) perm.push_back(source_->At(i).vertex);
-    if (order == RestreamOrder::kRandom) rng.Shuffle(&perm);
     return perm;
   }
 
@@ -195,20 +189,10 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
   // edges to its best alternative, over the full (known) neighbourhood.
   const uint32_t k = prior.k();
   const auto gain_key = [order](int64_t gain) -> int64_t {
-    // Sort key ascending: descending gain, ascending ambivalence, or
-    // descending decisiveness (= |gain|).
-    switch (order) {
-      case RestreamOrder::kGain:
-        return -gain;
-      case RestreamOrder::kAmbivalence:
-        return gain < 0 ? -gain : gain;
-      case RestreamOrder::kDecisive:
-        return gain < 0 ? gain : -gain;
-      case RestreamOrder::kOriginal:
-      case RestreamOrder::kRandom:
-        break;  // unreachable: both returned above
-    }
-    return 0;
+    // Sort key ascending: descending gain (kGain) or descending
+    // decisiveness, |gain| (kDecisive).
+    if (order == RestreamOrder::kGain) return -gain;
+    return gain < 0 ? gain : -gain;
   };
   const auto scored_gain = [&prior, k](VertexId v,
                                        Span<const VertexId> neighbors,
@@ -270,12 +254,11 @@ double Restreamer::CutFraction(const PartitionAssignment& a) const {
 }
 
 GraphStream Restreamer::ReplayStream(RestreamOrder order,
-                                     const PartitionAssignment& prior,
-                                     Rng& rng) const {
+                                     const PartitionAssignment& prior) const {
   // Restream passes know the whole graph: each arrival carries the full
   // neighbourhood, and scores fall through to the prior for neighbours not
   // yet re-assigned this pass.
-  const std::vector<VertexId> perm = PassOrder(order, prior, rng);
+  const std::vector<VertexId> perm = PassOrder(order, prior);
   ReplayCursor cursor(*source_, perm, IndexOfVertex());
   ++materializations_;
   return MaterializeStream(cursor);
@@ -284,12 +267,11 @@ GraphStream Restreamer::ReplayStream(RestreamOrder order,
 RestreamPassStats Restreamer::RunIncrementalPass(
     StreamingPartitioner* partitioner, const PartitionAssignment& prior,
     uint64_t max_moves) const {
-  Rng rng(options_.seed);
   WallTimer timer;
   // The replay ordering is part of the reaction latency: an incremental pass
   // is judged end-to-end, ordering included. The replay itself goes through
   // the borrowing cursor — no stream copy.
-  const std::vector<VertexId> perm = PassOrder(options_.order, prior, rng);
+  const std::vector<VertexId> perm = PassOrder(options_.order, prior);
   partitioner->BeginPass(&prior);
   partitioner->SetMigrationBudget(max_moves);
   Replay(partitioner, &perm);
@@ -310,14 +292,13 @@ RestreamPassStats Restreamer::RunIncrementalPass(
 }
 
 RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
-  Rng rng(options_.seed);
   RestreamResult result;
 
   PartitionAssignment prior{1, 0};
   PartitionAssignment best{1, 0};
   double best_cut = std::numeric_limits<double>::infinity();
 
-  const uint32_t passes = std::max<uint32_t>(1, options_.num_passes);
+  const uint32_t passes = options_.num_passes;  // >= 1: sanitized
   // Cluster memoization: ask the partitioner to log its unit decomposition;
   // partitioners without the hook return no log and the whole feature
   // degrades to a no-op. Logging stays off for single-pass runs — the hot
@@ -335,7 +316,7 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
     if (pass == 1) {
       partitioner->BeginPass(nullptr);
     } else {
-      perm = PassOrder(options_.order, prior, rng);
+      perm = PassOrder(options_.order, prior);
       if (memoize) {
         partitioner->TakeClusterLog(&prev_log);
         // The final pass's log has no consumer — skip recording it, which

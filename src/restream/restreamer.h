@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "metrics/metrics.h"
@@ -36,15 +35,10 @@ namespace loom {
 enum class RestreamOrder {
   /// Replay the pass-one arrival order.
   kOriginal,
-  /// Fresh uniform permutation per pass.
-  kRandom,
   /// Prioritized restreaming: descending gain, where gain(v) = edges to v's
   /// prior partition minus edges to its best alternative. Confidently-placed
   /// vertices stream first and anchor their neighbourhoods.
   kGain,
-  /// Prioritized restreaming: ascending |gain| — the most ambivalent
-  /// vertices stream first, while both options still have room.
-  kAmbivalence,
   /// Descending |gain| — the most *decided* vertices first: strong stayers
   /// anchor their neighbourhoods and strong movers spend the migration
   /// budget before the ambivalent tail can waste it. The right ordering for
@@ -63,8 +57,6 @@ struct RestreamOptions {
   /// below the best pass.
   uint32_t num_passes = 3;
   RestreamOrder order = RestreamOrder::kGain;
-  /// Seed for the kRandom inter-pass permutations.
-  uint64_t seed = 42;
   /// Cluster-memoized replay (stream/cluster_log.h): when the partitioner
   /// supports cluster logging (LOOM does), record the unit decomposition of
   /// every pass and feed it to the next as pre-grouped arrivals, so
@@ -195,7 +187,7 @@ class Restreamer {
   /// for tests and for drivers that schedule passes themselves — the passes
   /// run here replay through a borrowing cursor instead.
   GraphStream ReplayStream(RestreamOrder order,
-                           const PartitionAssignment& prior, Rng& rng) const;
+                           const PartitionAssignment& prior) const;
 
   /// Edge-cut fraction of `a` over the recorded stream: one sweep of every
   /// arrival's back edges, so each edge counts once.
@@ -211,8 +203,7 @@ class Restreamer {
  private:
   /// The vertex permutation for a pass >= 2.
   std::vector<VertexId> PassOrder(RestreamOrder order,
-                                  const PartitionAssignment& prior,
-                                  Rng& rng) const;
+                                  const PartitionAssignment& prior) const;
 
   /// Arrival index of each vertex id, the last arrival of an id winning;
   /// built lazily on the first replay pass (O(id bound) once, then reused

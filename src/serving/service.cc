@@ -117,7 +117,7 @@ Service::Service(ServiceOptions options, uint32_t num_labels,
       partitioner_(std::move(partitioner)),
       table_(partitioner_->assignment().k(), num_labels,
              options_.loom.partitioner.num_vertices_hint),
-      tracker_(num_labels, options_.tracker),
+      tracker_(num_labels, options_.tracker, options_.loom.paths_only),
       controller_(options_.drift),
       pipeline_(1) {
   loom_ = dynamic_cast<LoomPartitioner*>(partitioner_.get());

@@ -35,7 +35,9 @@ struct ServiceOptions {
   /// Drift policy: detector thresholds plus the bounded-migration reaction.
   DriftControllerOptions drift;
 
-  /// Workload summarisation window over the observed query stream.
+  /// Workload summarisation window over the observed query stream. The
+  /// tracker weaves queries in `loom.paths_only`'s mode, the mode of the
+  /// trie the drift reference is built from.
   WorkloadTrackerOptions tracker;
 
   /// Label alphabet size of the data graph. 0 = derive from the workload

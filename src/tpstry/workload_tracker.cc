@@ -27,15 +27,15 @@ MotifDistribution MotifDistributionOf(const TpstryPP& trie) {
 }
 
 WorkloadTracker::WorkloadTracker(uint32_t num_labels,
-                                 const WorkloadTrackerOptions& options)
-    : options_(options), trie_(num_labels) {
+                                 const WorkloadTrackerOptions& options,
+                                 bool paths_only)
+    : options_(options), paths_only_(paths_only), trie_(num_labels) {
   if (options_.window_queries == 0) options_.window_queries = 1;
 }
 
 Status WorkloadTracker::Observe(const LabeledGraph& query) {
   std::vector<TpstryNodeId> touched;
-  LOOM_RETURN_IF_ERROR(
-      trie_.AddQuery(query, 1.0, options_.paths_only, &touched));
+  LOOM_RETURN_IF_ERROR(trie_.AddQuery(query, 1.0, paths_only_, &touched));
   window_.push_back(std::move(touched));
   ++num_observed_;
   while (window_.size() > options_.window_queries) {

@@ -51,15 +51,18 @@ MotifDistribution MotifDistributionOf(const TpstryPP& trie);
 struct WorkloadTrackerOptions {
   /// Number of most-recent queries summarised (count-based window over Q).
   size_t window_queries = 256;
-  /// Summarise path motifs only (TPSTry regime).
-  bool paths_only = false;
 };
 
 /// Sliding-window TPSTry++ over an observed query stream.
 class WorkloadTracker {
  public:
   /// \param num_labels label alphabet shared with the data graph.
-  WorkloadTracker(uint32_t num_labels, const WorkloadTrackerOptions& options);
+  /// \param paths_only weave path motifs only (TPSTry regime). It must be
+  /// the mode of the trie the tracker is compared with or feeds, so the
+  /// owner passes its partitioner's `LoomOptions::paths_only`: a full-motif
+  /// summary of a paths-only trie's own workload reads as drift.
+  WorkloadTracker(uint32_t num_labels, const WorkloadTrackerOptions& options,
+                  bool paths_only);
 
   /// Observes one executed query (frequency 1 in the window). Expired
   /// queries leave the summary automatically.
@@ -88,6 +91,7 @@ class WorkloadTracker {
 
  private:
   WorkloadTrackerOptions options_;
+  bool paths_only_;
   TpstryPP trie_;
   /// Per in-window query: the trie nodes it contributed support to.
   std::deque<std::vector<TpstryNodeId>> window_;

@@ -285,8 +285,7 @@ TEST(ArrivalSourceTest, OutOfCoreRestreamMatchesMaterialized) {
     const uint64_t budget = MigrationBudgetMoves(prior, 0.10);
 
     for (const RestreamOrder order :
-         {RestreamOrder::kOriginal, RestreamOrder::kRandom,
-          RestreamOrder::kGain, RestreamOrder::kAmbivalence,
+         {RestreamOrder::kOriginal, RestreamOrder::kGain,
           RestreamOrder::kDecisive}) {
       SCOPED_TRACE(name + " " + RestreamOrderName(order));
       RestreamOptions ropts;
@@ -329,10 +328,8 @@ TEST(ArrivalSourceTest, OutOfCoreRestreamMatchesMaterialized) {
       EXPECT_EQ(FirstDifference(q1->assignment(), q2->assignment(), n),
                 kInvalidVertex);
 
-      Rng rng1(5);
-      Rng rng2(5);
-      ExpectSameStream(in_memory.ReplayStream(order, prior, rng1),
-                       from_file.ReplayStream(order, prior, rng2));
+      ExpectSameStream(in_memory.ReplayStream(order, prior),
+                       from_file.ReplayStream(order, prior));
     }
   }
   std::remove(path.c_str());
@@ -388,8 +385,7 @@ TEST(ArrivalSourceTest, ReplayLookAheadStaysInsideShortAndSparseStreams) {
     lopts.partitioner.window_size = 4;
     for (const std::string& name : KnownPartitioners()) {
       for (const RestreamOrder order :
-           {RestreamOrder::kOriginal, RestreamOrder::kRandom,
-            RestreamOrder::kGain}) {
+           {RestreamOrder::kOriginal, RestreamOrder::kGain}) {
         SCOPED_TRACE(name + " " + RestreamOrderName(order));
         RestreamOptions ropts;
         ropts.num_passes = 3;
@@ -411,10 +407,8 @@ TEST(ArrivalSourceTest, ReplayLookAheadStaysInsideShortAndSparseStreams) {
         EXPECT_EQ(want.assignment.NumAssigned(), stream.NumVertices());
         EXPECT_EQ(FirstDifference(want.assignment, got.assignment, id_bound),
                   kInvalidVertex);
-        Rng rng1(5);
-        Rng rng2(5);
-        ExpectSameStream(in_memory.ReplayStream(order, want.assignment, rng1),
-                         from_file.ReplayStream(order, want.assignment, rng2));
+        ExpectSameStream(in_memory.ReplayStream(order, want.assignment),
+                         from_file.ReplayStream(order, want.assignment));
       }
     }
   }

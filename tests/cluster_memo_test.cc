@@ -10,7 +10,8 @@
 //    non-memoized run; under prioritized orders its last pass recalls every
 //    vertex and cuts no unit short;
 //  * an interleaved replay (a unit cut short by another unit's member)
-//    still places every vertex within capacity, deterministically.
+//    still places every vertex within capacity, deterministically;
+//  * so does a replay whose recalled unit fits no partition.
 
 #include <gtest/gtest.h>
 
@@ -237,10 +238,8 @@ TEST_P(MemoEquivalence, InterleavedReplayPlacesEveryVertexDeterministically) {
   const ClusterMemo memo(&log1);
 
   // The grouped full-neighbourhood replay a memoized pass two would see.
-  Rng rng(7);
   const GraphStream replay = Restreamer(f.stream, RestreamOptions{})
-                                 .ReplayStream(RestreamOrder::kOriginal,
-                                               prior, rng);
+                                 .ReplayStream(RestreamOrder::kOriginal, prior);
   std::vector<VertexId> perm;
   for (const VertexArrival& a : replay.arrivals()) perm.push_back(a.vertex);
   perm = GroupPermByUnits(perm, memo);
@@ -302,6 +301,77 @@ TEST_P(MemoEquivalence, InterleavedReplayPlacesEveryVertexDeterministically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, MemoEquivalence, ::testing::Values(0, 1));
+
+// A recalled unit that fits no partition: a 6-vertex ab-chain recorded as
+// one unit, plus two singletons, replayed at k = 2 with slack 1.0, so
+// C = 4. The unit is split (placed member by member), every vertex is
+// placed, no partition exceeds C, and the replay is deterministic.
+TEST(ClusterMemoTest, RecalledUnitThatFitsNowherePlacesEveryVertex) {
+  LabeledGraph g;
+  for (int i = 0; i < 8; ++i) g.AddVertex(i % 2 == 0 ? 0 : 1);
+  for (VertexId v = 0; v + 1 < 6; ++v) g.AddEdgeUnchecked(v, v + 1);
+  g.AddEdgeUnchecked(0, 6);
+  g.AddEdgeUnchecked(5, 7);
+
+  ClusterLog log;
+  log.Reset();
+  for (VertexId v = 0; v < 6; ++v) log.AddMember(v);
+  log.CommitUnit();
+  log.AddMember(6);
+  log.CommitUnit();
+  log.AddMember(7);
+  log.CommitUnit();
+  const ClusterMemo memo(&log);
+
+  LoomOptions options;
+  options.partitioner.k = 2;
+  options.partitioner.num_vertices_hint = g.NumVertices();
+  options.partitioner.capacity_slack = 1.0;
+  Workload workload;
+  ASSERT_TRUE(workload.Add("ab", PathQuery({0, 1}), 1.0).ok());
+  workload.Normalize();
+
+  // A prior to replay against, and the grouped full-neighbourhood replay a
+  // memoized pass two would see: 6, the whole unit, then 7.
+  PartitionAssignment prior(2, /*capacity=*/4);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_TRUE(prior.Assign(v, v < 3 || v == 6 ? 0 : 1).ok());
+  }
+  const std::vector<VertexId> perm =
+      GroupPermByUnits({6, 0, 1, 2, 7, 3, 4, 5}, memo);
+  GraphStream replay;
+  for (const VertexId v : perm) {
+    VertexArrival a;
+    a.vertex = v;
+    a.label = g.LabelOf(v);
+    a.back_edges.assign(g.Neighbors(v).begin(), g.Neighbors(v).end());
+    replay.Append(a);
+  }
+
+  const auto run_once = [&](LoomPartitioner& p) {
+    p.BeginPass(&prior);
+    p.SetClusterMemo(&memo);
+    p.Run(replay);
+    p.ClearPrior();
+  };
+  auto a = Loom::Create(workload, options);
+  auto b = Loom::Create(workload, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  run_once((*a)->Partitioner());
+  run_once((*b)->Partitioner());
+
+  const PartitionAssignment& result = (*a)->Partitioner().assignment();
+  const LoomStats& stats = (*a)->Partitioner().loom_stats();
+  EXPECT_EQ(stats.clusters_split, 1u);
+  EXPECT_EQ(stats.memo_vertices, 8u);
+  EXPECT_EQ(result.NumAssigned(), g.NumVertices());
+  EXPECT_TRUE(AllAssigned(g, result));
+  ASSERT_EQ(result.capacity(), 4u);
+  for (const uint32_t size : result.Sizes()) EXPECT_LE(size, 4u);
+  EXPECT_EQ(AssignmentHash(result, g.NumVertices()),
+            AssignmentHash((*b)->Partitioner().assignment(), g.NumVertices()));
+}
 
 }  // namespace
 }  // namespace loom

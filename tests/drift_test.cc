@@ -308,8 +308,7 @@ TEST(MigrationBudgetTest, UnlimitedBudgetPreservesPlainRestreamSemantics) {
   // plain 2-pass run bit for bit (the budget machinery must be inert when
   // disabled): pass one of that run places exactly as `first` did.
   for (const RestreamOrder order :
-       {RestreamOrder::kGain, RestreamOrder::kRandom,
-        RestreamOrder::kDecisive}) {
+       {RestreamOrder::kGain, RestreamOrder::kDecisive}) {
     SCOPED_TRACE(RestreamOrderName(order));
     RestreamOptions ropts;
     ropts.num_passes = 2;
@@ -347,9 +346,8 @@ TEST(MigrationBudgetTest, DecisiveReplayIsAPermutationOfAllVertices) {
 
   RestreamOptions ropts;
   const Restreamer restreamer(stream, ropts);
-  Rng rng2(1);
-  const GraphStream replay = restreamer.ReplayStream(
-      RestreamOrder::kDecisive, ldg->assignment(), rng2);
+  const GraphStream replay =
+      restreamer.ReplayStream(RestreamOrder::kDecisive, ldg->assignment());
   ASSERT_EQ(replay.NumVertices(), g.NumVertices());
   std::vector<VertexId> ids;
   for (const VertexArrival& a : replay.arrivals()) ids.push_back(a.vertex);

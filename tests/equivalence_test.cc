@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -113,13 +114,32 @@ constexpr GoldenRow kGolden[] = {
     {"barabasi_albert", "loom", 0xc32d8ec6d6055e45ull},
 };
 
-uint64_t RunOne(const Family& f, const Workload& workload,
-                const std::string& partitioner) {
+PartitionerOptions FamilyOptions(const Family& f, uint32_t k, size_t window) {
   PartitionerOptions popts;
-  popts.k = kK;
+  popts.k = k;
   popts.num_vertices_hint = f.graph.NumVertices();
   popts.num_edges_hint = f.graph.NumEdges();
-  popts.window_size = 256;
+  popts.window_size = window;
+  return popts;
+}
+
+/// One LOOM pass at the golden threshold; `stats` receives its counters.
+uint64_t RunLoom(const Family& f, const Workload& workload,
+                 const PartitionerOptions& popts, LoomStats* stats) {
+  LoomOptions lopts;
+  lopts.partitioner = popts;
+  lopts.matcher.frequency_threshold = 0.15;
+  auto loom = Loom::Create(workload, lopts);
+  EXPECT_TRUE(loom.ok());
+  (*loom)->Partitioner().Run(f.stream);
+  *stats = (*loom)->Partitioner().loom_stats();
+  return AssignmentHash((*loom)->Partitioner().assignment(),
+                        f.graph.NumVertices());
+}
+
+uint64_t RunOne(const Family& f, const Workload& workload,
+                const std::string& partitioner) {
+  const PartitionerOptions popts = FamilyOptions(f, kK, /*window=*/256);
 
   if (partitioner == "hash") {
     HashPartitioner p(popts);
@@ -136,14 +156,8 @@ uint64_t RunOne(const Family& f, const Workload& workload,
     p.Run(f.stream);
     return AssignmentHash(p.assignment(), f.graph.NumVertices());
   }
-  LoomOptions lopts;
-  lopts.partitioner = popts;
-  lopts.matcher.frequency_threshold = 0.15;
-  auto loom = Loom::Create(workload, lopts);
-  EXPECT_TRUE(loom.ok());
-  (*loom)->Partitioner().Run(f.stream);
-  return AssignmentHash((*loom)->Partitioner().assignment(),
-                        f.graph.NumVertices());
+  LoomStats stats;
+  return RunLoom(f, workload, popts, &stats);
 }
 
 TEST(PipelineEquivalence, AssignmentsMatchPreOverhaulGoldens) {
@@ -170,6 +184,48 @@ TEST(PipelineEquivalence, AssignmentsMatchPreOverhaulGoldens) {
       }
       EXPECT_TRUE(found) << "no golden row for " << f.name << "/" << name;
     }
+  }
+}
+
+// LOOM at k = 16 with a 1024-vertex window: clusters grow past every
+// partition's free capacity, so these runs pin the connectivity-aware split
+// (SplitAndAssignCluster) bit for bit, which the bench-fast rows above never
+// reach. Regenerate with LOOM_EQUIV_DUMP=1.
+struct SplitGoldenRow {
+  const char* family;
+  uint64_t hash;
+  uint64_t clusters_split;
+  uint64_t split_chunks;
+};
+
+constexpr SplitGoldenRow kSplitGolden[] = {
+    {"erdos_renyi", 0xcb206046ccddd598ull, 6, 229},
+    {"barabasi_albert", 0xdaacf489ee413c0dull, 2, 125},
+};
+
+TEST(PipelineEquivalence, ClusterSplitsMatchGoldens) {
+  const bool dump = std::getenv("LOOM_EQUIV_DUMP") != nullptr;
+  const Workload workload = MakeWorkload();
+  const std::vector<Family> families = MakeFamilies(workload);
+  ASSERT_EQ(families.size(), std::size(kSplitGolden));
+  for (size_t i = 0; i < families.size(); ++i) {
+    const Family& f = families[i];
+    const SplitGoldenRow& row = kSplitGolden[i];
+    ASSERT_EQ(f.name, row.family);
+    LoomStats stats;
+    const uint64_t h = RunLoom(f, workload,
+                               FamilyOptions(f, /*k=*/16, /*window=*/1024),
+                               &stats);
+    if (dump) {
+      std::cout << "    {\"" << f.name << "\", 0x" << std::hex << h
+                << std::dec << "ull, " << stats.clusters_split << ", "
+                << stats.split_chunks << "},\n";
+      continue;
+    }
+    EXPECT_GT(stats.clusters_split, 0u) << f.name;
+    EXPECT_EQ(stats.clusters_split, row.clusters_split) << f.name;
+    EXPECT_EQ(stats.split_chunks, row.split_chunks) << f.name;
+    EXPECT_EQ(h, row.hash) << f.name << ": split placement diverged";
   }
 }
 

@@ -186,7 +186,7 @@ TEST(ExperimentShapes, E12_TrackerBeatsStaleSummary) {
 
   WorkloadTrackerOptions topts;
   topts.window_queries = 64;
-  WorkloadTracker tracker(4, topts);
+  WorkloadTracker tracker(4, topts, /*paths_only=*/false);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(tracker.Observe(workload_a.queries()[0].pattern).ok());
   }

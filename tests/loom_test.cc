@@ -168,7 +168,6 @@ TEST(LoomTest, LocalSplitKeepsConnectedChunksTogether) {
   w.Normalize();
   LoomOptions o = Opts(4, 12, /*window=*/12, 0.5);
   o.partitioner.capacity_slack = 1.0;
-  o.local_cluster_split = true;
   auto loom = Loom::Create(w, o);
   ASSERT_TRUE(loom.ok());
   (*loom)->Partitioner().Run(stream);

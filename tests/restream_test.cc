@@ -64,11 +64,8 @@ TEST(RestreamerTest, ReplayStreamCarriesFullNeighborhoodsOncePerVertex) {
   const PartitionAssignment prior = ldg.assignment();
 
   for (const RestreamOrder order :
-       {RestreamOrder::kOriginal, RestreamOrder::kRandom, RestreamOrder::kGain,
-        RestreamOrder::kAmbivalence}) {
-    Rng order_rng(5);
-    const GraphStream replay =
-        restreamer.ReplayStream(order, prior, order_rng);
+       {RestreamOrder::kOriginal, RestreamOrder::kGain}) {
+    const GraphStream replay = restreamer.ReplayStream(order, prior);
     ASSERT_EQ(replay.NumVertices(), g.NumVertices());
     std::set<VertexId> seen;
     size_t carried = 0;
@@ -89,11 +86,10 @@ TEST(RestreamerTest, GainOrderingIsDeterministic) {
   const Restreamer restreamer(stream, RestreamOptions{});
   LdgPartitioner ldg(Opts(4, g.NumVertices()));
   ldg.Run(stream);
-  Rng r1(1), r2(1);
   const GraphStream a =
-      restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment(), r1);
+      restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment());
   const GraphStream b =
-      restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment(), r2);
+      restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment());
   for (size_t i = 0; i < a.arrivals().size(); ++i) {
     EXPECT_EQ(a.arrivals()[i].vertex, b.arrivals()[i].vertex);
   }
@@ -103,7 +99,7 @@ TEST(RestreamerTest, PrioritizedOrderIsKeyThenId) {
   // Each prioritized order streams vertices by its documented key, ids
   // ascending among equal keys. gain(v) = neighbours in v's prior partition
   // minus neighbours in its best other partition, recomputed here from the
-  // graph; keys: -gain (kGain), |gain| (kAmbivalence), -|gain| (kDecisive).
+  // graph; keys: -gain (kGain), -|gain| (kDecisive).
   // The second stream leaves every fifth id out, so the rebuilt graph has
   // ids that never arrive; the replay must not emit them.
   Rng rng(14);
@@ -143,18 +139,14 @@ TEST(RestreamerTest, PrioritizedOrderIsKeyThenId) {
     }
 
     for (const RestreamOrder order :
-         {RestreamOrder::kGain, RestreamOrder::kAmbivalence,
-          RestreamOrder::kDecisive}) {
+         {RestreamOrder::kGain, RestreamOrder::kDecisive}) {
       const auto key = [&](VertexId v) {
         const int64_t abs_gain = gain[v] < 0 ? -gain[v] : gain[v];
         if (order == RestreamOrder::kGain) return -gain[v];
-        if (order == RestreamOrder::kAmbivalence) return abs_gain;
         return -abs_gain;
       };
       const std::string name = RestreamOrderName(order);
-      Rng order_rng(5);
-      const GraphStream replay =
-          restreamer.ReplayStream(order, prior, order_rng);
+      const GraphStream replay = restreamer.ReplayStream(order, prior);
       ASSERT_EQ(replay.NumVertices(), stream->NumVertices()) << name;
       std::set<int64_t> distinct_keys;
       for (size_t i = 0; i < replay.arrivals().size(); ++i) {
@@ -310,7 +302,7 @@ INSTANTIATE_TEST_SUITE_P(
     Families, RestreamQuality,
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(RestreamOrder::kGain,
-                                         RestreamOrder::kAmbivalence,
+                                         RestreamOrder::kDecisive,
                                          RestreamOrder::kOriginal)));
 
 TEST(RestreamerTest, MigrationFractionMatchesManualCount) {

@@ -649,5 +649,39 @@ TEST(ServingDriftTest, StableWorkloadNeverTriggersAReaction) {
   EXPECT_EQ(stats.observed_queries, 200u);
 }
 
+// The tracker weaves queries in the mode of the trie the drift reference
+// was built from. A paths-only service fed its own workload must stay
+// quiet: a full-motif summary of that traffic would read as drift against
+// the paths-only reference, and a reaction would re-point LOOM at a
+// full-motif snapshot.
+TEST(ServingDriftTest, PathsOnlyServiceIsQuietOnItsOwnWorkload) {
+  const Scenario s = MakeScenario(500, 23);
+  Workload workload;
+  ASSERT_TRUE(workload.Add("triangle", TriangleQuery(0, 1, 2), 1.0).ok());
+  ASSERT_TRUE(workload.Add("path", PathQuery({0, 1, 2}), 1.0).ok());
+  workload.Normalize();
+  ServiceOptions opts = BaseOptions(s, 4);
+  opts.loom.paths_only = true;
+  opts.drift_check_every_queries = 8;
+  opts.tracker.window_queries = 64;
+  auto created = Service::Create(workload, opts);
+  ASSERT_TRUE(created.ok());
+  Service& service = **created;
+  ASSERT_TRUE(service.Ingest(s.stream.arrivals()).ok());
+  service.Flush();
+
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const QuerySpec& q = workload.queries()[workload.SampleIndex(rng)];
+    ASSERT_TRUE(service.ObserveQuery(q.pattern).ok());
+  }
+  ASSERT_TRUE(service.Seal().ok());
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.drift_checks, 250u);
+  EXPECT_EQ(stats.drift_fires, 0u);
+  EXPECT_EQ(stats.drift_reactions, 0u);
+}
+
 }  // namespace
 }  // namespace loom

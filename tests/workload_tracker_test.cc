@@ -46,7 +46,7 @@ TEST(RemoveQueryTest, FrequentSetFollowsRemoval) {
 TEST(WorkloadTrackerTest, WindowBoundsQueries) {
   WorkloadTrackerOptions opts;
   opts.window_queries = 3;
-  WorkloadTracker tracker(4, opts);
+  WorkloadTracker tracker(4, opts, /*paths_only=*/false);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(tracker.Observe(PaperQ2()).ok());
   }
@@ -58,7 +58,7 @@ TEST(WorkloadTrackerTest, WindowBoundsQueries) {
 TEST(WorkloadTrackerTest, DriftChangesFrequentMotifs) {
   WorkloadTrackerOptions opts;
   opts.window_queries = 4;
-  WorkloadTracker tracker(4, opts);
+  WorkloadTracker tracker(4, opts, /*paths_only=*/false);
   // Phase A: abc paths dominate.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(tracker.Observe(PaperQ2()).ok());
   EXPECT_DOUBLE_EQ(SupportOf(tracker.trie(), PaperQ2()), 4.0);
@@ -72,7 +72,7 @@ TEST(WorkloadTrackerTest, DriftChangesFrequentMotifs) {
 TEST(WorkloadTrackerTest, SnapshotIsNormalized) {
   WorkloadTrackerOptions opts;
   opts.window_queries = 8;
-  WorkloadTracker tracker(4, opts);
+  WorkloadTracker tracker(4, opts, /*paths_only=*/false);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(tracker.Observe(PaperQ2()).ok());
   ASSERT_TRUE(tracker.Observe(PaperQ1()).ok());
   const TpstryPP snapshot = tracker.Snapshot();
@@ -85,7 +85,7 @@ TEST(WorkloadTrackerTest, SnapshotIsNormalized) {
 TEST(WorkloadTrackerTest, MixedShapesSupported) {
   WorkloadTrackerOptions opts;
   opts.window_queries = 16;
-  WorkloadTracker tracker(5, opts);
+  WorkloadTracker tracker(5, opts, /*paths_only=*/false);
   ASSERT_TRUE(tracker.Observe(TriangleQuery(0, 1, 2)).ok());
   ASSERT_TRUE(tracker.Observe(StarQuery(3, {4, 4})).ok());
   ASSERT_TRUE(tracker.Observe(PathQuery({0, 1, 2, 3})).ok());
@@ -96,8 +96,7 @@ TEST(WorkloadTrackerTest, MixedShapesSupported) {
 TEST(WorkloadTrackerTest, PathsOnlyMode) {
   WorkloadTrackerOptions opts;
   opts.window_queries = 4;
-  opts.paths_only = true;
-  WorkloadTracker tracker(4, opts);
+  WorkloadTracker tracker(4, opts, /*paths_only=*/true);
   ASSERT_TRUE(tracker.Observe(PaperQ1()).ok());
   // The cycle node must not exist in paths-only mode.
   EXPECT_EQ(SupportOf(tracker.trie(), PaperQ1()), -1.0);
