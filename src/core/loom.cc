@@ -22,15 +22,7 @@ Result<std::unique_ptr<TpstryPP>> BuildTrie(const Workload& workload,
 
 Result<std::unique_ptr<Loom>> Loom::Create(const Workload& workload,
                                            const LoomOptions& options) {
-  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.partitioner));
-  if (options.partitioner.window_size == 0) {
-    return Status::InvalidArgument("window size must be >= 1");
-  }
-  if (options.matcher.frequency_threshold < 0.0) {
-    return Status::InvalidArgument("frequency threshold must be >= 0");
-  }
-  // Thresholds above 1 are allowed: no motif is frequent, degenerating to
-  // windowed LDG (the E8a ablation).
+  LOOM_RETURN_IF_ERROR(ValidateLoomOptions(options));
   LOOM_ASSIGN_OR_RETURN(std::unique_ptr<TpstryPP> trie,
                         BuildTrie(workload, options.paths_only));
   return std::unique_ptr<Loom>(new Loom(options, std::move(trie)));

@@ -30,7 +30,7 @@ class Loom {
  public:
   /// Builds the TPSTry++ from `workload` (Algorithm 1 per query) and wires
   /// up the partitioner. Fails if a query exceeds the small-pattern budgets
-  /// or the options are inconsistent.
+  /// or `ValidateLoomOptions` rejects the options.
   static Result<std::unique_ptr<Loom>> Create(const Workload& workload,
                                               const LoomOptions& options);
 

@@ -4,6 +4,7 @@
 /// \file
 /// Configuration of the LOOM partitioner (RocksDB-style options struct).
 
+#include "common/status.h"
 #include "matching/stream_matcher.h"
 #include "partition/partitioner.h"
 
@@ -30,13 +31,9 @@ struct LoomOptions {
   /// §5 future work, implemented: weight LDG's edge counts by the edge's
   /// traversal probability from the TPSTry++ (the p-value of the one-edge
   /// motif with the same label pair), so placement favours partitions the
-  /// workload will actually traverse into.
+  /// workload will actually traverse into. An edge whose label pair occurs
+  /// in no query weighs `BlockedGainScorer::kUntraversedEdgeWeight`.
   bool use_traversal_weights = false;
-
-  /// Weight given to edges whose label pair never occurs in any query when
-  /// `use_traversal_weights` is on. Non-zero keeps pure-structure cohesion
-  /// as a tie-breaker.
-  double untraversed_edge_weight = 0.05;
 };
 
 /// Counters produced by a LOOM run.
@@ -64,6 +61,15 @@ struct LoomStats {
   /// under Restreamer::Run, which groups every replay order.
   uint64_t memo_invalidated = 0;
 };
+
+/// Rejects with InvalidArgument: `partitioner` options that fail
+/// `ValidatePartitionerOptions`, a zero window, and a frequency threshold
+/// that is negative (every TPSTry++ node, zero support included, would be
+/// frequent) or NaN. A threshold above 1 passes: no motif is frequent, and
+/// LOOM degenerates to windowed LDG (the E8a ablation). `Loom::Create` and
+/// `MakePartitioner("loom", …)`, which `Service::Create` takes, both check
+/// this first.
+Status ValidateLoomOptions(const LoomOptions& options);
 
 }  // namespace loom
 

@@ -5,6 +5,18 @@
 
 namespace loom {
 
+Status ValidateLoomOptions(const LoomOptions& options) {
+  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.partitioner));
+  if (options.partitioner.window_size == 0) {
+    return Status::InvalidArgument("window size must be >= 1");
+  }
+  if (!(options.matcher.frequency_threshold >= 0.0)) {
+    return Status::InvalidArgument(
+        "frequency threshold must be >= 0 and not NaN");
+  }
+  return Status::OK();
+}
+
 LoomPartitioner::LoomPartitioner(const LoomOptions& options,
                                  const TpstryPP* trie)
     : StreamingPartitioner(options.partitioner),
@@ -18,8 +30,7 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
 
 void LoomPartitioner::RebuildEdgeWeights() {
   scorer_.Configure(loom_options_.partitioner.k, trie_->scheme().num_labels(),
-                    loom_options_.use_traversal_weights,
-                    loom_options_.untraversed_edge_weight);
+                    loom_options_.use_traversal_weights);
   // Configure dropped the scorer's touched list, so the sparse
   // reset-then-accumulate cycle restarts from an all-zero score vector.
   std::fill(scores_.begin(), scores_.end(), 0.0);

@@ -47,7 +47,7 @@ Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const LoomOptions& options,
     const TpstryPP* trie) {
   if (name != "loom") return MakePartitioner(name, options.partitioner);
-  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.partitioner));
+  LOOM_RETURN_IF_ERROR(ValidateLoomOptions(options));
   if (trie == nullptr) {
     return Status::InvalidArgument(
         "partitioner 'loom' needs a non-null workload trie");

@@ -39,7 +39,8 @@ Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
 /// `options.partitioner` only; "loom" uses the full options plus `trie`
 /// (which must be non-null and outlive the partitioner). Errors with
 /// InvalidArgument on `options.partitioner` that fails
-/// ValidatePartitionerOptions, an unknown name or a missing trie.
+/// ValidatePartitionerOptions (for "loom", `options` that fail
+/// ValidateLoomOptions), an unknown name or a missing trie.
 Result<std::unique_ptr<StreamingPartitioner>> MakePartitioner(
     const std::string& name, const LoomOptions& options, const TpstryPP* trie);
 

@@ -183,45 +183,48 @@ bool StreamMatcher::Insert(Tracked t) {
   return true;
 }
 
-bool StreamMatcher::TryGrow(const Tracked& base, uint32_t u_slot,
-                            uint32_t v_slot) {
-  const VertexId u = id_by_slot_[u_slot];
-  const VertexId v = id_by_slot_[v_slot];
-  const Edge e = Edge{u, v}.Normalized();
-  if (ContainsEdge(base.edges, e)) return false;
-  const bool has_u = ContainsVertex(base.vertices, e.u);
-  const bool has_v = ContainsVertex(base.vertices, e.v);
-  if (!has_u && !has_v) return false;  // edge not incident to the sub-graph
+StreamMatcher::SlotEdge StreamMatcher::EdgeBetween(uint32_t a_slot,
+                                                   uint32_t b_slot) const {
+  const VertexId a = id_by_slot_[a_slot];
+  const VertexId b = id_by_slot_[b_slot];
+  const Edge e = Edge{a, b}.Normalized();
+  return e.u == a ? SlotEdge{e, a_slot, b_slot} : SlotEdge{e, b_slot, a_slot};
+}
 
-  const uint32_t eu_slot = e.u == u ? u_slot : v_slot;
-  const uint32_t ev_slot = e.u == u ? v_slot : u_slot;
-  const Label lu = label_by_slot_[eu_slot];
-  const Label lv = label_by_slot_[ev_slot];
-
-  Tracked grown;
-  grown.edges = base.edges;
-  InsertEdgeSorted(&grown.edges, e);
-  grown.vertices = base.vertices;
-  grown.slots = base.slots;
-  grown.signature = base.signature;
+void StreamMatcher::Extend(Tracked* t, const SlotEdge& se, bool has_u,
+                           bool has_v) const {
   const SignatureScheme& scheme = trie_->scheme();
-  const auto add_vertex = [&grown](VertexId x, uint32_t xs) {
+  const Label lu = label_by_slot_[se.us];
+  const Label lv = label_by_slot_[se.vs];
+  InsertEdgeSorted(&t->edges, se.e);
+  const auto add_vertex = [t](VertexId x, uint32_t xs) {
     const VertexId* pos =
-        std::lower_bound(grown.vertices.begin(), grown.vertices.end(), x);
-    const size_t i = static_cast<size_t>(pos - grown.vertices.begin());
-    grown.vertices.insert(pos, x);
-    grown.slots.insert(grown.slots.begin() + i, xs);
+        std::lower_bound(t->vertices.begin(), t->vertices.end(), x);
+    const size_t i = static_cast<size_t>(pos - t->vertices.begin());
+    t->vertices.insert(pos, x);
+    t->slots.insert(t->slots.begin() + i, xs);
   };
   if (!has_u) {
-    add_vertex(e.u, eu_slot);
-    scheme.MultiplyVertex(&grown.signature, lu);
+    add_vertex(se.e.u, se.us);
+    scheme.MultiplyVertex(&t->signature, lu);
   }
   if (!has_v) {
-    add_vertex(e.v, ev_slot);
-    scheme.MultiplyVertex(&grown.signature, lv);
+    add_vertex(se.e.v, se.vs);
+    scheme.MultiplyVertex(&t->signature, lv);
   }
-  scheme.MultiplyEdge(&grown.signature, lu, lv);
+  scheme.MultiplyEdge(&t->signature, lu, lv);
+}
 
+bool StreamMatcher::TryGrow(const Tracked& base, uint32_t u_slot,
+                            uint32_t v_slot) {
+  const SlotEdge se = EdgeBetween(u_slot, v_slot);
+  if (ContainsEdge(base.edges, se.e)) return false;
+  const bool has_u = ContainsVertex(base.vertices, se.e.u);
+  const bool has_v = ContainsVertex(base.vertices, se.e.v);
+  if (!has_u && !has_v) return false;  // edge not incident to the sub-graph
+
+  Tracked grown = base;
+  Extend(&grown, se, has_u, has_v);
   if (!ResolveNode(&grown)) {
     ++stats_.growths_rejected;
     return false;
@@ -271,40 +274,16 @@ void StreamMatcher::ProcessEdge(uint32_t u_slot, uint32_t v_slot) {
     ReGrow(u_slot, v_slot);
     return;
   }
-  const VertexId u = id_by_slot_[u_slot];
-  const VertexId v = id_by_slot_[v_slot];
   Tracked fresh;
-  const Edge e = Edge{u, v}.Normalized();
-  fresh.vertices = {e.u, e.v};
-  fresh.slots = {e.u == u ? u_slot : v_slot, e.u == u ? v_slot : u_slot};
-  fresh.edges = {e};
-  const SignatureScheme& scheme = trie_->scheme();
-  scheme.MultiplyVertex(&fresh.signature, label_by_slot_[fresh.slots[0]]);
-  scheme.MultiplyVertex(&fresh.signature, label_by_slot_[fresh.slots[1]]);
-  scheme.MultiplyEdge(&fresh.signature, label_by_slot_[fresh.slots[0]],
-                      label_by_slot_[fresh.slots[1]]);
+  Extend(&fresh, EdgeBetween(u_slot, v_slot), false, false);
   if (ResolveNode(&fresh)) Insert(std::move(fresh));
 }
 
 void StreamMatcher::ReGrow(uint32_t u_slot, uint32_t v_slot) {
   ++stats_.regrow_invocations;
-  const SignatureScheme& scheme = trie_->scheme();
-  const VertexId u = id_by_slot_[u_slot];
-  const VertexId v = id_by_slot_[v_slot];
-
+  const SlotEdge seed = EdgeBetween(u_slot, v_slot);
   Tracked current;
-  if (u < v) {
-    current.vertices = {u, v};
-    current.slots = {u_slot, v_slot};
-  } else {
-    current.vertices = {v, u};
-    current.slots = {v_slot, u_slot};
-  }
-  current.edges = {Edge{u, v}.Normalized()};
-  scheme.MultiplyVertex(&current.signature, label_by_slot_[u_slot]);
-  scheme.MultiplyVertex(&current.signature, label_by_slot_[v_slot]);
-  scheme.MultiplyEdge(&current.signature, label_by_slot_[u_slot],
-                      label_by_slot_[v_slot]);
+  Extend(&current, seed, false, false);
   if (!ResolveNode(&current)) return;  // the edge itself is not a motif
 
   // Frontier: window edges incident to the current sub-graph, explored FIFO
@@ -312,19 +291,14 @@ void StreamMatcher::ReGrow(uint32_t u_slot, uint32_t v_slot) {
   // discarded for good ("do not traverse to its neighbours"). Both the
   // frontier and the considered set are flat scratch (no node allocations).
   const size_t max_edges = trie_->MaxMotifEdges();
-  SmallVector<FrontierEdge, 32> frontier;
+  SmallVector<SlotEdge, 32> frontier;
   size_t frontier_head = 0;
   SmallVector<uint64_t, 64> considered;
-  ConsiderOnce(&considered, EdgeBits(Edge{u, v}));
+  ConsiderOnce(&considered, EdgeBits(seed.e));
   auto push_incident = [&](uint32_t x_slot) {
-    const VertexId x = id_by_slot_[x_slot];
     for (const uint32_t ws : adj_by_slot_[x_slot]) {
-      const VertexId w = id_by_slot_[ws];
-      const Edge e = Edge{x, w}.Normalized();
-      if (ConsiderOnce(&considered, EdgeBits(e))) {
-        frontier.push_back(FrontierEdge{e, e.u == x ? x_slot : ws,
-                                        e.u == x ? ws : x_slot});
-      }
+      const SlotEdge se = EdgeBetween(x_slot, ws);
+      if (ConsiderOnce(&considered, EdgeBits(se.e))) frontier.push_back(se);
     }
   };
   push_incident(u_slot);
@@ -332,42 +306,23 @@ void StreamMatcher::ReGrow(uint32_t u_slot, uint32_t v_slot) {
 
   while (frontier_head < frontier.size() &&
          current.edges.size() < max_edges) {
-    const FrontierEdge fe = frontier[frontier_head++];
-    const Edge e = fe.e;
-    const bool has_u = ContainsVertex(current.vertices, e.u);
-    const bool has_v = ContainsVertex(current.vertices, e.v);
+    const SlotEdge se = frontier[frontier_head++];
+    const bool has_u = ContainsVertex(current.vertices, se.e.u);
+    const bool has_v = ContainsVertex(current.vertices, se.e.v);
     if (!has_u && !has_v) continue;  // became stale; skip
     // A new endpoint outside the alphabet cannot be part of any motif:
     // discard the edge (permanently, like any rejected growth).
-    if ((!has_u && !InAlphabet(label_by_slot_[fe.us])) ||
-        (!has_v && !InAlphabet(label_by_slot_[fe.vs]))) {
+    if ((!has_u && !InAlphabet(label_by_slot_[se.us])) ||
+        (!has_v && !InAlphabet(label_by_slot_[se.vs]))) {
       continue;
     }
 
     Tracked candidate = current;
-    InsertEdgeSorted(&candidate.edges, e);
-    const auto add_vertex = [&candidate](VertexId x, uint32_t xs) {
-      const VertexId* pos = std::lower_bound(candidate.vertices.begin(),
-                                             candidate.vertices.end(), x);
-      const size_t i = static_cast<size_t>(pos - candidate.vertices.begin());
-      candidate.vertices.insert(pos, x);
-      candidate.slots.insert(candidate.slots.begin() + i, xs);
-    };
-    if (!has_u) {
-      add_vertex(e.u, fe.us);
-      scheme.MultiplyVertex(&candidate.signature, label_by_slot_[fe.us]);
-    }
-    if (!has_v) {
-      add_vertex(e.v, fe.vs);
-      scheme.MultiplyVertex(&candidate.signature, label_by_slot_[fe.vs]);
-    }
-    scheme.MultiplyEdge(&candidate.signature, label_by_slot_[fe.us],
-                        label_by_slot_[fe.vs]);
-
+    Extend(&candidate, se, has_u, has_v);
     if (!ResolveNode(&candidate)) continue;  // discard this edge permanently
     current = std::move(candidate);
-    if (!has_u) push_incident(fe.us);
-    if (!has_v) push_incident(fe.vs);
+    if (!has_u) push_incident(se.us);
+    if (!has_v) push_incident(se.vs);
   }
 
   ++stats_.regrow_matches;

@@ -116,9 +116,9 @@ class StreamMatcher {
     bool frequent = false;
   };
 
-  /// A window edge queued by the re-grow frontier, with both endpoint slots
-  /// so label lookups stay O(1) array reads.
-  struct FrontierEdge {
+  /// A window edge with both endpoint slots, so label lookups stay O(1)
+  /// array reads.
+  struct SlotEdge {
     Edge e;       // normalized
     uint32_t us;  // slot of e.u
     uint32_t vs;  // slot of e.v
@@ -142,6 +142,14 @@ class StreamMatcher {
 
   /// Allocates (or reuses) the slot for an arriving vertex.
   uint32_t AllocSlot(VertexId v);
+
+  /// The normalized edge between two buffered vertices, with their slots.
+  SlotEdge EdgeBetween(uint32_t a_slot, uint32_t b_slot) const;
+
+  /// Extends `t` by `se`: inserts the edge, inserts each endpoint `t` lacks
+  /// (`has_u` / `has_v` false) with its slot in sorted position, and
+  /// multiplies the signature by the new vertex and edge factors.
+  void Extend(Tracked* t, const SlotEdge& se, bool has_u, bool has_v) const;
 
   /// Processes one in-window edge arrival (endpoints given by slot).
   void ProcessEdge(uint32_t u_slot, uint32_t v_slot);

@@ -3,7 +3,38 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/hash.h"
+
 namespace loom {
+
+void GraphSignature::MultiplyFactor(uint32_t idx) {
+  const auto by_idx = [](const Run& r, uint32_t i) { return r.idx < i; };
+  const auto pos = std::lower_bound(runs_.begin(), runs_.end(), idx, by_idx);
+  if (pos != runs_.end() && pos->idx == idx) {
+    ++pos->count;
+  } else {
+    runs_.insert(pos, Run{idx, 1});
+  }
+  ++num_factors_;
+  hash_sum_ += MixBits(idx);
+}
+
+bool GraphSignature::Divides(const GraphSignature& other) const {
+  if (num_factors_ > other.num_factors_) return false;
+  // Equal sizes: divides iff equal.
+  if (num_factors_ == other.num_factors_) return *this == other;
+  // Proper sub-multiset: every run must be covered with at least the same
+  // multiplicity. Both run lists sorted: single merge walk.
+  const Run* b = other.runs_.begin();
+  for (const Run& a : runs_) {
+    while (b != other.runs_.end() && b->idx < a.idx) ++b;
+    if (b == other.runs_.end() || b->idx != a.idx || b->count < a.count) {
+      return false;
+    }
+    ++b;
+  }
+  return true;
+}
 
 SignatureScheme::SignatureScheme(uint32_t num_labels)
     : num_labels_(num_labels == 0 ? 1 : num_labels) {}

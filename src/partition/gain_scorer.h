@@ -42,18 +42,22 @@ namespace loom {
 /// weight table and the touched-partition bookkeeping for one score vector.
 class BlockedGainScorer {
  public:
+  /// Weight of an edge whose label pair occurs in no query, when traversal
+  /// weighting is on. Non-zero keeps pure-structure cohesion as a
+  /// tie-breaker.
+  static constexpr double kUntraversedEdgeWeight = 0.05;
+
   /// (Re)configures the kernel. `num_labels` is the signature alphabet size
   /// L; the table gains one extra row/column for out-of-alphabet labels.
   /// When `use_weights` is false every edge weighs 1.0 and the gather phase
   /// skips label lookups entirely.
-  void Configure(uint32_t k, uint32_t num_labels, bool use_weights,
-                 double untraversed_weight) {
+  void Configure(uint32_t k, uint32_t num_labels, bool use_weights) {
     k_ = k;
     num_labels_ = num_labels;
     use_weights_ = use_weights;
-    untraversed_weight_ = untraversed_weight;
     const size_t side = static_cast<size_t>(num_labels_) + 1;
-    weight_table_.assign(side * side, use_weights_ ? untraversed_weight_ : 1.0);
+    weight_table_.assign(side * side,
+                         use_weights_ ? kUntraversedEdgeWeight : 1.0);
     seen_.assign(k_, 0);
     touched_.clear();
     parts_.clear();
@@ -66,19 +70,10 @@ class BlockedGainScorer {
   void SetEdgeWeight(Label a, Label b, double weight) {
     if (a >= num_labels_ || b >= num_labels_) return;
     const double w =
-        weight > untraversed_weight_ ? weight : untraversed_weight_;
+        weight > kUntraversedEdgeWeight ? weight : kUntraversedEdgeWeight;
     const size_t side = static_cast<size_t>(num_labels_) + 1;
     weight_table_[static_cast<size_t>(a) * side + b] = w;
     weight_table_[static_cast<size_t>(b) * side + a] = w;
-  }
-
-  /// Weight of an edge between labels (a, b); labels outside the alphabet
-  /// fall into the untraversed row/column. 1.0 when weighting is off.
-  double EdgeWeight(Label a, Label b) const {
-    const size_t side = static_cast<size_t>(num_labels_) + 1;
-    const size_t ia = a < num_labels_ ? a : num_labels_;
-    const size_t ib = b < num_labels_ ? b : num_labels_;
-    return weight_table_[ia * side + ib];
   }
 
   /// Starts gathering a new unit (drops any previous gather state; the
@@ -148,13 +143,10 @@ class BlockedGainScorer {
   /// Partitions dirtied by the last Commit (empty before any Commit).
   const SmallVector<uint32_t, 16>& touched() const { return touched_; }
 
-  bool use_weights() const { return use_weights_; }
-
  private:
   uint32_t k_ = 0;
   uint32_t num_labels_ = 0;
   bool use_weights_ = false;
-  double untraversed_weight_ = 0.0;
   /// Dense (L+1) x (L+1) label-pair weights; row/col L = out-of-alphabet.
   std::vector<double> weight_table_;
   /// Gather buffers: partition per scoreable neighbour edge (+ weight).

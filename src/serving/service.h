@@ -121,9 +121,10 @@ class Service {
   /// partitioner named by `options.partitioner` (via the factory), the
   /// workload tracker and the drift controller primed with the workload's
   /// motif distribution as reference. Errors with InvalidArgument when
-  /// `ValidateServiceOptions` rejects, and propagates trie/partitioner
-  /// construction failures. The empty placement is published as epoch 0
-  /// immediately, so reads are valid before the first arrival.
+  /// `ValidateServiceOptions` rejects, or, for the "loom" partitioner,
+  /// `ValidateLoomOptions`, and propagates trie/partitioner construction
+  /// failures. The empty placement is published as epoch 0 immediately, so
+  /// reads are valid before the first arrival.
   static Result<std::unique_ptr<Service>> Create(const Workload& workload,
                                                  const ServiceOptions& options);
 

@@ -79,17 +79,6 @@ void TpstryPP::ApplySupportDelta(const std::vector<TpstryNodeId>& nodes,
   total_frequency_ = std::max(0.0, total_frequency_ + delta);
 }
 
-Status TpstryPP::RemoveQuery(const LabeledGraph& q, double frequency,
-                             bool paths_only) {
-  std::unordered_set<TpstryNodeId> touched;
-  LOOM_RETURN_IF_ERROR(WeaveQuery(q, frequency, paths_only, &touched));
-  for (const TpstryNodeId id : touched) {
-    nodes_[id].support = std::max(0.0, nodes_[id].support - frequency);
-  }
-  total_frequency_ = std::max(0.0, total_frequency_ - frequency);
-  return Status::OK();
-}
-
 Status TpstryPP::WeaveQuery(const LabeledGraph& q, double frequency,
                             bool paths_only,
                             std::unordered_set<TpstryNodeId>* touched_out) {
@@ -221,10 +210,6 @@ std::optional<TpstryNodeId> TpstryPP::FindBySignature(
     return id;
   }
   return std::nullopt;
-}
-
-bool TpstryPP::SignatureKnown(const GraphSignature& sig) const {
-  return FindBySignature(sig).has_value();
 }
 
 std::optional<TpstryNodeId> TpstryPP::RootFor(Label label) const {

@@ -77,21 +77,14 @@ class TpstryPP {
                   bool paths_only = false,
                   std::vector<TpstryNodeId>* touched_out = nullptr);
 
-  /// Inverse of `AddQuery` for the same (q, frequency, paths_only) triple:
-  /// subtracts the query's support contribution, enabling the sliding
-  /// window over the query stream Q that §4.2 describes ("continuously
-  /// summarise the traversal patterns ... within a window over Q"). Nodes
-  /// whose support reaches zero are kept (they simply stop being frequent);
-  /// the DAG structure is monotone.
-  Status RemoveQuery(const LabeledGraph& q, double frequency,
-                     bool paths_only = false);
-
-  /// Applies a signed support delta to exactly the given nodes (clamped at
-  /// zero, like `RemoveQuery`), and the same delta to the total frequency.
-  /// With the `touched_out` list captured at `AddQuery` time this is the
-  /// O(|touched|) inverse of that call — the weave enumeration is skipped
-  /// entirely, which is what makes the workload tracker's sliding window
-  /// cheap.
+  /// Applies a signed support delta to exactly the given nodes, and the
+  /// same delta to the total frequency, each clamped at zero. Given the
+  /// `touched_out` list of an `AddQuery` call and minus its frequency, this
+  /// takes that query out in O(|touched|), without re-weaving it: the
+  /// sliding window over the query stream Q that §4.2 describes
+  /// ("continuously summarise the traversal patterns ... within a window
+  /// over Q") expires queries this way. Nodes whose support reaches zero
+  /// are kept (they simply stop being frequent); the DAG is monotone.
   void ApplySupportDelta(const std::vector<TpstryNodeId>& nodes, double delta);
 
   /// Rescales supports so they sum the way p-values should: divides every
@@ -118,10 +111,6 @@ class TpstryPP {
   std::optional<TpstryNodeId> FindBySignature(
       const GraphSignature& sig, const std::string* canonical = nullptr) const;
 
-  /// True iff some node's signature equals `sig` — the stream matcher's
-  /// fast-path test mirroring the paper's "signature is a match for a node".
-  bool SignatureKnown(const GraphSignature& sig) const;
-
   /// Root node for a vertex label, if that label occurs in any query.
   std::optional<TpstryNodeId> RootFor(Label label) const;
 
@@ -142,10 +131,9 @@ class TpstryPP {
   std::string ToString() const;
 
  private:
-  /// Shared weave of Algorithm 1: interns every connected sub-graph of `q`
+  /// The weave of Algorithm 1: interns every connected sub-graph of `q`
   /// (creating nodes and DAG edges as needed) and reports the distinct node
-  /// ids into `touched_out`. Support is NOT modified — Add/RemoveQuery apply
-  /// the signed delta.
+  /// ids into `touched_out`. Support is NOT modified — `AddQuery` adds it.
   Status WeaveQuery(const LabeledGraph& q, double frequency, bool paths_only,
                     std::unordered_set<TpstryNodeId>* touched_out);
 

@@ -1,17 +1,13 @@
-// Unit tests for the common substrate: Status/Result, RNG, primes, factor
-// multisets, hashing and table rendering.
+// Unit tests for the common substrate: Status/Result, RNG, hashing and table
+// rendering.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/primes.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -181,143 +177,6 @@ TEST(ZipfSamplerTest, EmpiricalMatchesTheoretical) {
     EXPECT_NEAR(static_cast<double>(counts[r]) / trials, z.Probability(r),
                 0.015);
   }
-}
-
-// --------------------------------------------------------------------- Primes
-
-TEST(PrimeTableTest, FirstPrimes) {
-  EXPECT_EQ(PrimeTable::Get(0), 2u);
-  EXPECT_EQ(PrimeTable::Get(1), 3u);
-  EXPECT_EQ(PrimeTable::Get(4), 11u);
-  EXPECT_EQ(PrimeTable::Get(9), 29u);
-  EXPECT_EQ(PrimeTable::Get(24), 97u);   // 25th prime
-  EXPECT_EQ(PrimeTable::Get(99), 541u);  // 100th prime
-}
-
-TEST(PrimeTableTest, GrowsOnDemand) {
-  const uint64_t p = PrimeTable::Get(999);
-  EXPECT_EQ(p, 7919u);  // 1000th prime
-  EXPECT_GE(PrimeTable::CachedCount(), 1000u);
-}
-
-// The first `count` primes by a sieve of Eratosthenes, independent of
-// PrimeTable.
-std::vector<uint64_t> SievedPrimes(size_t count) {
-  for (size_t limit = 1 << 12;; limit *= 2) {
-    std::vector<bool> composite(limit, false);
-    std::vector<uint64_t> primes;
-    for (size_t i = 2; i < limit && primes.size() < count; ++i) {
-      if (composite[i]) continue;
-      primes.push_back(i);
-      for (size_t j = i * i; j < limit; j += i) composite[j] = true;
-    }
-    if (primes.size() == count) return primes;
-  }
-}
-
-// Readers race the table's growth: every index past the cached count makes
-// some thread grow and republish it while the others read the published
-// prefix lock-free. Under TSan this checks the publication order too.
-TEST(PrimeTableTest, ConcurrentGrowthKeepsEveryReadValid) {
-  constexpr uint32_t kThreads = 4;
-  constexpr uint32_t kSteps = 48;
-  constexpr uint32_t kStride = 37;
-  const uint32_t base = static_cast<uint32_t>(PrimeTable::CachedCount());
-  const std::vector<uint64_t> want =
-      SievedPrimes(base + kThreads * kSteps * kStride + 1);
-
-  std::atomic<uint32_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (uint32_t step = 0; step < kSteps; ++step) {
-        // Interleaved targets, so the threads take turns growing the table.
-        const uint32_t i = base + (step * kThreads + t) * kStride;
-        if (PrimeTable::Get(i) != want[i]) wrong.fetch_add(1);
-        // And a read of the prefix some other thread may be republishing.
-        const uint32_t j = i / (t + 2);
-        if (PrimeTable::Get(j) != want[j]) wrong.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_GT(PrimeTable::CachedCount(),
-            base + (kSteps - 1) * kThreads * kStride);
-}
-
-TEST(FactorMultisetTest, EmptyDividesEverything) {
-  FactorMultiset empty;
-  FactorMultiset other({1, 2, 3});
-  EXPECT_TRUE(empty.Divides(other));
-  EXPECT_TRUE(empty.Divides(empty));
-  EXPECT_FALSE(other.Divides(empty));
-}
-
-TEST(FactorMultisetTest, MultiplyKeepsSorted) {
-  FactorMultiset m;
-  m.MultiplyFactor(5);
-  m.MultiplyFactor(1);
-  m.MultiplyFactor(3);
-  m.MultiplyFactor(1);
-  EXPECT_EQ(m.factors(), (std::vector<uint32_t>{1, 1, 3, 5}));
-}
-
-TEST(FactorMultisetTest, DividesRespectsMultiplicity) {
-  FactorMultiset twice({2, 2});
-  FactorMultiset once({2});
-  FactorMultiset thrice({2, 2, 2});
-  EXPECT_TRUE(once.Divides(twice));
-  EXPECT_TRUE(twice.Divides(thrice));
-  EXPECT_FALSE(twice.Divides(once));
-  EXPECT_FALSE(thrice.Divides(twice));
-}
-
-TEST(FactorMultisetTest, DividesMirrorsIntegerDivisibility) {
-  // 12 = 2^2 * 3 -> indices {0,0,1}; 60 = 2^2*3*5 -> {0,0,1,2}.
-  FactorMultiset twelve({0, 0, 1});
-  FactorMultiset sixty({0, 0, 1, 2});
-  EXPECT_TRUE(twelve.Divides(sixty));
-  EXPECT_FALSE(sixty.Divides(twelve));
-  EXPECT_EQ(twelve.ProductMod64(), 12u);
-  EXPECT_EQ(sixty.ProductMod64(), 60u);
-}
-
-TEST(FactorMultisetTest, MultiplyIsMultisetUnion) {
-  FactorMultiset a({1, 3});
-  FactorMultiset b({2, 3});
-  a.Multiply(b);
-  EXPECT_EQ(a.factors(), (std::vector<uint32_t>{1, 2, 3, 3}));
-  EXPECT_TRUE(b.Divides(a));
-}
-
-TEST(FactorMultisetTest, DivideFactorRemovesOneOccurrence) {
-  FactorMultiset m({4, 4, 7});
-  EXPECT_TRUE(m.DivideFactor(4));
-  EXPECT_EQ(m.factors(), (std::vector<uint32_t>{4, 7}));
-  EXPECT_FALSE(m.DivideFactor(9));
-}
-
-TEST(FactorMultisetTest, HashEqualForEqualMultisets) {
-  FactorMultiset a({5, 2, 2});
-  FactorMultiset b({2, 5, 2});
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Hash(), b.Hash());
-}
-
-TEST(FactorMultisetTest, HashesSpread) {
-  std::unordered_set<uint64_t> hashes;
-  for (uint32_t i = 0; i < 200; ++i) {
-    for (uint32_t j = i; j < i + 3; ++j) {
-      hashes.insert(FactorMultiset({i, j}).Hash());
-    }
-  }
-  EXPECT_EQ(hashes.size(), 600u);
-}
-
-TEST(FactorMultisetTest, ToStringShowsPrimePowers) {
-  FactorMultiset m({0, 0, 2});
-  EXPECT_EQ(m.ToString(), "{2^2 * 5}");
 }
 
 // ----------------------------------------------------------------------- Hash

@@ -1,6 +1,6 @@
 // Pipeline-equivalence regression tests for the hot-path container overhaul:
-// the flat-container retrofit (FlatMap / SmallVector / run-length
-// FactorMultiset) must be behaviour-preserving, so the full streaming
+// the flat-container retrofit (FlatMap / SmallVector / run-length signature
+// multisets) must be behaviour-preserving, so the full streaming
 // pipeline — window, matcher, scoring, assignment — has to produce
 // bit-identical `PartitionAssignment`s to the node-container implementation
 // it replaced.

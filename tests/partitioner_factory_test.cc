@@ -111,6 +111,36 @@ INSTANTIATE_TEST_SUITE_P(EveryName, InvalidPartitionerOptions,
                            return i.param;
                          });
 
+// LOOM's own options are checked the same way by both of its builders: the
+// factory, which Service::Create goes through, and Loom::Create. A zero
+// window and a negative or NaN frequency threshold are refused; the
+// workload-oblivious names never read them.
+TEST(PartitionerFactoryTest, LoomOptionsAreCheckedByEveryBuilder) {
+  const Workload workload = TinyWorkload();
+  auto trie = BuildTrie(workload);
+  ASSERT_TRUE(trie.ok());
+  LoomOptions zero_window;
+  zero_window.partitioner.window_size = 0;
+  LoomOptions negative_threshold;
+  negative_threshold.matcher.frequency_threshold = -1.0;
+  LoomOptions nan_threshold;
+  nan_threshold.matcher.frequency_threshold = std::nan("");
+  for (const LoomOptions& bad :
+       {zero_window, negative_threshold, nan_threshold}) {
+    EXPECT_EQ(ValidateLoomOptions(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(MakePartitioner("loom", bad, trie->get()).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(Loom::Create(workload, bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(MakePartitioner("ldg", bad, trie->get()).ok());
+  }
+  // A threshold above 1 is valid: no motif is frequent (the E8a ablation).
+  LoomOptions over_one;
+  over_one.matcher.frequency_threshold = 1.5;
+  EXPECT_TRUE(ValidateLoomOptions(over_one).ok());
+  EXPECT_TRUE(MakePartitioner("loom", over_one, trie->get()).ok());
+}
+
 TEST(PartitionerFactoryTest, ObliviousNamesIgnoreTheTrie) {
   // Workload-oblivious partitioners construct fine with or without a trie.
   LoomOptions lopts;

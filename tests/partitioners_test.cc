@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/loom.h"
 #include "core/partitioner_factory.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
+#include "param_printers.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -119,6 +123,23 @@ TEST(FennelPartitionerTest, EmptyGraphNoNeighborsBalances) {
 // Cross-partitioner properties, swept over partitioner type, k and order.
 enum class Kind { kHash, kLdg, kFennel, kLoom };
 
+// The partitioner's own name (`Name()`), which names the sweep instances.
+std::string KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kHash:
+      return "hash";
+    case Kind::kLdg:
+      return "ldg";
+    case Kind::kFennel:
+      return "fennel";
+    case Kind::kLoom:
+      return "loom";
+  }
+  return "unknown";
+}
+
+void PrintTo(Kind kind, std::ostream* os) { *os << KindName(kind); }
+
 // The workload LOOM scores against in the sweeps: paths over the first
 // labels, which every sweep graph carries. Built once; it outlives every
 // partitioner.
@@ -201,7 +222,12 @@ INSTANTIATE_TEST_SUITE_P(
                           Kind::kLoom),
         ::testing::Values(2u, 4u, 8u),
         ::testing::Values(StreamOrder::kRandom, StreamOrder::kBfs,
-                          StreamOrder::kAdversarial)));
+                          StreamOrder::kAdversarial)),
+    [](const ::testing::TestParamInfo<PartitionerProperty::ParamType>& info) {
+      return KindName(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             StreamOrderName(std::get<2>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Capacity exhaustion. The seed code guarded the "all partitions full" path
@@ -257,7 +283,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, CapacityExhaustion,
     ::testing::Combine(::testing::Values(Kind::kHash, Kind::kLdg,
                                          Kind::kFennel, Kind::kLoom),
-                       ::testing::Values(2u, 4u, 8u)));
+                       ::testing::Values(2u, 4u, 8u)),
+    [](const ::testing::TestParamInfo<CapacityExhaustion::ParamType>& info) {
+      return KindName(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace loom

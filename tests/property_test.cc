@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/loom.h"
 #include "graph/generators.h"
 #include "matching/stream_matcher.h"
 #include "metrics/metrics.h"
 #include "motif/isomorphism.h"
+#include "param_printers.h"
 #include "stream/stream.h"
 #include "workload/query_builders.h"
 
@@ -86,9 +89,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatcherCompleteness,
 // LOOM invariants across orderings, window sizes and k.
 // ---------------------------------------------------------------------------
 
-class LoomInvariants
-    : public ::testing::TestWithParam<
-          std::tuple<StreamOrder, size_t, uint32_t>> {};
+using LoomSweepParam = std::tuple<StreamOrder, size_t, uint32_t>;
+
+// Instance names of the LOOM sweeps: order, window and k, e.g. "bfs_w64_k8".
+std::string LoomSweepName(
+    const ::testing::TestParamInfo<LoomSweepParam>& info) {
+  const auto [order, window, k] = info.param;
+  return StreamOrderName(order) + "_w" + std::to_string(window) + "_k" +
+         std::to_string(k);
+}
+
+class LoomInvariants : public ::testing::TestWithParam<LoomSweepParam> {};
 
 TEST_P(LoomInvariants, CompleteBalancedDeterministic) {
   const auto [order, window, k] = GetParam();
@@ -125,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(StreamOrder::kRandom, StreamOrder::kBfs,
                           StreamOrder::kAdversarial, StreamOrder::kStochastic,
                           StreamOrder::kNatural),
-        ::testing::Values(4u, 64u, 512u), ::testing::Values(2u, 8u)));
+        ::testing::Values(4u, 64u, 512u), ::testing::Values(2u, 8u)),
+    LoomSweepName);
 
 // ---------------------------------------------------------------------------
 // Capacity exhaustion under LOOM's cluster paths. The stream carries twice
@@ -137,8 +149,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 class LoomCapacityExhaustion
-    : public ::testing::TestWithParam<
-          std::tuple<StreamOrder, size_t, uint32_t>> {};
+    : public ::testing::TestWithParam<LoomSweepParam> {};
 
 TEST_P(LoomCapacityExhaustion, OverfullStreamNeverDropsVertices) {
   const auto [order, window, k] = GetParam();
@@ -179,7 +190,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(StreamOrder::kRandom, StreamOrder::kStochastic,
                           StreamOrder::kNatural),
-        ::testing::Values(4u, 64u, 256u), ::testing::Values(2u, 8u)));
+        ::testing::Values(4u, 64u, 256u), ::testing::Values(2u, 8u)),
+    LoomSweepName);
 
 // ---------------------------------------------------------------------------
 // Signature soundness at scale: streamed growth never loses divisibility.

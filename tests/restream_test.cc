@@ -11,12 +11,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/loom.h"
 #include "core/partitioner_factory.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
+#include "param_printers.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -303,7 +305,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(RestreamOrder::kGain,
                                          RestreamOrder::kDecisive,
-                                         RestreamOrder::kOriginal)));
+                                         RestreamOrder::kOriginal)),
+    [](const ::testing::TestParamInfo<RestreamQuality::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == 0 ? "er_" : "ba_") +
+             RestreamOrderName(std::get<1>(info.param));
+    });
 
 TEST(RestreamerTest, MigrationFractionMatchesManualCount) {
   Rng rng(24);

@@ -176,6 +176,23 @@ TEST(ServingOptionsTest, CreateRejectsInvalidOptions) {
   EXPECT_TRUE(created.status().code() == StatusCode::kInvalidArgument);
 }
 
+TEST(ServingOptionsTest, CreateRejectsInvalidLoomOptions) {
+  // The service builds LOOM through the partitioner factory, which refuses
+  // what Loom::Create refuses: a zero window, and a frequency threshold
+  // that is negative or NaN.
+  ServiceOptions zero_window;
+  zero_window.loom.partitioner.window_size = 0;
+  ServiceOptions negative_threshold;
+  negative_threshold.loom.matcher.frequency_threshold = -1.0;
+  ServiceOptions nan_threshold;
+  nan_threshold.loom.matcher.frequency_threshold = std::nan("");
+  for (const ServiceOptions& bad :
+       {zero_window, negative_threshold, nan_threshold}) {
+    auto created = Service::Create(SmallWorkload(), bad);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ------------------------------------------------- ingest + rejection path
 
 TEST(ServingIngestTest, InvalidBatchesAreRejectedWholeAndCounted) {

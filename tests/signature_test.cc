@@ -1,8 +1,13 @@
-// Tests for the number-theoretic graph signatures (§4.3): incremental
-// multiplicativity, the no-false-negative divisibility guarantee (validated
-// against the exact VF2 matcher as oracle), and measured collision behaviour.
+// Tests for the number-theoretic graph signatures (§4.3): factor-multiset
+// arithmetic, incremental multiplicativity, the no-false-negative
+// divisibility guarantee (validated against the exact VF2 matcher as
+// oracle), and measured collision behaviour.
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <set>
+#include <unordered_set>
 
 #include "graph/generators.h"
 #include "motif/canonical.h"
@@ -12,6 +17,131 @@
 
 namespace loom {
 namespace {
+
+// A signature holding the given prime indices, multiplied in the order given.
+GraphSignature Of(std::initializer_list<uint32_t> factors) {
+  GraphSignature sig;
+  for (const uint32_t f : factors) sig.MultiplyFactor(f);
+  return sig;
+}
+
+TEST(GraphSignatureTest, EmptyDividesEverything) {
+  const GraphSignature empty = Of({});
+  const GraphSignature other = Of({1, 2, 3});
+  EXPECT_TRUE(empty.Divides(other));
+  EXPECT_TRUE(empty.Divides(empty));
+  EXPECT_FALSE(other.Divides(empty));
+}
+
+TEST(GraphSignatureTest, DividesRespectsMultiplicity) {
+  const GraphSignature twice = Of({2, 2});
+  const GraphSignature once = Of({2});
+  const GraphSignature thrice = Of({2, 2, 2});
+  EXPECT_TRUE(once.Divides(twice));
+  EXPECT_TRUE(twice.Divides(thrice));
+  EXPECT_FALSE(twice.Divides(once));
+  EXPECT_FALSE(thrice.Divides(twice));
+}
+
+TEST(GraphSignatureTest, DividesMirrorsIntegerDivisibility) {
+  // 12 = 2^2 * 3 -> indices {0,0,1}; 60 = 2^2*3*5 -> {0,0,1,2}; 18 = 2*3^2
+  // -> {0,1,1}, as many factors as 12.
+  const GraphSignature twelve = Of({0, 0, 1});
+  const GraphSignature sixty = Of({0, 0, 1, 2});
+  const GraphSignature eighteen = Of({0, 1, 1});
+  EXPECT_TRUE(twelve.Divides(sixty));
+  EXPECT_FALSE(sixty.Divides(twelve));
+  // Equal sizes: divides iff equal.
+  EXPECT_TRUE(twelve.Divides(Of({1, 0, 0})));
+  EXPECT_FALSE(twelve.Divides(eighteen));
+  EXPECT_FALSE(eighteen.Divides(twelve));
+}
+
+TEST(GraphSignatureTest, HashEqualForEqualMultisets) {
+  // Multiplication order is free: equal multisets compare and hash equal.
+  const GraphSignature a = Of({5, 2, 2});
+  const GraphSignature b = Of({2, 5, 2});
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_FALSE(a == Of({5, 5, 2}));
+}
+
+TEST(GraphSignatureTest, HashesSpread) {
+  std::unordered_set<uint64_t> hashes;
+  for (uint32_t i = 0; i < 200; ++i) {
+    for (uint32_t j = i; j < i + 3; ++j) {
+      hashes.insert(Of({i, j}).Hash());
+    }
+  }
+  EXPECT_EQ(hashes.size(), 600u);
+}
+
+TEST(GraphSignatureTest, MultiplyCountsEveryOccurrence) {
+  // Factors multiplied out of order land in one multiset: a repeated factor
+  // counts twice, and no factor is lost or added.
+  const GraphSignature m = Of({5, 1, 3, 1});
+  EXPECT_EQ(m, Of({1, 1, 3, 5}));
+  EXPECT_FALSE(m == Of({1, 3, 5}));
+  EXPECT_FALSE(m == Of({1, 1, 3, 5, 5}));
+  EXPECT_TRUE(Of({1, 1}).Divides(m));
+  EXPECT_TRUE(Of({3, 5}).Divides(m));
+  EXPECT_FALSE(Of({1, 1, 1}).Divides(m));
+  EXPECT_FALSE(Of({2}).Divides(m));
+}
+
+TEST(GraphSignatureTest, MultiplyIsMultisetUnion) {
+  // Multiplying b's factors into a gives the multiset union a + b, which
+  // both a and b divide.
+  const GraphSignature a = Of({1, 3});
+  const GraphSignature b = Of({2, 3});
+  GraphSignature product = a;
+  for (const uint32_t f : {2u, 3u}) product.MultiplyFactor(f);
+  EXPECT_EQ(product, Of({1, 2, 3, 3}));
+  EXPECT_TRUE(a.Divides(product));
+  EXPECT_TRUE(b.Divides(product));
+  EXPECT_FALSE(product.Divides(a));
+  EXPECT_FALSE(product.Divides(b));
+}
+
+TEST(GraphSignatureTest, DividesWalksInterleavedRuns) {
+  // A proper sub-multiset may skip runs of the larger one anywhere; it fails
+  // on a factor missing between two runs, on a run that is too short, and
+  // on a factor past the larger one's last run.
+  const GraphSignature big = Of({1, 2, 3, 5, 7, 9, 9});
+  EXPECT_TRUE(Of({3, 7}).Divides(big));
+  EXPECT_TRUE(Of({1, 9, 9}).Divides(big));
+  EXPECT_FALSE(Of({3, 8}).Divides(big));
+  EXPECT_FALSE(Of({0, 3}).Divides(big));
+  EXPECT_FALSE(Of({5, 5}).Divides(big));
+  EXPECT_FALSE(Of({9, 9, 9}).Divides(big));
+  EXPECT_FALSE(Of({7, 10}).Divides(big));
+}
+
+TEST(GraphSignatureTest, ManyDistinctFactorsOutgrowTheInlineRuns) {
+  // More distinct factors than the run list holds inline: copies, equality,
+  // hashing and divisibility still see every run.
+  GraphSignature all;
+  GraphSignature all_reversed;
+  GraphSignature evens;
+  for (uint32_t i = 0; i < 40; ++i) {
+    all.MultiplyFactor(i);
+    all_reversed.MultiplyFactor(39 - i);
+    if (i % 2 == 0) evens.MultiplyFactor(i);
+  }
+  EXPECT_EQ(all, all_reversed);
+  EXPECT_EQ(all.Hash(), all_reversed.Hash());
+  const GraphSignature copy = all;
+  EXPECT_EQ(copy, all);
+  EXPECT_TRUE(evens.Divides(all));
+  EXPECT_FALSE(all.Divides(evens));
+
+  evens.MultiplyFactor(40);
+  EXPECT_FALSE(evens.Divides(all));
+  all.MultiplyFactor(40);
+  EXPECT_TRUE(evens.Divides(all));
+  EXPECT_FALSE(copy == all);
+  EXPECT_TRUE(copy.Divides(all));
+}
 
 TEST(SignatureSchemeTest, FactorIndicesDisjoint) {
   const SignatureScheme scheme(4);

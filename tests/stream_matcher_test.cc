@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/loom.h"
 #include "matching/stream_matcher.h"
@@ -195,6 +196,52 @@ TEST(StreamMatcherTest, MaxTrackedPerVertexCapsGrowth) {
   EXPECT_GT(m.stats().tracked_dropped, 0u);
   const auto idx = m.MatchClosureFor(0);
   EXPECT_LE(idx.size(), 4u);  // bounded by the cap, not 20
+}
+
+TEST(StreamMatcherTest, MaxTrackedCapsLiveSubGraphs) {
+  // Ten disjoint ab edges under a global cap of three tracked sub-graphs:
+  // the first three are tracked, the other seven dropped.
+  auto trie = AbcTrie();
+  StreamMatcherOptions capped = ExactOpts();
+  capped.max_tracked = 3;
+  StreamMatcher m(trie.get(), capped);
+  for (VertexId a = 0; a < 20; a += 2) {
+    m.OnVertex(a, 0, {});
+    m.OnVertex(a + 1, 1, {a});
+  }
+  EXPECT_EQ(m.NumTracked(), 3u);
+  EXPECT_EQ(m.stats().max_tracked_live, 3u);
+  EXPECT_EQ(m.stats().tracked_dropped, 7u);
+  EXPECT_EQ(m.MatchClosureFor(4), (std::vector<VertexId>{5}));
+  EXPECT_TRUE(m.MatchClosureFor(6).empty());
+}
+
+TEST(StreamMatcherTest, ClosingEdgeGrowsPathIntoTriangle) {
+  // Workload: the triangle abc. c arrives with edges to a and b. The first
+  // grows the tracked ab edge into a path; the second joins two vertices
+  // the path already holds, so the growth multiplies in an edge factor and
+  // no vertex factor, and the triangle replaces the path without re-grow.
+  Workload w;
+  ASSERT_TRUE(w.Add("abc", TriangleQuery(0, 1, 2), 1.0).ok());
+  w.Normalize();
+  auto trie = BuildTrie(w);
+  ASSERT_TRUE(trie.ok());
+  for (const bool verify_exact : {true, false}) {
+    SCOPED_TRACE(verify_exact ? "verify_exact" : "signature only");
+    StreamMatcherOptions opts = ExactOpts();
+    opts.verify_exact = verify_exact;
+    StreamMatcher m(trie->get(), opts);
+    m.OnVertex(1, 0, {});
+    m.OnVertex(2, 1, {1});
+    m.OnVertex(3, 2, {1, 2});
+    EXPECT_EQ(m.NumTracked(), 1u);
+    EXPECT_EQ(m.FrequentMatchVertexSets(),
+              (std::vector<std::vector<VertexId>>{{1, 2, 3}}));
+    EXPECT_EQ(m.stats().edges_processed, 3u);
+    EXPECT_EQ(m.stats().growths_accepted, 2u);
+    EXPECT_EQ(m.stats().growths_rejected, 0u);
+    EXPECT_EQ(m.stats().regrow_invocations, 1u);  // the first edge only
+  }
 }
 
 }  // namespace

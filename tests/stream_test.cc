@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "graph/generators.h"
+#include "param_printers.h"
 #include "stream/stream.h"
 
 namespace loom {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "motif/canonical.h"
 #include "tpstry/tpstry_pp.h"
@@ -90,6 +92,38 @@ TEST(TpstryPPTest, SupportsAreQueryFrequencySums) {
   const auto abcd = trie.FindBySignature(scheme.SignatureOf(PaperQ3()));
   ASSERT_TRUE(abcd.has_value());
   EXPECT_DOUBLE_EQ(trie.node(*abcd).support, 0.25);
+}
+
+TEST(TpstryPPTest, TouchedNodesAreExactlyTheSupportedOnes) {
+  // AddQuery's touched list names each node the query added support to
+  // once, sorted: the first query touches every node it creates, and a
+  // second query raises exactly the nodes on its list.
+  TpstryPP trie(4);
+  std::vector<TpstryNodeId> q2_nodes;
+  ASSERT_TRUE(trie.AddQuery(PaperQ2(), 2.0, false, &q2_nodes).ok());
+  EXPECT_EQ(q2_nodes.size(), trie.NumNodes());
+  EXPECT_TRUE(std::is_sorted(q2_nodes.begin(), q2_nodes.end()));
+  EXPECT_EQ(std::adjacent_find(q2_nodes.begin(), q2_nodes.end()),
+            q2_nodes.end());
+  std::vector<double> before;
+  for (TpstryNodeId id = 0; id < trie.NumNodes(); ++id) {
+    EXPECT_DOUBLE_EQ(trie.node(id).support, 2.0);
+    before.push_back(trie.node(id).support);
+  }
+
+  std::vector<TpstryNodeId> q3_nodes;
+  ASSERT_TRUE(trie.AddQuery(PaperQ3(), 1.0, false, &q3_nodes).ok());
+  EXPECT_TRUE(std::is_sorted(q3_nodes.begin(), q3_nodes.end()));
+  EXPECT_EQ(std::adjacent_find(q3_nodes.begin(), q3_nodes.end()),
+            q3_nodes.end());
+  EXPECT_GT(trie.NumNodes(), before.size());  // abcd motifs are new
+  for (TpstryNodeId id = 0; id < trie.NumNodes(); ++id) {
+    const bool touched =
+        std::binary_search(q3_nodes.begin(), q3_nodes.end(), id);
+    const double was = id < before.size() ? before[id] : 0.0;
+    EXPECT_DOUBLE_EQ(trie.node(id).support, was + (touched ? 1.0 : 0.0))
+        << "node " << id;
+  }
 }
 
 TEST(TpstryPPTest, FrequentNodesRespectThreshold) {

@@ -1,7 +1,10 @@
-// Tests for continuous workload summarisation: TpstryPP::RemoveQuery and the
-// sliding WorkloadTracker (§4.2 "a window over Q").
+// Tests for continuous workload summarisation: taking a query's support out
+// of the TPSTry++ (`ApplySupportDelta` over the nodes `AddQuery` touched) and
+// the sliding WorkloadTracker (§4.2 "a window over Q").
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "tpstry/workload_tracker.h"
 #include "workload/query_builders.h"
@@ -16,28 +19,31 @@ double SupportOf(const TpstryPP& trie, const LabeledGraph& motif) {
 
 TEST(RemoveQueryTest, ExactInverseOfAdd) {
   TpstryPP trie(4);
-  ASSERT_TRUE(trie.AddQuery(PaperQ2(), 2.0).ok());
-  ASSERT_TRUE(trie.AddQuery(PaperQ3(), 1.0).ok());
+  std::vector<TpstryNodeId> q2_nodes;
+  std::vector<TpstryNodeId> q3_nodes;
+  ASSERT_TRUE(trie.AddQuery(PaperQ2(), 2.0, false, &q2_nodes).ok());
+  ASSERT_TRUE(trie.AddQuery(PaperQ3(), 1.0, false, &q3_nodes).ok());
   EXPECT_DOUBLE_EQ(SupportOf(trie, PathQuery({0, 1})), 3.0);
 
-  ASSERT_TRUE(trie.RemoveQuery(PaperQ3(), 1.0).ok());
+  trie.ApplySupportDelta(q3_nodes, -1.0);
   EXPECT_DOUBLE_EQ(SupportOf(trie, PathQuery({0, 1})), 2.0);
   // q3-only motifs drop to zero support but the nodes remain.
   EXPECT_DOUBLE_EQ(SupportOf(trie, PaperQ3()), 0.0);
   EXPECT_DOUBLE_EQ(trie.TotalFrequency(), 2.0);
 
-  ASSERT_TRUE(trie.RemoveQuery(PaperQ2(), 2.0).ok());
+  trie.ApplySupportDelta(q2_nodes, -2.0);
   EXPECT_DOUBLE_EQ(SupportOf(trie, PathQuery({0, 1})), 0.0);
   EXPECT_DOUBLE_EQ(trie.TotalFrequency(), 0.0);
 }
 
 TEST(RemoveQueryTest, FrequentSetFollowsRemoval) {
   TpstryPP trie(4);
-  ASSERT_TRUE(trie.AddQuery(PaperQ2(), 1.0).ok());
+  std::vector<TpstryNodeId> q2_nodes;
+  ASSERT_TRUE(trie.AddQuery(PaperQ2(), 1.0, false, &q2_nodes).ok());
   ASSERT_TRUE(trie.AddQuery(PaperQ1(), 1.0).ok());
   // abc motif frequent while q2 is in: support 1 of total 2.
   EXPECT_GE(SupportOf(trie, PaperQ2()), 1.0);
-  ASSERT_TRUE(trie.RemoveQuery(PaperQ2(), 1.0).ok());
+  trie.ApplySupportDelta(q2_nodes, -1.0);
   EXPECT_DOUBLE_EQ(SupportOf(trie, PaperQ2()), 0.0);
   // q1 motifs unaffected.
   EXPECT_DOUBLE_EQ(SupportOf(trie, PaperQ1()), 1.0);
