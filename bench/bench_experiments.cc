@@ -1,5 +1,5 @@
-// bench_experiments: the paper's evaluation tables (DESIGN.md §3), one
-// experiment per `--exp` value:
+// bench_experiments: the paper's evaluation tables (checked in as
+// bench/experiments.txt), one experiment per `--exp` value:
 //   ipt        E2  inter-partition traversal probability by partitioner and
 //                  workload family — the paper's headline comparison;
 //   orderings  E3  stream-ordering sensitivity (§5: "in the presence of a

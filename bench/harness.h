@@ -2,7 +2,7 @@
 #define LOOM_BENCH_HARNESS_H_
 
 /// \file
-/// Shared experiment harness for the bench binaries (DESIGN.md §3): builds
+/// Shared experiment harness for the bench binaries: builds
 /// graphs/workloads/streams, runs every partitioner under identical
 /// conditions and renders the table rows each experiment reports.
 

@@ -230,6 +230,8 @@ bool StreamMatcher::TryGrow(const Tracked& base, uint32_t u_slot,
     return false;
   }
   ++stats_.growths_accepted;
+  // `base` may live in tracked_, which Insert can rehash: it is not read
+  // from here on.
   Insert(std::move(grown));
   return true;
 }
@@ -258,9 +260,7 @@ void StreamMatcher::ProcessEdge(uint32_t u_slot, uint32_t v_slot) {
     const auto it = tracked_.find(key);
     if (it == tracked_.end()) continue;
     if (it->second.edges.size() >= max_edges) continue;
-    // Copy the base: TryGrow mutates tracked_ on success.
-    const Tracked base = it->second;
-    if (TryGrow(base, u_slot, v_slot)) {
+    if (TryGrow(it->second, u_slot, v_slot)) {
       tracked_.erase(key);  // previous signature discarded (paper semantics)
       any_growth = true;
     }

@@ -155,6 +155,8 @@ class StreamMatcher {
   void ProcessEdge(uint32_t u_slot, uint32_t v_slot);
 
   /// Attempts S' = S + {u,v}; returns true if the growth was accepted.
+  /// `base` may be an entry of tracked_, read in place: it is copied only
+  /// once the edge is known to extend it.
   bool TryGrow(const Tracked& base, uint32_t u_slot, uint32_t v_slot);
 
   /// Builds a Tracked for the given edge set; returns false when its

@@ -48,7 +48,7 @@ ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
 
 namespace {
 
-Status ValidateArrival(const VertexArrival& arrival, uint32_t num_labels) {
+Status ValidateArrival(const ArrivalView& arrival, uint32_t num_labels) {
   if (arrival.vertex == kInvalidVertex) {
     return Status::InvalidArgument("Ingest: arrival with invalid vertex id");
   }
@@ -148,12 +148,12 @@ Status Service::Ingest(const VertexArrival* arrivals, size_t count) {
   if (arrivals == nullptr) {
     return Status::InvalidArgument("Ingest: null arrivals with count > 0");
   }
-  return Submit(std::vector<VertexArrival>(arrivals, arrivals + count));
+  return Submit(GraphStream(Span<const VertexArrival>(arrivals, count)));
 }
 
-Status Service::Submit(std::vector<VertexArrival> batch) {
-  for (const VertexArrival& arrival : batch) {
-    const Status valid = ValidateArrival(arrival, num_labels_);
+Status Service::Submit(GraphStream batch) {
+  for (size_t i = 0; i < batch.NumVertices(); ++i) {
+    const Status valid = ValidateArrival(batch.At(i), num_labels_);
     if (!valid.ok()) {
       rejected_batches_.fetch_add(1, std::memory_order_relaxed);
       return valid;
@@ -164,46 +164,46 @@ Status Service::Submit(std::vector<VertexArrival> batch) {
     return Status::FailedPrecondition("Ingest after Seal");
   }
   const uint64_t seq = next_batch_seq_++;
-  EnqueuePipelineTask([this, seq, b = std::move(batch)]() mutable {
-    ProcessBatch(seq, &b);
-  });
+  EnqueuePipelineTask(
+      [this, seq, b = std::move(batch)] { ProcessBatch(seq, b); });
   return Status::OK();
 }
 
 Status Service::IngestSource(ArrivalSource& source, size_t batch_size) {
   if (batch_size == 0) batch_size = 1;
   source.Reset();
-  std::vector<VertexArrival> batch;
-  batch.reserve(batch_size);
+  // Each batch is sized like the one before it, so after the first its
+  // arrays are allocated once.
+  size_t edges_hint = 0;
+  GraphStream batch;
+  batch.Reserve(batch_size, edges_hint);
   ArrivalView view;
   while (source.Next(&view)) {
-    VertexArrival arrival;
-    arrival.vertex = view.vertex;
-    arrival.label = view.label;
-    arrival.back_edges.assign(view.back_edges.begin(), view.back_edges.end());
-    batch.push_back(std::move(arrival));
-    if (batch.size() >= batch_size) {
+    batch.Append(view.vertex, view.label, view.back_edges);
+    if (batch.NumVertices() >= batch_size) {
+      edges_hint = batch.NumEdges();
       const Status status = Submit(std::move(batch));
       if (!status.ok()) return status;
-      batch.clear();
-      batch.reserve(batch_size);
+      batch = GraphStream();
+      batch.Reserve(batch_size, edges_hint);
     }
   }
-  if (!batch.empty()) return Submit(std::move(batch));
+  if (batch.NumVertices() > 0) return Submit(std::move(batch));
   return Status::OK();
 }
 
-void Service::ProcessBatch(uint64_t seq, std::vector<VertexArrival>* batch) {
-  for (VertexArrival& arrival : *batch) {
+void Service::ProcessBatch(uint64_t seq, const GraphStream& batch) {
+  for (size_t i = 0; i < batch.NumVertices(); ++i) {
+    const ArrivalView arrival = batch.At(i);
     if (arrival.vertex >= label_of_.size()) {
       label_of_.resize(arrival.vertex + 1, 0);
     }
     label_of_[arrival.vertex] = arrival.label;
     unpublished_.push_back(arrival.vertex);
     partitioner_->OnVertex(arrival.vertex, arrival.label, arrival.back_edges);
-    recorded_.Append(std::move(arrival));
   }
-  ingested_vertices_.fetch_add(batch->size(), std::memory_order_relaxed);
+  recorded_.Append(batch);
+  ingested_vertices_.fetch_add(batch.NumVertices(), std::memory_order_relaxed);
   ingested_batches_.fetch_add(1, std::memory_order_relaxed);
   SyncPressureCounters();
   if ((seq + 1) % options_.publish_every_batches == 0) {

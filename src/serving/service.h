@@ -133,7 +133,8 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Ingests one batch of arrivals (the span is copied before return).
+  /// Ingests one batch of arrivals (the span is copied into one flat batch
+  /// before return).
   /// The batch is validated on the front end — an invalid vertex id, a
   /// self-loop back edge or a label outside the service's alphabet (see
   /// `ServiceOptions::num_labels`) rejects the WHOLE batch with
@@ -153,9 +154,10 @@ class Service {
   /// `batch_size` arrivals, each validated as by `Ingest` and handed to the
   /// pipeline without a further copy — the bridge from any ArrivalSource
   /// (an mmap-ed stream file, a streaming generator) to the serving
-  /// pipeline, with peak memory bounded by one batch regardless of stream
-  /// size. Stops at the first rejected batch and returns its status; OK
-  /// once the source is exhausted. Same concurrency contract as `Ingest`.
+  /// pipeline. The source is never copied whole: it is read one batch at
+  /// a time (the service still records every arrival for drift reactions).
+  /// Stops at the first rejected batch and returns its status; OK once the
+  /// source is exhausted. Same concurrency contract as `Ingest`.
   Status IngestSource(ArrivalSource& source, size_t batch_size = 1024);
 
   /// Partition of `v` in the live placement table, or -1 while unassigned
@@ -207,11 +209,11 @@ class Service {
 
   /// Validates `batch` on the calling thread and, if it passes, moves it
   /// onto the pipeline. The one path of `Ingest` and `IngestSource`.
-  Status Submit(std::vector<VertexArrival> batch);
+  Status Submit(GraphStream batch);
 
-  /// Pipeline-thread batch body: partitioner feed + stream recording +
-  /// publish cadence.
-  void ProcessBatch(uint64_t seq, std::vector<VertexArrival>* batch);
+  /// Pipeline-thread batch body: partitioner feed + stream recording (one
+  /// bulk append) + publish cadence.
+  void ProcessBatch(uint64_t seq, const GraphStream& batch);
 
   /// Pipeline-thread reaction body (see the header contract).
   void RunReaction(std::unique_ptr<TpstryPP> drifted_trie,

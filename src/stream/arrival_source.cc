@@ -3,13 +3,8 @@
 namespace loom {
 
 bool StreamCursor::Next(ArrivalView* out) {
-  const std::vector<VertexArrival>& arrivals = stream_->arrivals();
-  if (pos_ >= arrivals.size()) return false;
-  const VertexArrival& a = arrivals[pos_++];
-  out->vertex = a.vertex;
-  out->label = a.label;
-  out->back_edges = Span<const VertexId>(a.back_edges.data(),
-                                         a.back_edges.size());
+  if (pos_ >= stream_->NumVertices()) return false;
+  *out = stream_->At(pos_++);
   return true;
 }
 
@@ -17,7 +12,7 @@ StreamReplay::StreamReplay(const GraphStream& stream)
     : stream_(&stream), graph_(GraphFromStream(stream)) {}
 
 ReplaySource::Record StreamReplay::At(uint64_t index) const {
-  const VertexArrival& a = stream_->arrivals()[index];
+  const ArrivalView a = stream_->At(index);
   Record out;
   out.vertex = a.vertex;
   out.label = a.label;
@@ -27,25 +22,20 @@ ReplaySource::Record StreamReplay::At(uint64_t index) const {
 }
 
 void StreamReplay::Prefetch(uint64_t index, Warm what) const {
-  const VertexArrival* a = &stream_->arrivals()[index];
   if (what == Warm::kRecord) {
-    __builtin_prefetch(a);
+    stream_->Prefetch(index);
     return;
   }
   // The record was warmed by the kRecord hint; its vertex names the
   // adjacency row At reads.
-  __builtin_prefetch(graph_.Neighbors(a->vertex).data());
+  __builtin_prefetch(graph_.Neighbors(stream_->At(index).vertex).data());
 }
 
 GraphStream MaterializeStream(ArrivalSource& source) {
   GraphStream stream;
   ArrivalView view;
   while (source.Next(&view)) {
-    VertexArrival arrival;
-    arrival.vertex = view.vertex;
-    arrival.label = view.label;
-    arrival.back_edges.assign(view.back_edges.begin(), view.back_edges.end());
-    stream.Append(std::move(arrival));
+    stream.Append(view.vertex, view.label, view.back_edges);
   }
   return stream;
 }

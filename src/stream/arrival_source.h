@@ -6,11 +6,11 @@
 /// materialised GraphStream. An ArrivalSource yields vertex arrivals one at a
 /// time as borrowed views, so the same consumer code (partitioners, the
 /// restreamer, the serving ingest path, the bench harness) runs over an
-/// in-memory vector, an mmap-backed stream file (graph/io.h) or a generator
-/// that never materialises the graph at all (graph/generators.h). `Reset()`
-/// rewinds for multi-pass replay; a source is required to reproduce the
-/// identical arrival sequence after a rewind, which is what makes
-/// restreaming and keep-best comparisons meaningful.
+/// in-memory GraphStream, an mmap-backed stream file (graph/io.h) or a
+/// generator that never materialises the graph at all (graph/generators.h).
+/// `Reset()` rewinds for multi-pass replay; a source is required to
+/// reproduce the identical arrival sequence after a rewind, which is what
+/// makes restreaming and keep-best comparisons meaningful.
 
 #include <cstdint>
 
@@ -19,18 +19,6 @@
 #include "stream/stream.h"
 
 namespace loom {
-
-/// One arrival as a borrowed view: valid only until the producing source is
-/// advanced (`Next`), rewound (`Reset`) or destroyed. Copy the data out if it
-/// must outlive the cursor step (see MaterializeStream).
-struct ArrivalView {
-  VertexId vertex = kInvalidVertex;
-  Label label = 0;
-  /// Neighbours of `vertex` that arrived strictly earlier, in stream order.
-  /// Replay sources (restreaming) may instead carry the *full* neighbourhood;
-  /// consumers score unknown neighbours through the prior either way.
-  Span<const VertexId> back_edges;
-};
 
 /// Forward cursor over vertex arrivals. Single-consumer; not thread-safe.
 class ArrivalSource {
@@ -57,8 +45,9 @@ class ArrivalSource {
 };
 
 /// Cursor over a borrowed in-memory GraphStream (must outlive the cursor).
-/// Views alias the stream's own vectors, so they are stable across Next —
-/// but consumers must not rely on that: other sources invalidate eagerly.
+/// Views alias the stream's own arrays (GraphStream::At), so they are stable
+/// across Next — but consumers must not rely on that: other sources
+/// invalidate eagerly.
 class StreamCursor : public ArrivalSource {
  public:
   explicit StreamCursor(const GraphStream& stream) : stream_(&stream) {}
@@ -120,8 +109,8 @@ class ReplaySource {
 };
 
 /// ReplaySource over a borrowed in-memory GraphStream (must outlive it).
-/// Back edges are the stream's own; full neighbourhoods come from the one
-/// O(V + E) GraphFromStream rebuild made at construction.
+/// Back edges are slices of the stream's edge array; full neighbourhoods
+/// come from the one O(V + E) GraphFromStream rebuild made at construction.
 class StreamReplay final : public ReplaySource {
  public:
   explicit StreamReplay(const GraphStream& stream);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <string>
 
 namespace loom {
 namespace {
@@ -22,6 +23,7 @@ std::vector<VertexId> TraversalOrder(const LabeledGraph& g, Rng& rng,
   std::vector<VertexId> order;
   order.reserve(n);
   std::deque<VertexId> frontier;
+  std::vector<VertexId> nbrs;  // scratch: the shuffled copy of one row
   for (const VertexId start : starts) {
     if (seen[start]) continue;
     seen[start] = true;
@@ -36,7 +38,8 @@ std::vector<VertexId> TraversalOrder(const LabeledGraph& g, Rng& rng,
         frontier.pop_back();
       }
       order.push_back(v);
-      std::vector<VertexId> nbrs = g.Neighbors(v);
+      const std::vector<VertexId>& row = g.Neighbors(v);
+      nbrs.assign(row.begin(), row.end());
       rng.Shuffle(&nbrs);
       for (const VertexId w : nbrs) {
         if (!seen[w]) {
@@ -126,10 +129,53 @@ std::string StreamOrderName(StreamOrder order) {
   return "unknown";
 }
 
-size_t GraphStream::NumEdges() const {
-  size_t m = 0;
-  for (const auto& a : arrivals_) m += a.back_edges.size();
-  return m;
+GraphStream::GraphStream(Span<const VertexArrival> arrivals) {
+  size_t edges = 0;
+  for (const VertexArrival& a : arrivals) edges += a.back_edges.size();
+  Reserve(arrivals.size(), edges);
+  for (const VertexArrival& a : arrivals) Append(a);
+}
+
+std::vector<VertexArrival> GraphStream::arrivals() const {
+  std::vector<VertexArrival> out(NumVertices());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const ArrivalView a = At(i);
+    out[i].vertex = a.vertex;
+    out[i].label = a.label;
+    out[i].back_edges.assign(a.back_edges.begin(), a.back_edges.end());
+  }
+  return out;
+}
+
+void GraphStream::Append(VertexId vertex, Label label,
+                         Span<const VertexId> back_edges) {
+  if (offsets_.empty()) offsets_.push_back(0);
+  vertices_.push_back(vertex);
+  labels_.push_back(label);
+  edges_.insert(edges_.end(), back_edges.begin(), back_edges.end());
+  offsets_.push_back(edges_.size());
+}
+
+void GraphStream::Append(const GraphStream& tail) {
+  assert(&tail != this && "a stream cannot append itself");
+  if (tail.vertices_.empty()) return;
+  if (offsets_.empty()) offsets_.push_back(0);
+  const uint64_t base = edges_.size();
+  vertices_.insert(vertices_.end(), tail.vertices_.begin(),
+                   tail.vertices_.end());
+  labels_.insert(labels_.end(), tail.labels_.begin(), tail.labels_.end());
+  edges_.insert(edges_.end(), tail.edges_.begin(), tail.edges_.end());
+  const size_t first = offsets_.size();
+  offsets_.insert(offsets_.end(), tail.offsets_.begin() + 1,
+                  tail.offsets_.end());
+  for (size_t i = first; i < offsets_.size(); ++i) offsets_[i] += base;
+}
+
+void GraphStream::Reserve(size_t arrivals, size_t edges) {
+  vertices_.reserve(arrivals);
+  labels_.reserve(arrivals);
+  offsets_.reserve(arrivals + 1);
+  edges_.reserve(edges);
 }
 
 GraphStream MakeStream(const LabeledGraph& g, StreamOrder order, Rng& rng) {
@@ -156,48 +202,67 @@ GraphStream MakeStream(const LabeledGraph& g, StreamOrder order, Rng& rng) {
       break;
     }
   }
-  return MakeStreamFromOrder(g, perm);
+  // Every order above is a permutation of the vertices.
+  return std::move(MakeStreamFromOrder(g, perm)).value();
 }
 
-GraphStream MakeStreamFromOrder(const LabeledGraph& g,
-                                const std::vector<VertexId>& order) {
-  assert(order.size() == g.NumVertices());
-  std::vector<uint32_t> position(g.NumVertices(), 0);
-  for (uint32_t i = 0; i < order.size(); ++i) position[order[i]] = i;
-
-  std::vector<VertexArrival> arrivals;
-  arrivals.reserve(order.size());
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    const VertexId v = order[i];
-    const std::vector<VertexId>& neighbors = g.Neighbors(v);
-    const auto earlier = [&position, i](VertexId w) { return position[w] < i; };
-    VertexArrival a;
-    a.vertex = v;
-    a.label = g.LabelOf(v);
-    // Sized exactly: growing by push_back reallocates about log2(d) times
-    // and can leave up to d - 1 unused slots per arrival.
-    a.back_edges.reserve(static_cast<size_t>(
-        std::count_if(neighbors.begin(), neighbors.end(), earlier)));
-    for (const VertexId w : neighbors) {
-      if (earlier(w)) a.back_edges.push_back(w);
-    }
-    arrivals.push_back(std::move(a));
+Result<GraphStream> MakeStreamFromOrder(const LabeledGraph& g,
+                                        const std::vector<VertexId>& order) {
+  const size_t n = g.NumVertices();
+  if (order.size() != n) {
+    return Status::InvalidArgument(
+        "MakeStreamFromOrder: order holds " + std::to_string(order.size()) +
+        " ids for a graph of " + std::to_string(n) + " vertices");
   }
-  return GraphStream(std::move(arrivals));
+  // Arrival position of each vertex; kUnplaced until its id is read, which
+  // is also what rejects an id that is out of range or repeated.
+  constexpr uint32_t kUnplaced = ~uint32_t{0};
+  std::vector<uint32_t> position(n, kUnplaced);
+  for (uint32_t i = 0; i < n; ++i) {
+    const VertexId v = order[i];
+    if (v >= n || position[v] != kUnplaced) {
+      return Status::InvalidArgument(
+          "MakeStreamFromOrder: order is not a permutation (id " +
+          std::to_string(v) + " at index " + std::to_string(i) + ")");
+    }
+    position[v] = i;
+  }
+
+  // One pass in arrival order: every edge is carried by its later endpoint,
+  // so the back edges fill exactly g.NumEdges() slots. The adjacency row an
+  // arrival reads is prefetched kLookAhead arrivals ahead, since an order
+  // other than kNatural visits the rows at random.
+  constexpr uint32_t kLookAhead = 16;
+  GraphStream stream;
+  stream.Reserve(n, g.NumEdges());
+  stream.offsets_.push_back(0);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i + kLookAhead < n) {
+      __builtin_prefetch(g.Neighbors(order[i + kLookAhead]).data());
+    }
+    const VertexId v = order[i];
+    stream.vertices_.push_back(v);
+    stream.labels_.push_back(g.LabelOf(v));
+    for (const VertexId w : g.Neighbors(v)) {
+      if (position[w] < i) stream.edges_.push_back(w);
+    }
+    stream.offsets_.push_back(stream.edges_.size());
+  }
+  return stream;
 }
 
 LabeledGraph GraphFromStream(const GraphStream& stream) {
+  LabeledGraph g;
+  if (stream.NumVertices() == 0) return g;
   VertexId max_id = 0;
-  bool any = false;
-  for (const VertexArrival& a : stream.arrivals()) {
+  for (size_t i = 0; i < stream.NumVertices(); ++i) {
+    const ArrivalView a = stream.At(i);
     max_id = std::max(max_id, a.vertex);
     for (const VertexId w : a.back_edges) max_id = std::max(max_id, w);
-    any = true;
   }
-  LabeledGraph g;
-  if (!any) return g;
   for (VertexId v = 0; v <= max_id; ++v) g.AddVertex(0);
-  for (const VertexArrival& a : stream.arrivals()) {
+  for (size_t i = 0; i < stream.NumVertices(); ++i) {
+    const ArrivalView a = stream.At(i);
     g.SetLabel(a.vertex, a.label);
     for (const VertexId w : a.back_edges) {
       const Status s = g.AddEdge(a.vertex, w);

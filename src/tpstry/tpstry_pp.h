@@ -18,7 +18,7 @@
 ///
 /// Node identity follows the paper: the Song-et-al-style signature keyed
 /// first (fast, non-authoritative), verified by an exact labelled canonical
-/// form (loom's strictly-more-accurate refinement; see DESIGN.md §6).
+/// form (loom's strictly-more-accurate refinement).
 
 #include <cstdint>
 #include <optional>

@@ -278,7 +278,7 @@ TEST_P(EdgePartitionPropertyTest, ReplicationFactorWithinBounds) {
   EXPECT_LE(rf, 5.0 + 1e-12);
   EXPECT_EQ((*part)->stats().cap_relaxations, 0u);
   ASSERT_TRUE((*part)->replicas().CheckInvariants());
-  for (VertexId v = 0; v < stream.arrivals().size(); ++v) {
+  for (VertexId v = 0; v < stream.NumVertices(); ++v) {
     EXPECT_LE((*part)->replicas().NumReplicasOf(v), 5u);
   }
 }
@@ -299,7 +299,7 @@ TEST_P(EdgePartitionPropertyTest, TightReplicaCapIsAccountedWhenRelaxed) {
   EXPECT_GE(ReplicationFactor((*part)->replicas()), 1.0);
   ASSERT_TRUE((*part)->replicas().CheckInvariants());
   uint64_t over_cap = 0;
-  for (VertexId v = 0; v < stream.arrivals().size(); ++v) {
+  for (VertexId v = 0; v < stream.NumVertices(); ++v) {
     const size_t replicas = (*part)->replicas().NumReplicasOf(v);
     if (replicas > 3u) over_cap += replicas - 3u;
   }

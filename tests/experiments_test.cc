@@ -1,7 +1,7 @@
 // Experiment-shape regression tests: small-scale versions of the headline
-// experiments (DESIGN.md §3) asserting the metric *orderings* that
-// EXPERIMENTS.md reports, so the reproduction claims are CI-checked. Scales
-// are reduced for test runtime; the bench binaries print the full tables.
+// experiments asserting the metric *orderings* that the full tables report
+// (bench_experiments, checked in as bench/experiments.txt), so the
+// reproduction claims are CI-checked. Scales are reduced for test runtime.
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
-// Executable reproductions of the paper's three figures (experiments F1-F3
-// in DESIGN.md): the Figure 1 example, the Figure 2 TPSTry++, and the
-// Figure 3 stream-matching scenario, wired through the public API end to end.
+// Executable reproductions of the paper's three figures: the Figure 1
+// example, the Figure 2 TPSTry++, and the Figure 3 stream-matching
+// scenario, wired through the public API end to end.
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,9 @@ TEST(FigureTest, F3_OverlappingMatchesAssignedTogether) {
   g.AddEdgeUnchecked(0, 1);
   g.AddEdgeUnchecked(1, 2);
   g.AddEdgeUnchecked(1, 3);
-  const GraphStream stream = MakeStreamFromOrder(g, {0, 1, 2, 3});
+  const Result<GraphStream> made = MakeStreamFromOrder(g, {0, 1, 2, 3});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
 
   LoomOptions o;
   o.partitioner.k = 2;

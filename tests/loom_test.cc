@@ -72,7 +72,9 @@ TEST(LoomTest, MotifKeptWholeWithinPartition) {
   g.AddEdgeUnchecked(1, 2);
   g.AddEdgeUnchecked(3, 4);
   g.AddEdgeUnchecked(4, 5);
-  const GraphStream stream = MakeStreamFromOrder(g, {0, 1, 2, 3, 4, 5});
+  const Result<GraphStream> made = MakeStreamFromOrder(g, {0, 1, 2, 3, 4, 5});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
 
   auto loom = Loom::Create(AbcWorkload(), Opts(2, 6, /*window=*/4, 0.5));
   ASSERT_TRUE(loom.ok());
@@ -161,7 +163,9 @@ TEST(LoomTest, LocalSplitKeepsConnectedChunksTogether) {
   for (VertexId v = 0; v + 1 < 12; ++v) g.AddEdgeUnchecked(v, v + 1);
   std::vector<VertexId> order(12);
   for (VertexId v = 0; v < 12; ++v) order[v] = v;
-  const GraphStream stream = MakeStreamFromOrder(g, order);
+  const Result<GraphStream> made = MakeStreamFromOrder(g, order);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
 
   Workload w;
   ASSERT_TRUE(w.Add("ab", PathQuery({0, 1}), 1.0).ok());
@@ -190,7 +194,9 @@ TEST(LoomTest, OversizedClusterSplitGracefully) {
   for (VertexId v = 0; v + 1 < 12; ++v) g.AddEdgeUnchecked(v, v + 1);
   std::vector<VertexId> order(12);
   for (VertexId v = 0; v < 12; ++v) order[v] = v;
-  const GraphStream stream = MakeStreamFromOrder(g, order);
+  const Result<GraphStream> made = MakeStreamFromOrder(g, order);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
 
   Workload w;
   ASSERT_TRUE(w.Add("ab", PathQuery({0, 1}), 1.0).ok());

@@ -69,7 +69,9 @@ TEST(LdgPartitionerTest, HandComputedPlacement) {
   g.AddEdgeUnchecked(0, 1);
   g.AddEdgeUnchecked(0, 2);
   g.AddEdgeUnchecked(2, 3);
-  const GraphStream stream = MakeStreamFromOrder(g, {0, 1, 2, 3});
+  const Result<GraphStream> made = MakeStreamFromOrder(g, {0, 1, 2, 3});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
   LdgPartitioner p(Opts(2, 4, 0, 1.0));
   p.Run(stream);
   EXPECT_EQ(p.assignment().PartOf(0), 0);
@@ -91,8 +93,10 @@ TEST(LdgPartitionerTest, KeepsCliquesTogetherGivenRoom) {
     for (VertexId v = u + 1; v < 10; ++v) g.AddEdgeUnchecked(u, v);
   }
   g.AddEdgeUnchecked(4, 5);
-  const GraphStream stream =
+  const Result<GraphStream> made =
       MakeStreamFromOrder(g, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const GraphStream& stream = *made;
   LdgPartitioner p(Opts(2, 10, 0, 1.0));
   p.Run(stream);
   const auto& a = p.assignment();

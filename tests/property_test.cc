@@ -26,9 +26,9 @@ namespace {
 // one evolving sub-graph per region ("previous signatures discarded", §4.3)
 // and its re-grow pass recovers overlaps greedily, so it is deliberately
 // NOT complete — §4.3 admits the recovered match "may be none". Measured
-// recall on window-contained abc paths in G(n,m) streams is ~85% (see
-// EXPERIMENTS.md); we assert a conservative 60% floor per seed, plus exact
-// soundness: every reported match must be a real embedding (oracle: VF2).
+// recall on window-contained abc paths in G(n,m) streams is ~85%; we
+// assert a conservative 60% floor per seed, plus exact soundness: every
+// reported match must be a real embedding (oracle: VF2).
 // ---------------------------------------------------------------------------
 
 class MatcherCompleteness : public ::testing::TestWithParam<uint64_t> {};

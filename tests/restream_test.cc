@@ -92,8 +92,9 @@ TEST(RestreamerTest, GainOrderingIsDeterministic) {
       restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment());
   const GraphStream b =
       restreamer.ReplayStream(RestreamOrder::kGain, ldg.assignment());
-  for (size_t i = 0; i < a.arrivals().size(); ++i) {
-    EXPECT_EQ(a.arrivals()[i].vertex, b.arrivals()[i].vertex);
+  ASSERT_EQ(a.NumVertices(), b.NumVertices());
+  for (size_t i = 0; i < a.NumVertices(); ++i) {
+    EXPECT_EQ(a.At(i).vertex, b.At(i).vertex);
   }
 }
 
@@ -117,7 +118,7 @@ TEST(RestreamerTest, PrioritizedOrderIsKeyThenId) {
     }
     kept.push_back(std::move(b));
   }
-  const GraphStream sparse(std::move(kept));
+  const GraphStream sparse(kept);
 
   for (const GraphStream* stream : {&dense, &sparse}) {
     const Restreamer restreamer(*stream, RestreamOptions{});
@@ -151,12 +152,12 @@ TEST(RestreamerTest, PrioritizedOrderIsKeyThenId) {
       const GraphStream replay = restreamer.ReplayStream(order, prior);
       ASSERT_EQ(replay.NumVertices(), stream->NumVertices()) << name;
       std::set<int64_t> distinct_keys;
-      for (size_t i = 0; i < replay.arrivals().size(); ++i) {
-        const VertexId v = replay.arrivals()[i].vertex;
+      for (size_t i = 0; i < replay.NumVertices(); ++i) {
+        const VertexId v = replay.At(i).vertex;
         ASSERT_GE(prior.PartOf(v), 0) << name << " emitted absent id " << v;
         distinct_keys.insert(key(v));
         if (i == 0) continue;
-        const VertexId before = replay.arrivals()[i - 1].vertex;
+        const VertexId before = replay.At(i - 1).vertex;
         ASSERT_LE(key(before), key(v)) << name << " position " << i;
         if (key(before) == key(v)) {
           ASSERT_LT(before, v) << name << " position " << i;

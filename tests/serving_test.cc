@@ -16,6 +16,7 @@
 
 #include "core/loom.h"
 #include "core/partitioner_factory.h"
+#include "metrics/metrics.h"
 #include "restream/restreamer.h"
 #include "serving/service.h"
 #include "serving_scenario.h"
@@ -363,6 +364,75 @@ TEST(ServingIngestTest, IngestSourceMatchesBatchedIngest) {
           << "batch=" << batch_size << " vertex=" << v;
     }
     EXPECT_EQ(service.Stats().ingested_vertices, s.g.NumVertices());
+  }
+}
+
+// Both ingest paths copy each batch into one flat stream, which the
+// pipeline appends to the service's recording in bulk; a drift reaction
+// replays that recording. Fed the same arrivals in the same batches, either
+// path must publish the same placement through a reaction, and the reaction
+// must sweep the cut of the whole stream.
+TEST(ServingIngestTest, IngestAndIngestSourceRecordTheSameStream) {
+  Workload drifted;
+  (void)drifted.Add("tri", TriangleQuery(2, 3, 2), 2.0);
+  (void)drifted.Add("star", StarQuery(3, {2, 2}), 1.0);
+  drifted.Normalize();
+  const uint32_t n = 1200;
+  Scenario s;
+  Rng rng(41);
+  s.g = MakeGraph(GraphKind::kBarabasiAlbert, n, 6, LabelConfig{4, 0.2}, rng);
+  PlantWorkloadMotifs(&s.g, SmallWorkload(), n / 24, rng,
+                      /*locality_span=*/48);
+  PlantWorkloadMotifs(&s.g, drifted, n / 24, rng, /*locality_span=*/48);
+  s.stream = MakeStream(s.g, StreamOrder::kDfs, rng);
+  const std::vector<VertexArrival> records = s.stream.arrivals();
+
+  ServiceOptions opts = BaseOptions(s, 4);
+  opts.publish_every_batches = 1;
+  opts.drift_check_every_queries = 8;
+  opts.tracker.window_queries = 32;
+  // The reaction starts from the placement a serial pass makes.
+  auto trie = BuildTrie(SmallWorkload(), opts.loom.paths_only);
+  ASSERT_TRUE(trie.ok());
+  auto serial = MakePartitioner("loom", opts.loom, trie->get());
+  ASSERT_TRUE(serial.ok());
+  (*serial)->Run(s.stream);
+  StreamCursor sweep(s.stream);
+  const double cut_before = EdgeCutFraction(sweep, (*serial)->assignment());
+
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+    std::vector<std::vector<int32_t>> placements;
+    for (const bool from_source : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "batch=" << batch_size
+                                      << " from_source=" << from_source);
+      auto created = Service::Create(SmallWorkload(), opts);
+      ASSERT_TRUE(created.ok());
+      Service& service = **created;
+      if (from_source) {
+        StreamCursor cursor(s.stream);
+        ASSERT_TRUE(service.IngestSource(cursor, batch_size).ok());
+      } else {
+        for (size_t off = 0; off < records.size(); off += batch_size) {
+          const size_t count = std::min(batch_size, records.size() - off);
+          ASSERT_TRUE(service.Ingest(records.data() + off, count).ok());
+        }
+      }
+      service.Flush();
+      for (int q = 0; q < 2000 && service.Stats().drift_fires == 0; ++q) {
+        const LabeledGraph& pattern = drifted.queries()[q % 2].pattern;
+        ASSERT_TRUE(service.ObserveQuery(pattern).ok());
+      }
+      ASSERT_TRUE(service.Seal().ok());
+
+      const ServiceStats stats = service.Stats();
+      EXPECT_EQ(stats.ingested_vertices, n);
+      ASSERT_EQ(stats.drift_reactions, 1u);
+      EXPECT_EQ(stats.last_reaction_edge_cut_before, cut_before);
+      std::vector<int32_t> placement;
+      for (VertexId v = 0; v < n; ++v) placement.push_back(service.Locate(v));
+      placements.push_back(std::move(placement));
+    }
+    EXPECT_EQ(placements[0], placements[1]) << "batch=" << batch_size;
   }
 }
 
