@@ -33,7 +33,6 @@ Workload WorkloadB() {
 
 DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
   DriftScenarioResult result;
-  result.max_migration_fraction = config.max_migration_fraction;
 
   const Workload workload_a = WorkloadA();
   const Workload workload_b = WorkloadB();
@@ -64,10 +63,8 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
   result.cut_no_reaction = EdgeCutFraction(g, original);
 
   // Controller watching the tracker, primed with A's expectation.
-  DriftControllerOptions copts;
-  copts.max_migration_fraction = config.max_migration_fraction;
-  copts.reaction_passes = config.reaction_passes;
-  DriftController controller(copts);
+  DriftController controller{DriftControllerOptions()};
+  result.max_migration_fraction = controller.options().max_migration_fraction;
   controller.SetReference(MotifDistributionOf(live->Trie()));
 
   WorkloadTrackerOptions topts;
@@ -131,7 +128,6 @@ DriftScenarioResult RunDriftScenario(const DriftScenarioConfig& config) {
     auto cold = MakePartitioner("loom", lopts, &cold_trie);
     assert(cold.ok());
     RestreamOptions ropts;
-    ropts.num_passes = config.cold_passes;
     ropts.order = RestreamOrder::kGain;
     // The cold bracket is a fixed reference for the reaction contract, so it
     // pins the classic full-rematch replay: cluster-memoized passes regroup

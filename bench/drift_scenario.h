@@ -38,12 +38,8 @@ struct DriftScenarioConfig {
   StreamOrder stream_order = StreamOrder::kDfs;
   size_t window_size = 128;
   double frequency_threshold = 0.2;
-  /// Reaction budget: cumulative migration cap of the drift reaction.
-  double max_migration_fraction = 0.25;
-  uint32_t reaction_passes = 2;
-  /// Passes of the cold (unbudgeted, from-scratch) restream baseline.
-  uint32_t cold_passes = 3;
-  /// Query-stream window of the tracker.
+  /// Query-stream window of the tracker. The reaction's budget and passes
+  /// and the cold restream's passes keep their library defaults.
   size_t tracker_window = 128;
   /// Observed queries per detector tick.
   uint32_t queries_per_tick = 64;
@@ -84,7 +80,7 @@ struct DriftScenarioResult {
   uint64_t reaction_assign_errors = 0;
   uint64_t reaction_budget_denied_moves = 0;
 
-  /// The budget actually configured (copied from the config, for reports).
+  /// The reaction's migration budget (the controller's, for reports).
   double max_migration_fraction = 0.0;
 };
 

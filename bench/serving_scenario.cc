@@ -63,11 +63,7 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
   opts.loom.partitioner.window_size = config.window_size;
   opts.loom.matcher.frequency_threshold = config.frequency_threshold;
   opts.num_labels = 4;
-  opts.publish_every_batches = config.publish_every_batches;
-  opts.drift_check_every_queries = config.drift_check_every_queries;
   opts.tracker.window_queries = config.tracker_window;
-  opts.drift.max_migration_fraction = config.max_migration_fraction;
-  opts.drift.reaction_passes = config.reaction_passes;
 
   const std::vector<VertexArrival>& arrivals = stream.arrivals();
   const uint64_t num_batches =

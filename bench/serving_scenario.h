@@ -47,12 +47,9 @@ struct ServingScenarioConfig {
   /// Touches + ObserveQuery pairs).
   double locate_fraction = 0.7;
 
-  /// Service knobs (see ServiceOptions).
-  uint32_t publish_every_batches = 1;
-  uint64_t drift_check_every_queries = 64;
+  /// Query-stream window of the service's tracker; every other service
+  /// knob keeps its `ServiceOptions` default.
   size_t tracker_window = 128;
-  double max_migration_fraction = 0.25;
-  uint32_t reaction_passes = 2;
 
   /// How long to keep the clients querying after ingest completes while
   /// waiting for the drift reaction; expiring marks the result not ok.

@@ -25,6 +25,7 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
       matcher_(trie, options.matcher),
       scores_(options.partitioner.k, 0.0),
       trie_(trie) {
+  assert(ValidateLoomOptions(options).ok());
   RebuildEdgeWeights();
 }
 

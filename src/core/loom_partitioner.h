@@ -35,6 +35,7 @@ namespace loom {
 /// Workload-aware streaming partitioner.
 class LoomPartitioner : public StreamingPartitioner {
  public:
+  /// `options` must pass ValidateLoomOptions (asserted in Debug).
   /// \param trie workload summary (must outlive the partitioner).
   LoomPartitioner(const LoomOptions& options, const TpstryPP* trie);
 

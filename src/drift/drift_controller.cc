@@ -1,5 +1,6 @@
 #include "drift/drift_controller.h"
 
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -19,48 +20,13 @@ Status ValidateDriftControllerOptions(const DriftControllerOptions& options) {
     return Status::InvalidArgument(
         "DriftControllerOptions.reaction_passes must be >= 1");
   }
-  const DriftDetectorOptions& d = options.detector;
-  if (std::isnan(d.fire_threshold) || d.fire_threshold < 0.0 ||
-      d.fire_threshold > 1.0) {
-    return Status::InvalidArgument(
-        "DriftDetectorOptions.fire_threshold must be in [0, 1]");
-  }
-  if (d.min_consecutive == 0) {
-    return Status::InvalidArgument(
-        "DriftDetectorOptions.min_consecutive must be >= 1");
-  }
-  if (std::isnan(d.clear_threshold) || d.clear_threshold < 0.0 ||
-      d.clear_threshold > d.fire_threshold) {
-    return Status::InvalidArgument(
-        "DriftDetectorOptions.clear_threshold must be in "
-        "[0, fire_threshold]");
-  }
-  return Status::OK();
-}
-
-DriftControllerOptions SanitizeDriftControllerOptions(
-    DriftControllerOptions options) {
-  if (std::isnan(options.max_migration_fraction) ||
-      options.max_migration_fraction < 0.0) {
-    options.max_migration_fraction = 0.0;
-  }
-  if (options.reaction_passes == 0) options.reaction_passes = 1;
-  DriftDetectorOptions& d = options.detector;
-  if (std::isnan(d.fire_threshold) || d.fire_threshold < 0.0 ||
-      d.fire_threshold > 1.0) {
-    d.fire_threshold = DriftDetectorOptions{}.fire_threshold;
-  }
-  if (d.min_consecutive == 0) d.min_consecutive = 1;
-  if (std::isnan(d.clear_threshold) || d.clear_threshold < 0.0 ||
-      d.clear_threshold > d.fire_threshold) {
-    d.clear_threshold = d.fire_threshold;
-  }
-  return options;
+  return ValidateDriftDetectorOptions(options.detector);
 }
 
 DriftController::DriftController(const DriftControllerOptions& options)
-    : options_(SanitizeDriftControllerOptions(options)),
-      detector_(options_.detector) {}
+    : options_(options), detector_(options_.detector) {
+  assert(ValidateDriftControllerOptions(options).ok());
+}
 
 void DriftController::SetReference(MotifDistribution reference) {
   detector_.SetReference(std::move(reference));

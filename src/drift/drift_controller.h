@@ -44,22 +44,11 @@ struct DriftControllerOptions {
   uint32_t reaction_passes = 2;
 };
 
-/// Uniform options contract (see `ValidateRestreamOptions`): rejects —
-/// without mutating — the first invalid field: a NaN or negative
-/// `max_migration_fraction`, `reaction_passes == 0`, a detector
-/// `fire_threshold` outside [0, 1] (or NaN), `min_consecutive == 0`, or a
-/// `clear_threshold` that is NaN, negative or above `fire_threshold` (the
-/// hysteresis band would invert).
+/// Rejects (see `ValidateRestreamOptions` for the contract), without
+/// mutating, the first invalid field: a NaN or negative
+/// `max_migration_fraction`, `reaction_passes == 0`, or anything
+/// `ValidateDriftDetectorOptions` rejects in `detector`.
 Status ValidateDriftControllerOptions(const DriftControllerOptions& options);
-
-/// Sanitized copy of `options`: every field `ValidateDriftControllerOptions`
-/// rejects is clamped to the conservative end instead — a garbage migration
-/// fraction freezes migration (0.0), zero passes become 1, a garbage
-/// fire threshold falls back to the default, and an inverted hysteresis
-/// band collapses (`clear_threshold = fire_threshold`). The DriftController
-/// constructor applies this to everything it is given.
-DriftControllerOptions SanitizeDriftControllerOptions(
-    DriftControllerOptions options);
 
 /// What a reaction did.
 struct DriftReaction {
@@ -84,6 +73,8 @@ struct DriftReaction {
 /// Wires DriftDetector verdicts to bounded-migration restream reactions.
 class DriftController {
  public:
+  /// `options` must pass ValidateDriftControllerOptions (asserted in
+  /// Debug); `Service::Create` checks it for the service's controller.
   explicit DriftController(const DriftControllerOptions& options);
 
   /// Installs the workload expectation (reference distribution) the live

@@ -1,6 +1,7 @@
 #include "drift/drift_detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace loom {
@@ -55,12 +56,28 @@ double JensenShannonDistance(const MotifDistribution& p,
   return std::sqrt(std::min(1.0, std::max(0.0, divergence)));
 }
 
+Status ValidateDriftDetectorOptions(const DriftDetectorOptions& options) {
+  if (std::isnan(options.fire_threshold) || options.fire_threshold < 0.0 ||
+      options.fire_threshold > 1.0) {
+    return Status::InvalidArgument(
+        "DriftDetectorOptions.fire_threshold must be in [0, 1]");
+  }
+  if (options.min_consecutive == 0) {
+    return Status::InvalidArgument(
+        "DriftDetectorOptions.min_consecutive must be >= 1");
+  }
+  if (std::isnan(options.clear_threshold) || options.clear_threshold < 0.0 ||
+      options.clear_threshold > options.fire_threshold) {
+    return Status::InvalidArgument(
+        "DriftDetectorOptions.clear_threshold must be in "
+        "[0, fire_threshold]");
+  }
+  return Status::OK();
+}
+
 DriftDetector::DriftDetector(const DriftDetectorOptions& options)
     : options_(options) {
-  if (options_.clear_threshold > options_.fire_threshold) {
-    options_.clear_threshold = options_.fire_threshold;
-  }
-  if (options_.min_consecutive == 0) options_.min_consecutive = 1;
+  assert(ValidateDriftDetectorOptions(options).ok());
 }
 
 void DriftDetector::SetReference(MotifDistribution reference) {

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "tpstry/workload_tracker.h"
 
 namespace loom {
@@ -34,6 +35,12 @@ struct DriftDetectorOptions {
   /// reference re-arms immediately — the reaction itself closes the loop.
   double clear_threshold = 0.05;
 };
+
+/// Rejects (InvalidArgument naming the field, mutating nothing) the first
+/// invalid field: a `fire_threshold` outside [0, 1] or NaN,
+/// `min_consecutive == 0`, or a `clear_threshold` that is NaN, negative or
+/// above `fire_threshold` (the hysteresis band would invert).
+Status ValidateDriftDetectorOptions(const DriftDetectorOptions& options);
 
 /// One observation's worth of drift evidence.
 struct DriftSignal {
@@ -56,6 +63,7 @@ struct DriftSignal {
 /// hysteresis. Not thread-safe; one detector per controlled partitioning.
 class DriftDetector {
  public:
+  /// `options` must pass ValidateDriftDetectorOptions (asserted in Debug).
   explicit DriftDetector(const DriftDetectorOptions& options);
 
   /// Installs the distribution the live assignment was built for and

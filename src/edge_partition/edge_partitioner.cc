@@ -1,6 +1,7 @@
 #include "edge_partition/edge_partitioner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "edge_partition/dbh_partitioner.h"
@@ -33,40 +34,25 @@ Status ValidateEdgePartitionerOptions(const EdgePartitionerOptions& options) {
   return Status::OK();
 }
 
-EdgePartitionerOptions SanitizeEdgePartitionerOptions(
-    EdgePartitionerOptions options) {
-  if (options.k == 0) options.k = 1;
-  if (std::isnan(options.lambda) || options.lambda < 0.0) {
-    options.lambda = 0.0;
-  }
-  if (!IsValidSlack(options.balance_slack)) options.balance_slack = 1.0;
-  if (std::isnan(options.heat_weight) || options.heat_weight < 0.0) {
-    options.heat_weight = 0.0;
-  }
-  if (options.max_partitions_per_vertex > options.k) {
-    options.max_partitions_per_vertex = options.k;
-  }
-  if (options.max_partitions_per_vertex == 1 && options.k > 1) {
-    options.max_partitions_per_vertex = 2;
-  }
-  return options;
-}
-
 uint64_t ComputeEdgeCapacity(uint32_t k, uint64_t num_edges, double slack) {
   // The vertex capacity formula, counted in edges.
   return ComputeCapacity(k == 0 ? 1 : k, num_edges, slack);
 }
 
 EdgePartitioner::EdgePartitioner(const EdgePartitionerOptions& options)
-    : options_(SanitizeEdgePartitionerOptions(options)),
+    : options_(options),
       edge_counts_(options_.k, 0),
       edge_capacity_(ComputeEdgeCapacity(options_.k, options_.num_edges_hint,
                                          options_.balance_slack)),
+      // No vertex can hold more than k replicas, so a budget of 0 (none) or
+      // of k or more is k, which keeps HDRF on its uncapped path.
       replica_cap_(options_.max_partitions_per_vertex == 0
                        ? options_.k
-                       : options_.max_partitions_per_vertex),
+                       : std::min(options_.max_partitions_per_vertex,
+                                  options_.k)),
       has_heat_(static_cast<bool>(options_.heat) &&
                 options_.heat_weight != 0.0) {
+  assert(ValidateEdgePartitionerOptions(options).ok());
   if (options_.num_vertices_hint > 0) {
     degree_.reserve(options_.num_vertices_hint);
     if (has_heat_) heat_scale_.reserve(options_.num_vertices_hint);

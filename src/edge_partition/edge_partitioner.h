@@ -81,16 +81,10 @@ struct EdgePartitionerOptions {
 /// `lambda`, a non-finite or sub-1.0 `balance_slack`, a NaN or negative
 /// `heat_weight`, and `max_partitions_per_vertex == 1` with `k > 1` (a
 /// one-partition replica budget makes every edge with previously-seen
-/// endpoints a cap relaxation — always a configuration mistake).
+/// endpoints a cap relaxation — always a configuration mistake). A replica
+/// budget above k is valid and means the same as 0: no vertex can be in
+/// more than k partitions.
 Status ValidateEdgePartitionerOptions(const EdgePartitionerOptions& options);
-
-/// Sanitized copy of `options`: `k` clamped to >= 1, NaN/negative `lambda`
-/// and `heat_weight` clamped to 0 (the conservative end: the term drops
-/// out), non-finite or sub-1.0 `balance_slack` clamped to 1.0, and
-/// `max_partitions_per_vertex` clamped into {0} ∪ [2, k] when k > 1.
-/// Constructors apply this to everything they are given.
-EdgePartitionerOptions SanitizeEdgePartitionerOptions(
-    EdgePartitionerOptions options);
 
 /// The per-partition edge budget ceil(slack * m / k), at least 1; 0 when
 /// `num_edges` is 0 (unconstrained). `ComputeCapacity` over edges, with
@@ -131,6 +125,8 @@ struct EdgePartitionerStats {
 /// `Reset()` discards everything including degrees.
 class EdgePartitioner {
  public:
+  /// `options` must pass ValidateEdgePartitionerOptions (asserted in Debug);
+  /// `MakeEdgePartitioner` checks it for its callers.
   explicit EdgePartitioner(const EdgePartitionerOptions& options);
   virtual ~EdgePartitioner() = default;
 

@@ -1,6 +1,7 @@
 #include "edge_partition/edge_restream.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/timer.h"
@@ -33,14 +34,11 @@ Status ValidateEdgeRestreamOptions(const EdgeRestreamOptions& options) {
   return Status::OK();
 }
 
-EdgeRestreamOptions SanitizeEdgeRestreamOptions(EdgeRestreamOptions options) {
-  if (options.num_passes == 0) options.num_passes = 1;
-  return options;
-}
-
 EdgeRestreamer::EdgeRestreamer(ArrivalSource* source,
                                const EdgeRestreamOptions& options)
-    : source_(source), options_(SanitizeEdgeRestreamOptions(options)) {}
+    : source_(source), options_(options) {
+  assert(ValidateEdgeRestreamOptions(options).ok());
+}
 
 Result<EdgeRestreamResult> EdgeRestreamer::Run(EdgePartitioner* partitioner) {
   if (!partitioner->options().record_placements) {

@@ -30,9 +30,6 @@ struct EdgeRestreamOptions {
 /// Rejects `num_passes == 0`.
 Status ValidateEdgeRestreamOptions(const EdgeRestreamOptions& options);
 
-/// Sanitized copy: `num_passes` clamped to >= 1.
-EdgeRestreamOptions SanitizeEdgeRestreamOptions(EdgeRestreamOptions options);
-
 /// Quality and cost of one edge-restream pass.
 struct EdgeRestreamPassStats {
   /// 1-based pass number.
@@ -68,7 +65,8 @@ struct EdgeRestreamResult {
 /// (options().record_placements), since the best pass is kept as its log.
 class EdgeRestreamer {
  public:
-  /// `source` must outlive the restreamer; options are sanitized.
+  /// `source` must outlive the restreamer; `options` must pass
+  /// ValidateEdgeRestreamOptions (asserted in Debug).
   EdgeRestreamer(ArrivalSource* source, const EdgeRestreamOptions& options);
 
   /// Runs the full schedule on `partitioner` (reset first, so any earlier

@@ -16,6 +16,7 @@ namespace loom {
 /// (γ = 1.5, α = m · k^(γ−1) / n^γ) and a hard capacity ν·n/k.
 class FennelPartitioner : public StreamingPartitioner {
  public:
+  /// `options` must pass ValidatePartitionerOptions (asserted in Debug).
   explicit FennelPartitioner(const PartitionerOptions& options);
 
   void OnVertex(VertexId v, Label label,

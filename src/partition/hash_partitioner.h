@@ -14,6 +14,7 @@ namespace loom {
 /// constraint is honoured even under adversarial id sets.
 class HashPartitioner : public StreamingPartitioner {
  public:
+  /// `options` must pass ValidatePartitionerOptions (asserted in Debug).
   explicit HashPartitioner(const PartitionerOptions& options)
       : StreamingPartitioner(options) {}
 

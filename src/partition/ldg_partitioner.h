@@ -14,6 +14,7 @@ namespace loom {
 /// One-shot LDG: assigns each vertex on arrival.
 class LdgPartitioner : public StreamingPartitioner {
  public:
+  /// `options` must pass ValidatePartitionerOptions (asserted in Debug).
   explicit LdgPartitioner(const PartitionerOptions& options)
       : StreamingPartitioner(options), edge_counts_(options.k, 0) {}
 

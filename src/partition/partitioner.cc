@@ -33,6 +33,14 @@ Status ValidatePartitionerOptions(const PartitionerOptions& options) {
   return Status::OK();
 }
 
+StreamingPartitioner::StreamingPartitioner(const PartitionerOptions& options)
+    : options_(options),
+      assignment_(options.k,
+                  ComputeCapacity(options.k, options.num_vertices_hint,
+                                  options.capacity_slack)) {
+  assert(ValidatePartitionerOptions(options).ok());
+}
+
 void StreamingPartitioner::Run(ArrivalSource& source) {
   ArrivalView arrival;
   while (source.Next(&arrival)) {

@@ -108,11 +108,9 @@ struct PartitionerStats {
 /// immutable after construction.
 class StreamingPartitioner {
  public:
-  explicit StreamingPartitioner(const PartitionerOptions& options)
-      : options_(options),
-        assignment_(options.k,
-                    ComputeCapacity(options.k, options.num_vertices_hint,
-                                    options.capacity_slack)) {}
+  /// `options` must pass ValidatePartitionerOptions (asserted in Debug); the
+  /// factory and `Loom::Create` check it for their callers.
+  explicit StreamingPartitioner(const PartitionerOptions& options);
   virtual ~StreamingPartitioner() = default;
 
   StreamingPartitioner(const StreamingPartitioner&) = delete;

@@ -31,11 +31,6 @@ Status ValidateRestreamOptions(const RestreamOptions& options) {
   return Status::OK();
 }
 
-RestreamOptions SanitizeRestreamOptions(RestreamOptions options) {
-  if (options.num_passes < 1) options.num_passes = 1;
-  return options;
-}
-
 uint64_t MigrationBudgetMoves(const PartitionAssignment& prior,
                               double max_migration_fraction) {
   // NaN fails every comparison: without the explicit test it would fall
@@ -52,11 +47,14 @@ Restreamer::Restreamer(const GraphStream& stream,
                        const RestreamOptions& options)
     : memory_(std::make_unique<StreamReplay>(stream)),
       source_(memory_.get()),
-      options_(SanitizeRestreamOptions(options)),
-      materializations_(1) {}  // the construction-time GraphFromStream
+      options_(options),
+      materializations_(1) {  // the construction-time GraphFromStream
+  assert(ValidateRestreamOptions(options).ok());
+}
 
 Restreamer::Restreamer(FileArrivalSource* file, const RestreamOptions& options)
-    : source_(file), options_(SanitizeRestreamOptions(options)) {
+    : source_(file), options_(options) {
+  assert(ValidateRestreamOptions(options).ok());
   assert(file != nullptr);
   assert(file->info().has_full_neighborhoods &&
          "out-of-core restreaming needs a full-neighbourhood stream file");
@@ -298,7 +296,7 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
   PartitionAssignment best{1, 0};
   double best_cut = std::numeric_limits<double>::infinity();
 
-  const uint32_t passes = options_.num_passes;  // >= 1: sanitized
+  const uint32_t passes = options_.num_passes;  // >= 1: validated
   // Cluster memoization: ask the partitioner to log its unit decomposition;
   // partitioners without the hook return no log and the whole feature
   // degrades to a no-op. Logging stays off for single-pass runs — the hot

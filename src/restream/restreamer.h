@@ -66,21 +66,16 @@ struct RestreamOptions {
   bool memoize_clusters = true;
 };
 
-/// Uniform options contract (shared with `DriftControllerOptions` and
-/// `ServiceOptions`): every options struct ships a `Validate*Options` that
-/// *rejects* — returns InvalidArgument naming the first bad field, mutating
-/// nothing — and a `Sanitize*Options` that *clamps* — a total function
-/// mapping any input to a safe configuration, always towards the
-/// conservative end. Facade entry points (`Service::Create`) validate so
-/// callers hear about mistakes; internal constructors sanitize so garbage
-/// can never reach the arithmetic.
+/// The options contract, one rule set per struct: every options struct has
+/// one `Validate*Options` that returns InvalidArgument naming the first bad
+/// field and mutates nothing. Entry points that take options from a caller
+/// (`Service::Create`, `Loom::Create`, `MakePartitioner`,
+/// `MakeEdgePartitioner`, the tools' flag parsing) check it and refuse; every
+/// constructor that takes an options struct requires it to pass, and asserts
+/// so in Debug builds. Nothing clamps a bad value into a good one.
 ///
 /// Rejects `num_passes == 0`.
 Status ValidateRestreamOptions(const RestreamOptions& options);
-
-/// Sanitized copy of `options`: `num_passes` clamped to >= 1. The
-/// Restreamer constructor applies this to everything it is given.
-RestreamOptions SanitizeRestreamOptions(RestreamOptions options);
 
 /// Move allowance implied by a migration-fraction budget over `prior`:
 /// floor(fraction * prior.NumAssigned()), saturating to unlimited for
@@ -151,7 +146,8 @@ struct RestreamResult {
 class Restreamer {
  public:
   /// Replays `stream`, which is borrowed (must outlive the Restreamer); its
-  /// adjacency is rebuilt once, here.
+  /// adjacency is rebuilt once, here. `options` must pass
+  /// ValidateRestreamOptions (asserted in Debug), as for the file form.
   Restreamer(const GraphStream& stream, const RestreamOptions& options);
 
   /// Replays `file`, which is borrowed (must outlive the Restreamer; its

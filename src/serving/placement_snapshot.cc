@@ -8,34 +8,6 @@ namespace {
 // Fewest slots a table starts with, whatever the size hint.
 constexpr size_t kMinSlots = 1024;
 
-// Partitions p < k whose count `count_at(p * num_labels + l)` is non-zero
-// for some label l of `query` inside the alphabet, ascending.
-template <typename CountAt>
-std::vector<uint32_t> TouchedBy(uint32_t k, uint32_t num_labels,
-                                const LabeledGraph& query, CountAt count_at) {
-  // The query's label set (small patterns: linear dedup is fine).
-  std::vector<Label> labels;
-  for (VertexId v = 0; v < query.NumVertices(); ++v) {
-    const Label l = query.LabelOf(v);
-    if (l < num_labels &&
-        std::find(labels.begin(), labels.end(), l) == labels.end()) {
-      labels.push_back(l);
-    }
-  }
-
-  std::vector<uint32_t> touched;
-  for (uint32_t p = 0; p < k; ++p) {
-    const size_t base = static_cast<size_t>(p) * num_labels;
-    for (const Label l : labels) {
-      if (count_at(base + l) > 0) {
-        touched.push_back(p);
-        break;
-      }
-    }
-  }
-  return touched;
-}
-
 }  // namespace
 
 PlacementSnapshot MakePlacementSnapshot(const PartitionAssignment& assignment,
@@ -64,12 +36,6 @@ PlacementSnapshot MakePlacementSnapshot(const PartitionAssignment& assignment,
   return snapshot;
 }
 
-std::vector<uint32_t> TouchedPartitions(const PlacementSnapshot& snapshot,
-                                        const LabeledGraph& query) {
-  return TouchedBy(snapshot.k, snapshot.num_labels, query,
-                   [&](size_t i) { return snapshot.label_counts[i]; });
-}
-
 PlacementTable::PlacementTable(uint32_t k, uint32_t num_labels,
                                size_t num_vertices_hint)
     : k_(k),
@@ -91,9 +57,27 @@ PlacementTable::PlacementTable(uint32_t k, uint32_t num_labels,
 
 std::vector<uint32_t> PlacementTable::Touches(
     const LabeledGraph& query) const {
-  return TouchedBy(k_, num_labels_, query, [this](size_t i) {
-    return label_counts_[i].load(std::memory_order_relaxed);
-  });
+  // The query's label set (small patterns: linear dedup is fine).
+  std::vector<Label> labels;
+  for (VertexId v = 0; v < query.NumVertices(); ++v) {
+    const Label l = query.LabelOf(v);
+    if (l < num_labels_ &&
+        std::find(labels.begin(), labels.end(), l) == labels.end()) {
+      labels.push_back(l);
+    }
+  }
+
+  std::vector<uint32_t> touched;
+  for (uint32_t p = 0; p < k_; ++p) {
+    const size_t base = static_cast<size_t>(p) * num_labels_;
+    for (const Label l : labels) {
+      if (label_counts_[base + l].load(std::memory_order_relaxed) > 0) {
+        touched.push_back(p);
+        break;
+      }
+    }
+  }
+  return touched;
 }
 
 void PlacementTable::GrowFor(VertexId v) {

@@ -56,16 +56,6 @@ PlacementSnapshot MakePlacementSnapshot(const PartitionAssignment& assignment,
                                         const std::vector<Label>& label_of,
                                         uint32_t num_labels, uint64_t epoch);
 
-/// The partitions a pattern query can possibly touch under `snapshot`:
-/// every partition holding at least one vertex whose label occurs in
-/// `query`. Sorted ascending. This is a sound *superset* of the partitions
-/// any execution of the query actually visits — the matcher only probes
-/// label-compatible candidates, so every traversal endpoint carries a query
-/// label — which makes it the broadcast set a distributed router would ship
-/// the query to. Labels outside the snapshot's alphabet contribute nothing.
-std::vector<uint32_t> TouchedPartitions(const PlacementSnapshot& snapshot,
-                                        const LabeledGraph& query);
-
 /// The live placement: one writer, any number of lock-free readers.
 ///
 /// Readers: `Locate` is one acquire load of the current slot array, a
@@ -100,7 +90,13 @@ class PlacementTable {
                            : -1;
   }
 
-  /// `TouchedPartitions` over the live counts. Any thread.
+  /// The partitions a pattern query can possibly touch: every partition
+  /// holding at least one vertex whose label occurs in `query`, ascending.
+  /// This is a sound *superset* of the partitions any execution of the
+  /// query actually visits — the matcher only probes label-compatible
+  /// candidates, so every traversal endpoint carries a query label — which
+  /// makes it the broadcast set a distributed router would ship the query
+  /// to. Labels outside the alphabet contribute nothing. Any thread.
   std::vector<uint32_t> Touches(const LabeledGraph& query) const;
 
   /// Writer: points `v`, labelled `label`, at `part` (-1 unplaces it). A

@@ -10,7 +10,10 @@
 namespace loom {
 
 Status ValidateServiceOptions(const ServiceOptions& options) {
-  LOOM_RETURN_IF_ERROR(ValidatePartitionerOptions(options.loom.partitioner));
+  LOOM_RETURN_IF_ERROR(
+      options.partitioner == "loom"
+          ? ValidateLoomOptions(options.loom)
+          : ValidatePartitionerOptions(options.loom.partitioner));
   if (!IsKnownPartitioner(options.partitioner)) {
     return Status::InvalidArgument("ServiceOptions.partitioner '" +
                                    options.partitioner +
@@ -24,26 +27,8 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
     return Status::InvalidArgument(
         "ServiceOptions.publish_every_batches must be >= 1");
   }
-  if (options.tracker.window_queries == 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions.tracker.window_queries must be >= 1");
-  }
+  LOOM_RETURN_IF_ERROR(ValidateWorkloadTrackerOptions(options.tracker));
   return ValidateDriftControllerOptions(options.drift);
-}
-
-ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
-  if (options.loom.partitioner.k == 0) options.loom.partitioner.k = 1;
-  if (!IsValidSlack(options.loom.partitioner.capacity_slack)) {
-    options.loom.partitioner.capacity_slack = 1.0;
-  }
-  if (!IsKnownPartitioner(options.partitioner)) options.partitioner = "loom";
-  if (options.drift_check_every_queries == 0) {
-    options.drift_check_every_queries = 1;
-  }
-  if (options.publish_every_batches == 0) options.publish_every_batches = 1;
-  if (options.tracker.window_queries == 0) options.tracker.window_queries = 1;
-  options.drift = SanitizeDriftControllerOptions(options.drift);
-  return options;
 }
 
 namespace {
@@ -89,21 +74,20 @@ bool SamePlacement(const PlacementSnapshot& live,
 Result<std::unique_ptr<Service>> Service::Create(
     const Workload& workload, const ServiceOptions& options) {
   LOOM_RETURN_IF_ERROR(ValidateServiceOptions(options));
-  ServiceOptions opts = SanitizeServiceOptions(options);
   const uint32_t num_labels =
-      std::max({opts.num_labels, workload.NumLabels(), uint32_t{1}});
+      std::max({options.num_labels, workload.NumLabels(), uint32_t{1}});
 
   // The trie is built even for workload-oblivious partitioners: it seeds the
   // drift detector's reference distribution either way.
   LOOM_ASSIGN_OR_RETURN(std::unique_ptr<TpstryPP> trie,
-                        BuildTrie(workload, opts.loom.paths_only));
+                        BuildTrie(workload, options.loom.paths_only));
   LOOM_ASSIGN_OR_RETURN(
       std::unique_ptr<StreamingPartitioner> partitioner,
-      MakePartitioner(opts.partitioner, opts.loom, trie.get()));
+      MakePartitioner(options.partitioner, options.loom, trie.get()));
   MotifDistribution reference = MotifDistributionOf(*trie);
 
   return std::unique_ptr<Service>(
-      new Service(std::move(opts), num_labels, std::move(trie),
+      new Service(options, num_labels, std::move(trie),
                   std::move(partitioner), std::move(reference)));
 }
 
@@ -162,6 +146,18 @@ Status Service::Submit(GraphStream batch) {
   std::lock_guard<std::mutex> lock(producer_mu_);
   if (sealed_) {
     return Status::FailedPrecondition("Ingest after Seal");
+  }
+  // Ids are tested and marked under the producer mutex, so two producers
+  // cannot both pass the same id.
+  for (size_t i = 0; i < batch.NumVertices(); ++i) {
+    const VertexId v = batch.At(i).vertex;
+    if (v >= ingested_ids_.size()) ingested_ids_.resize(size_t{v} + 1);
+    if (ingested_ids_[v]) {
+      for (size_t j = 0; j < i; ++j) ingested_ids_[batch.At(j).vertex] = false;
+      rejected_batches_.fetch_add(1, std::memory_order_relaxed);
+      return Status::InvalidArgument("Ingest: vertex id ingested twice");
+    }
+    ingested_ids_[v] = true;
   }
   const uint64_t seq = next_batch_seq_++;
   EnqueuePipelineTask(

@@ -136,13 +136,13 @@ class Service {
   /// Ingests one batch of arrivals (the span is copied into one flat batch
   /// before return).
   /// The batch is validated on the front end — an invalid vertex id, a
-  /// self-loop back edge or a label outside the service's alphabet (see
-  /// `ServiceOptions::num_labels`) rejects the WHOLE batch with
+  /// self-loop back edge, a label outside the service's alphabet (see
+  /// `ServiceOptions::num_labels`), or a vertex id ingested before or
+  /// repeated within the batch rejects the WHOLE batch with
   /// InvalidArgument and applies nothing — then enqueued for the pipeline
-  /// worker. Returns FailedPrecondition after `Seal`. Arrivals must satisfy
-  /// the stream invariants (each vertex once, back edges to earlier
-  /// arrivals); batches from multiple threads are applied in `Ingest`-call
-  /// order.
+  /// worker. Returns FailedPrecondition after `Seal`. Back edges must point
+  /// to earlier arrivals; batches from multiple threads are applied in
+  /// `Ingest`-call order.
   Status Ingest(const VertexArrival* arrivals, size_t count);
 
   /// Vector convenience overload of the span form.
@@ -277,6 +277,8 @@ class Service {
   uint64_t tasks_enqueued_ = 0;   // guarded by producer_mu_
   uint64_t next_batch_seq_ = 0;   // guarded by producer_mu_
   bool sealed_ = false;           // guarded by producer_mu_
+  /// Ids accepted by `Submit`, indexed by id; guarded by producer_mu_.
+  std::vector<bool> ingested_ids_;
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;
   std::atomic<uint64_t> tasks_done_{0};

@@ -2,14 +2,11 @@
 #define LOOM_SERVING_SERVICE_OPTIONS_H_
 
 /// \file
-/// Configuration of `loom::Service` — the facade's one options struct,
-/// following the uniform Validate/Sanitize contract shared with
-/// `RestreamOptions` and `DriftControllerOptions` (see
-/// `ValidateRestreamOptions`): `ValidateServiceOptions` rejects with an
-/// InvalidArgument naming the first bad field; `SanitizeServiceOptions`
-/// clamps every bad field to the conservative end. `Service::Create`
-/// validates first (callers hear about mistakes), then sanitizes (nested
-/// defaults stay safe even as structs grow fields).
+/// Configuration of `loom::Service` — the facade's one options struct.
+/// `ValidateServiceOptions` is its one rule set (the contract is described
+/// at `ValidateRestreamOptions`): it rejects with an InvalidArgument naming
+/// the first bad field, nested structs included, and `Service::Create`
+/// refuses any options it rejects and runs on exactly the ones it accepts.
 
 #include <cstdint>
 #include <functional>
@@ -70,18 +67,14 @@ struct ServiceOptions {
   std::function<void(uint64_t)> on_batch_processed;
 };
 
-/// Rejects the first invalid field: `loom.partitioner` options that fail
-/// `ValidatePartitionerOptions` (k == 0, a capacity slack that is not
-/// finite or is below 1.0), an unknown `partitioner` name,
-/// `drift_check_every_queries == 0`, `publish_every_batches == 0`, a zero
-/// tracker window, or anything `ValidateDriftControllerOptions` rejects.
+/// Rejects the first invalid field: `loom` options that fail
+/// `ValidateLoomOptions` when `partitioner` is "loom", else `loom.partitioner`
+/// options that fail `ValidatePartitionerOptions` (k == 0, a capacity slack
+/// that is not finite or is below 1.0), an unknown `partitioner` name,
+/// `drift_check_every_queries == 0`, `publish_every_batches == 0`, or
+/// anything `ValidateWorkloadTrackerOptions` rejects in `tracker` or
+/// `ValidateDriftControllerOptions` in `drift`.
 Status ValidateServiceOptions(const ServiceOptions& options);
-
-/// Clamps every field `ValidateServiceOptions` rejects: zero counts become
-/// 1 (k, cadences, tracker window), a bad capacity slack becomes 1.0, an
-/// unknown partitioner name falls back to "loom", and the drift options
-/// are routed through `SanitizeDriftControllerOptions`.
-ServiceOptions SanitizeServiceOptions(ServiceOptions options);
 
 }  // namespace loom
 

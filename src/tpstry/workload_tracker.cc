@@ -1,6 +1,7 @@
 #include "tpstry/workload_tracker.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/hash.h"
@@ -26,11 +27,19 @@ MotifDistribution MotifDistributionOf(const TpstryPP& trie) {
   return dist;
 }
 
+Status ValidateWorkloadTrackerOptions(const WorkloadTrackerOptions& options) {
+  if (options.window_queries == 0) {
+    return Status::InvalidArgument(
+        "WorkloadTrackerOptions.window_queries must be >= 1");
+  }
+  return Status::OK();
+}
+
 WorkloadTracker::WorkloadTracker(uint32_t num_labels,
                                  const WorkloadTrackerOptions& options,
                                  bool paths_only)
     : options_(options), paths_only_(paths_only), trie_(num_labels) {
-  if (options_.window_queries == 0) options_.window_queries = 1;
+  assert(ValidateWorkloadTrackerOptions(options).ok());
 }
 
 Status WorkloadTracker::Observe(const LabeledGraph& query) {

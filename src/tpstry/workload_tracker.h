@@ -53,6 +53,9 @@ struct WorkloadTrackerOptions {
   size_t window_queries = 256;
 };
 
+/// Rejects (InvalidArgument, mutating nothing) `window_queries == 0`.
+Status ValidateWorkloadTrackerOptions(const WorkloadTrackerOptions& options);
+
 /// Sliding-window TPSTry++ over an observed query stream.
 class WorkloadTracker {
  public:
@@ -61,6 +64,7 @@ class WorkloadTracker {
   /// the mode of the trie the tracker is compared with or feeds, so the
   /// owner passes its partitioner's `LoomOptions::paths_only`: a full-motif
   /// summary of a paths-only trie's own workload reads as drift.
+  /// `options` must pass ValidateWorkloadTrackerOptions (asserted in Debug).
   WorkloadTracker(uint32_t num_labels, const WorkloadTrackerOptions& options,
                   bool paths_only);
 

@@ -106,14 +106,13 @@ struct OracleState {
   uint64_t edge_capacity = 0;
   uint32_t replica_cap = 0;
 
-  explicit OracleState(const EdgePartitionerOptions& raw) {
-    const EdgePartitionerOptions opt = SanitizeEdgePartitionerOptions(raw);
+  explicit OracleState(const EdgePartitionerOptions& opt) {
     load.assign(opt.k, 0);
     edge_capacity =
         ComputeEdgeCapacity(opt.k, opt.num_edges_hint, opt.balance_slack);
-    replica_cap =
-        opt.max_partitions_per_vertex == 0 ? opt.k
-                                           : opt.max_partitions_per_vertex;
+    // No vertex can be in more than k partitions: 0 and any cap >= k are k.
+    const uint32_t cap = opt.max_partitions_per_vertex;
+    replica_cap = cap == 0 || cap > opt.k ? opt.k : cap;
   }
 
   bool WithinBudget(VertexId x, uint32_t p) const {
@@ -162,8 +161,7 @@ struct OracleState {
 };
 
 std::vector<uint32_t> OracleHdrf(const GraphStream& stream,
-                                 const EdgePartitionerOptions& raw) {
-  const EdgePartitionerOptions opt = SanitizeEdgePartitionerOptions(raw);
+                                 const EdgePartitionerOptions& opt) {
   OracleState st(opt);
   std::vector<uint32_t> out;
   for (const VertexArrival& arrival : stream.arrivals()) {
@@ -210,8 +208,7 @@ std::vector<uint32_t> OracleHdrf(const GraphStream& stream,
 }
 
 std::vector<uint32_t> OracleDbh(const GraphStream& stream,
-                                const EdgePartitionerOptions& raw) {
-  const EdgePartitionerOptions opt = SanitizeEdgePartitionerOptions(raw);
+                                const EdgePartitionerOptions& opt) {
   OracleState st(opt);
   std::vector<uint32_t> out;
   for (const VertexArrival& arrival : stream.arrivals()) {
@@ -550,31 +547,30 @@ TEST(EdgePartitionOptionsTest, EdgeCapacityClampsOnlyUnrepresentableBudgets) {
   EXPECT_EQ(ComputeEdgeCapacity(4, 100, HUGE_VAL), kMax);
 }
 
-TEST(EdgePartitionOptionsTest, SanitizeClampsToSafeValues) {
-  EdgePartitionerOptions opt;
-  opt.k = 0;
-  opt.lambda = -3.0;
-  opt.balance_slack = 0.0;
-  opt.heat_weight = -1.0;
-  const EdgePartitionerOptions safe = SanitizeEdgePartitionerOptions(opt);
-  EXPECT_EQ(safe.k, 1u);
-  EXPECT_EQ(safe.lambda, 0.0);
-  EXPECT_EQ(safe.balance_slack, 1.0);
-  EXPECT_EQ(safe.heat_weight, 0.0);
-  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
-    opt.balance_slack = slack;
-    EXPECT_EQ(SanitizeEdgePartitionerOptions(opt).balance_slack, 1.0)
-        << slack;
+TEST(EdgePartitionOptionsTest, ReplicaCapAtOrAboveKPlacesAsUncapped) {
+  // A cap of k or more is valid and binds no vertex, so it places exactly
+  // as the default unbounded cap, for both partitioners.
+  const GraphStream stream = PowerLawStream(400, 6, 17);
+  for (const char* name : {"hdrf", "dbh"}) {
+    EdgePartitionerOptions opt;
+    opt.k = 4;
+    opt.num_edges_hint = CountStreamEdges(stream);
+    auto uncapped = MakeEdgePartitioner(name, opt);
+    ASSERT_TRUE(uncapped.ok());
+    StreamCursor cursor(stream);
+    (*uncapped)->Run(cursor);
+    for (const uint32_t cap : {4u, 5u, 9u}) {
+      opt.max_partitions_per_vertex = cap;
+      ASSERT_TRUE(ValidateEdgePartitionerOptions(opt).ok()) << cap;
+      auto capped = MakeEdgePartitioner(name, opt);
+      ASSERT_TRUE(capped.ok());
+      cursor.Reset();
+      (*capped)->Run(cursor);
+      EXPECT_EQ((*capped)->placements(), (*uncapped)->placements())
+          << name << " cap=" << cap;
+      EXPECT_EQ((*capped)->stats().cap_relaxations, 0u);
+    }
   }
-
-  EdgePartitionerOptions capped;
-  capped.k = 4;
-  capped.max_partitions_per_vertex = 9;
-  EXPECT_EQ(SanitizeEdgePartitionerOptions(capped).max_partitions_per_vertex,
-            4u);
-  capped.max_partitions_per_vertex = 1;
-  EXPECT_EQ(SanitizeEdgePartitionerOptions(capped).max_partitions_per_vertex,
-            2u);
 }
 
 TEST(EdgePartitionFactoryTest, KnownNamesAndErrors) {
@@ -701,7 +697,6 @@ TEST(EdgeRestreamTest, OptionsContract) {
   EdgeRestreamOptions opt;
   opt.num_passes = 0;
   EXPECT_FALSE(ValidateEdgeRestreamOptions(opt).ok());
-  EXPECT_EQ(SanitizeEdgeRestreamOptions(opt).num_passes, 1u);
   EXPECT_TRUE(ValidateEdgeRestreamOptions(EdgeRestreamOptions()).ok());
 }
 

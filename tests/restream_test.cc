@@ -695,7 +695,9 @@ TEST(ScoreTableTest, PriorBelowTheStreamsIdBoundThenClearAndAdopt) {
 TEST(RestreamOptionsValidationTest, ClampsPassesAndRejectsInvalidBudgets) {
   RestreamOptions zero_passes;
   zero_passes.num_passes = 0;
-  EXPECT_EQ(SanitizeRestreamOptions(zero_passes).num_passes, 1u);
+  EXPECT_EQ(ValidateRestreamOptions(zero_passes).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ValidateRestreamOptions(RestreamOptions()).ok());
 
   // MigrationBudgetMoves itself must never turn NaN into an unbudgeted
   // pass (the pre-fix behaviour cast NaN — undefined behaviour).
@@ -704,19 +706,6 @@ TEST(RestreamOptionsValidationTest, ClampsPassesAndRejectsInvalidBudgets) {
   ASSERT_TRUE(prior.Assign(1, 1).ok());
   EXPECT_EQ(MigrationBudgetMoves(prior, std::nan("")), 0u);
   EXPECT_EQ(MigrationBudgetMoves(prior, -1.0), 0u);
-}
-
-TEST(RestreamOptionsValidationTest, RestreamerSanitizesOnConstruction) {
-  Rng rng(61);
-  const LabeledGraph g = ErdosRenyiGnm(300, 900, LabelConfig{2, 0.0}, rng);
-  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-
-  // num_passes = 0 still runs one pass.
-  RestreamOptions ropts;
-  ropts.num_passes = 0;
-  LdgPartitioner one_pass(Opts(4, g.NumVertices()));
-  const RestreamResult r = Restreamer(stream, ropts).Run(&one_pass);
-  EXPECT_EQ(r.passes.size(), 1u);
 }
 
 }  // namespace

@@ -70,12 +70,15 @@ ServiceOptions BaseOptions(const Scenario& s, uint32_t k) {
 
 // ------------------------------------------------------ options validation
 
+// Every default passes its Validate, so a service built on defaults runs
+// on exactly the options it was given.
 TEST(ServingOptionsTest, DefaultsValidateAndSanitizeIsIdentityOnThem) {
-  const ServiceOptions defaults;
-  EXPECT_TRUE(ValidateServiceOptions(defaults).ok());
-  const ServiceOptions sanitized = SanitizeServiceOptions(defaults);
-  EXPECT_TRUE(ValidateServiceOptions(sanitized).ok());
-  EXPECT_EQ(sanitized.partitioner, defaults.partitioner);
+  EXPECT_TRUE(ValidateServiceOptions(ServiceOptions()).ok());
+  EXPECT_TRUE(ValidateDriftControllerOptions(DriftControllerOptions()).ok());
+  EXPECT_TRUE(ValidateDriftDetectorOptions(DriftDetectorOptions()).ok());
+  EXPECT_TRUE(ValidateWorkloadTrackerOptions(WorkloadTrackerOptions()).ok());
+  EXPECT_TRUE(ValidateLoomOptions(LoomOptions()).ok());
+  EXPECT_TRUE(ValidateRestreamOptions(RestreamOptions()).ok());
 }
 
 TEST(ServingOptionsTest, ValidateRejectsTheFirstBadFieldWithoutMutating) {
@@ -125,48 +128,29 @@ TEST(ServingOptionsTest, ValidateRejectsTheFirstBadFieldWithoutMutating) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ServingOptionsTest, SanitizeClampsEveryFieldValidateRejects) {
-  ServiceOptions opts;
-  opts.loom.partitioner.k = 0;
-  opts.partitioner = "no-such-partitioner";
-  opts.drift_check_every_queries = 0;
-  opts.publish_every_batches = 0;
-  opts.tracker.window_queries = 0;
-  opts.drift.reaction_passes = 0;
-  opts.drift.max_migration_fraction = std::nan("");
-  const ServiceOptions sane = SanitizeServiceOptions(opts);
-  EXPECT_TRUE(ValidateServiceOptions(sane).ok());
-  EXPECT_EQ(sane.loom.partitioner.k, 1u);
-  EXPECT_EQ(sane.partitioner, "loom");
-  EXPECT_EQ(sane.drift_check_every_queries, 1u);
-  EXPECT_EQ(sane.publish_every_batches, 1u);
-  EXPECT_EQ(sane.tracker.window_queries, 1u);
-  EXPECT_EQ(sane.drift.reaction_passes, 1u);
-  EXPECT_EQ(sane.drift.max_migration_fraction, 0.0);  // migration frozen
-  for (const double slack : {std::nan(""), -1.0, 0.5, HUGE_VAL}) {
-    opts.loom.partitioner.capacity_slack = slack;
-    EXPECT_EQ(SanitizeServiceOptions(opts).loom.partitioner.capacity_slack,
-              1.0)
-        << slack;
-  }
-}
-
 TEST(ServingOptionsTest, UniformContractAcrossTheOptionsFamily) {
-  // The same Validate/Sanitize pairing holds for the restream and drift
-  // structs the service composes.
+  // Each struct the service composes has its one Validate, and a nesting
+  // struct's Validate rejects what a nested one rejects.
   RestreamOptions ropts;
   ropts.num_passes = 0;
   EXPECT_EQ(ValidateRestreamOptions(ropts).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_GE(SanitizeRestreamOptions(ropts).num_passes, 1u);
 
   DriftControllerOptions dopts;
   dopts.detector.clear_threshold = 0.9;  // above fire_threshold: inverted
+  EXPECT_EQ(ValidateDriftDetectorOptions(dopts.detector).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(ValidateDriftControllerOptions(dopts).code(),
             StatusCode::kInvalidArgument);
-  const DriftControllerOptions sane = SanitizeDriftControllerOptions(dopts);
-  EXPECT_TRUE(ValidateDriftControllerOptions(sane).ok());
-  EXPECT_LE(sane.detector.clear_threshold, sane.detector.fire_threshold);
+  ServiceOptions sopts;
+  sopts.drift = dopts;
+  EXPECT_EQ(ValidateServiceOptions(sopts).code(),
+            StatusCode::kInvalidArgument);
+
+  WorkloadTrackerOptions topts;
+  topts.window_queries = 0;
+  EXPECT_EQ(ValidateWorkloadTrackerOptions(topts).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServingOptionsTest, CreateRejectsInvalidOptions) {
@@ -178,9 +162,9 @@ TEST(ServingOptionsTest, CreateRejectsInvalidOptions) {
 }
 
 TEST(ServingOptionsTest, CreateRejectsInvalidLoomOptions) {
-  // The service builds LOOM through the partitioner factory, which refuses
-  // what Loom::Create refuses: a zero window, and a frequency threshold
-  // that is negative or NaN.
+  // With the LOOM partitioner, ValidateServiceOptions checks LOOM's own
+  // options, so the service refuses what Loom::Create refuses: a zero
+  // window, and a frequency threshold that is negative or NaN.
   ServiceOptions zero_window;
   zero_window.loom.partitioner.window_size = 0;
   ServiceOptions negative_threshold;
@@ -189,9 +173,15 @@ TEST(ServingOptionsTest, CreateRejectsInvalidLoomOptions) {
   nan_threshold.loom.matcher.frequency_threshold = std::nan("");
   for (const ServiceOptions& bad :
        {zero_window, negative_threshold, nan_threshold}) {
+    EXPECT_EQ(ValidateServiceOptions(bad).code(),
+              StatusCode::kInvalidArgument);
     auto created = Service::Create(SmallWorkload(), bad);
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   }
+  // They are LOOM's own: another partitioner runs with them.
+  zero_window.partitioner = "ldg";
+  EXPECT_TRUE(ValidateServiceOptions(zero_window).ok());
+  EXPECT_TRUE(Service::Create(SmallWorkload(), zero_window).ok());
 }
 
 // ------------------------------------------------- ingest + rejection path
@@ -265,6 +255,60 @@ TEST(ServingIngestTest, OutOfAlphabetLabelRejectsTheBatch) {
   EXPECT_TRUE(service.Touches(PathQuery({3, 3})).empty());
   EXPECT_EQ(service.ObserveQuery(PathQuery({3, 3})).code(),
             StatusCode::kInvalidArgument);
+}
+
+// A vertex arrives once. A batch carrying an id that an earlier batch
+// ingested, or carrying one id twice, is rejected whole, so the partitioner
+// is never handed an id it has placed (it would count an assign error).
+TEST(ServingIngestTest, RepeatedVertexIdRejectsTheWholeBatch) {
+  Workload workload;
+  (void)workload.Add("path", PathQuery({0, 1, 0}), 1.0);
+  workload.Normalize();
+  for (const char* name : {"ldg", "loom"}) {
+    ServiceOptions opts;
+    opts.partitioner = name;
+    opts.loom.partitioner.k = 2;
+    auto created = Service::Create(workload, opts);
+    ASSERT_TRUE(created.ok());
+    Service& service = **created;
+
+    std::vector<VertexArrival> first(4);
+    for (VertexId v = 0; v < 4; ++v) first[v].vertex = v;
+    first[1].back_edges = {0};
+    first[3].back_edges = {2};
+    ASSERT_TRUE(service.Ingest(first).ok());
+
+    std::vector<VertexArrival> again(2);
+    again[0].vertex = 0;  // ingested by the first batch
+    again[1].vertex = 4;
+    again[1].back_edges = {0};
+    EXPECT_EQ(service.Ingest(again).code(), StatusCode::kInvalidArgument);
+
+    std::vector<VertexArrival> twice(2);
+    twice[0].vertex = 5;
+    twice[1].vertex = 5;  // repeated within the batch
+    EXPECT_EQ(service.Ingest(twice).code(), StatusCode::kInvalidArgument);
+    const GraphStream stream(twice);
+    StreamCursor cursor(stream);
+    EXPECT_EQ(service.IngestSource(cursor).code(),
+              StatusCode::kInvalidArgument);
+
+    // Nothing of a rejected batch was applied or marked: 4 and 5 are
+    // still new, so a batch of them alone is accepted.
+    std::vector<VertexArrival> fresh(2);
+    fresh[0].vertex = 4;
+    fresh[0].back_edges = {0};
+    fresh[1].vertex = 5;
+    ASSERT_TRUE(service.Ingest(fresh).ok());
+
+    ASSERT_TRUE(service.Seal().ok());
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.rejected_batches, 3u) << name;
+    EXPECT_EQ(stats.ingested_batches, 2u) << name;
+    EXPECT_EQ(stats.ingested_vertices, 6u) << name;
+    EXPECT_EQ(stats.assign_errors, 0u) << name;
+    for (VertexId v = 0; v < 6; ++v) EXPECT_GE(service.Locate(v), 0) << v;
+  }
 }
 
 TEST(ServingIngestTest, SealStopsIngestAndIsNotRepeatable) {

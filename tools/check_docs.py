@@ -9,7 +9,12 @@ Checks, from the repository root:
      ignored);
   3. every Markdown file named in the code and tool sources (src/, tests/,
      bench/, tools/) exists: a bare name at the root or under docs/, a name
-     with a directory relative to the root.
+     with a directory relative to the root;
+  4. every capitalised name in a code span of README.md or docs/*.md that
+     is called (`Name(`), qualified (`Name::`) or ends the span occurs in
+     some file under src/, tests/, bench/, benchmark/, tools/ or examples/,
+     or in a CMakeLists.txt, so the docs name nothing the code has dropped.
+     Spans that start with `-` are command-line flags and are skipped.
 
 Exit status is non-zero with one line per violation, so CI output reads as
 a to-do list.
@@ -29,6 +34,14 @@ LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 MD_NAME_RE = re.compile(r"(?<![\w./*-])([\w-][\w./-]*\.md)\b")
 CODE_DIRS = ("src", "tests", "bench", "tools")
 CODE_EXTENSIONS = (".h", ".cc", ".py", ".txt", ".cmake")
+
+# An inline code span, and in it a capitalised identifier holding a
+# lower-case letter that is called, qualified or ends the span:
+# `Service::Create(options)`, `ServiceStats`. Not `LOOM_WERROR` or `API`.
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+SPAN_NAME_RE = re.compile(r"(?<!\w)([A-Z]\w*[a-z]\w*)(?=\(|::|$)")
+NAME_SOURCE_DIRS = ("src", "tests", "bench", "benchmark", "tools",
+                    "examples")
 
 
 def check_file_headers():
@@ -109,8 +122,49 @@ def check_cited_md_names():
     return errors
 
 
+def source_words():
+    """Every identifier in the files the span names are checked against."""
+    paths = [os.path.join(REPO, "CMakeLists.txt")]
+    for top in NAME_SOURCE_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(REPO, top)):
+            paths.extend(os.path.join(dirpath, name) for name in files)
+    words = set()
+    for path in paths:
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8", errors="replace") as f:
+                words.update(re.findall(r"\w+", f.read()))
+    return words
+
+
+def check_span_names():
+    errors = []
+    words = source_words()
+    for md in markdown_files():
+        rel_md = os.path.relpath(md, REPO)
+        with open(md, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        fenced = False
+        for lineno, line in enumerate(lines, 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if fenced:
+                continue
+            for span in SPAN_RE.findall(line):
+                if span.startswith("-"):
+                    continue
+                for name in SPAN_NAME_RE.findall(span.strip()):
+                    if name not in words:
+                        errors.append(
+                            f"{rel_md}:{lineno}: `{span}` names '{name}', "
+                            "which no source file has"
+                        )
+    return errors
+
+
 def main():
-    errors = check_file_headers() + check_links() + check_cited_md_names()
+    errors = (check_file_headers() + check_links() + check_cited_md_names()
+              + check_span_names())
     for e in errors:
         print(e)
     if errors:
@@ -118,7 +172,8 @@ def main():
         return 1
     print(
         "check_docs: all header contracts present, all relative links "
-        "resolve, every cited Markdown file exists"
+        "resolve, every cited Markdown file exists, every name in a docs "
+        "code span is in the sources"
     )
     return 0
 
